@@ -53,8 +53,6 @@ def _add_quadrature_flags(p: argparse.ArgumentParser):
                    help="Gauss-Legendre nodes per subinterval")
     p.add_argument("--qtol", type=float, default=1e-8,
                    help="adaptive quadrature tolerance")
-    p.add_argument("--no-fast-path", action="store_true",
-                   help="disable closed-form product shortcuts")
 
 
 def _quad_config(args) -> QuadratureConfig:
@@ -83,6 +81,11 @@ def _build_parser() -> argparse.ArgumentParser:
     pg.add_argument("n", type=int, help="grid order, 1..4096")
     pg.add_argument("out", help="output CSV path")
     _add_quadrature_flags(pg)
+
+    # verify fixes per check whether its products take fast paths
+    for p in (pe, pg):
+        p.add_argument("--no-fast-path", action="store_true",
+                       help="disable closed-form product shortcuts")
 
     pv = sub.add_parser("verify", help="run a verification suite")
     pv.add_argument("suite", choices=SUITES + ("all",))

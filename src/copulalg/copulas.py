@@ -39,7 +39,6 @@ __all__ = [
     "M",
     "W",
     "PI",
-    "straight_shuffle",
     "shuffle_from_grid",
     "grid_from_copula",
     "sup_distance",
@@ -341,10 +340,6 @@ class ShuffleOfM(Copula):
     left_invertible = True
     right_invertible = True
 
-    # above this piece count, evaluation broadcasts over a pieces x points
-    # matrix instead of looping
-    _BATCH_PIECES = 32
-
     def __init__(self, cuts, sigma, flips=None):
         cuts = tuple(float(c) for c in cuts)
         if len(cuts) < 2 or cuts[0] != 0.0 or cuts[-1] != 1.0:
@@ -387,36 +382,19 @@ class ShuffleOfM(Copula):
     def _cdf(self, u, v):
         u, v = np.broadcast_arrays(np.asarray(u, float), np.asarray(v, float))
         out = np.zeros_like(u, dtype=float)
-        if self.n_pieces <= self._BATCH_PIECES:
-            for i in range(self.n_pieces):
-                s0, w = self._s0[i], self._w[i]
-                t0, t1 = self._t0[i], self._t1[i]
-                a = u - s0
-                if self._flip[i]:
-                    out += np.maximum(
-                        np.minimum(a, w) - np.maximum(t1 - v, 0.0), 0.0
-                    )
-                else:
-                    out += np.clip(np.minimum(a, v - t0), 0.0, w)
-            return out
-        # many pieces (grid-unrolled shuffles): vectorize over piece
-        # blocks sized to keep the pieces x points temporaries bounded
-        uf = u.reshape(1, -1)
-        vf = v.reshape(1, -1)
-        acc = np.zeros(uf.shape[1])
-        block = max(1, (1 << 22) // max(uf.shape[1], 1))
-        for i0 in range(0, self.n_pieces, block):
-            sl = slice(i0, min(i0 + block, self.n_pieces))
-            s0 = self._s0[sl, None]
-            w = self._w[sl, None]
-            t0 = self._t0[sl, None]
-            t1 = self._t1[sl, None]
-            flip = self._flip[sl, None]
-            a = uf - s0
-            asc = np.clip(np.minimum(a, vf - t0), 0.0, w)
-            desc = np.maximum(np.minimum(a, w) - np.maximum(t1 - vf, 0.0), 0.0)
-            acc += np.where(flip, desc, asc).sum(axis=0)
-        return acc.reshape(u.shape)
+        # one piece at a time, in piece order: a point's sum is the same
+        # whichever points are evaluated with it
+        for i in range(self.n_pieces):
+            s0, w = self._s0[i], self._w[i]
+            t0, t1 = self._t0[i], self._t1[i]
+            a = u - s0
+            if self._flip[i]:
+                out += np.maximum(
+                    np.minimum(a, w) - np.maximum(t1 - v, 0.0), 0.0
+                )
+            else:
+                out += np.clip(np.minimum(a, v - t0), 0.0, w)
+        return out
 
     def _d2(self, u, v):
         u, v = np.broadcast_arrays(np.asarray(u, float), np.asarray(v, float))
@@ -510,11 +488,6 @@ class StraightShuffle(ShuffleOfM):
 
     def __repr__(self):
         return f"<StraightShuffle alpha={self.alpha}>"
-
-
-def straight_shuffle(alpha: float) -> StraightShuffle:
-    """Build the straight shuffle with parameter alpha in [0, 1]."""
-    return StraightShuffle(alpha)
 
 
 class TransposedCopula(Copula):

@@ -33,7 +33,6 @@ __all__ = [
     "ConstantFamily",
     "PiecewiseConstantFamily",
     "FGMCurveFamily",
-    "family_eval",
     "measurability_class",
     "ae_equal",
     "family_integral",
@@ -219,11 +218,6 @@ class FGMCurveFamily(CopulaFamily):
 
     def __repr__(self):
         return f"<FGMCurveFamily coeffs={self.coeffs}>"
-
-
-def family_eval(F: CopulaFamily, t, x, y):
-    """C_t(x, y); free-function alias for CopulaFamily.eval."""
-    return F.eval(t, x, y)
 
 
 def measurability_class(F: CopulaFamily) -> str:

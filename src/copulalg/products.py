@@ -54,11 +54,8 @@ __all__ = [
     "ComputedCopula",
     "ShuffleStarProduct",
     "WRightProduct",
-    "WLeftProduct",
     "star",
     "star_c",
-    "invertible_reduction",
-    "shuffle_star",
     "integrate",
     "FAST_PATHS",
 ]
@@ -364,7 +361,11 @@ class ShuffleStarProduct(Copula):
 
 
 class WRightProduct(Copula):
-    """(A * W)(u, v) = u - A(u, 1 - v); W reverses the second law."""
+    """(A * W)(u, v) = u - A(u, 1 - v); W reverses the second law.
+
+    Transposed around B^T it gives the left form, (W * B)(u, v) =
+    v - B(1 - u, v).
+    """
 
     kind = "computed"
 
@@ -379,27 +380,6 @@ class WRightProduct(Copula):
         return f"<WRightProduct A={self.A!r}>"
 
 
-class WLeftProduct(Copula):
-    """(W * B)(u, v) = v - B(1 - u, v)."""
-
-    kind = "computed"
-
-    def __init__(self, B: Copula):
-        self.B = B
-
-    def _cdf(self, u, v):
-        u, v = np.broadcast_arrays(np.asarray(u, float), np.asarray(v, float))
-        return np.clip(v - self.B._cdf(1.0 - u, v), 0.0, 1.0)
-
-    def __repr__(self):
-        return f"<WLeftProduct B={self.B!r}>"
-
-
-def shuffle_star(S: ShuffleOfM, C: Copula) -> Copula:
-    """Closed-form star product with a shuffle on the left."""
-    return ShuffleStarProduct(S, C)
-
-
 def _probe_error(cop: ComputedCopula) -> float:
     xs = np.asarray([p[0] for p in _PROBES])
     ys = np.asarray([p[1] for p in _PROBES])
@@ -407,7 +387,45 @@ def _probe_error(cop: ComputedCopula) -> float:
     return err
 
 
-def _quadrature_result(A, family, B, q) -> ProductResult:
+def _fast_path(A: Copula, family, B: Copula, q: QuadratureConfig | None,
+               fast_paths: bool = True) -> ProductResult:
+    """A *_C B over ``family``, or the classical A * B when it is None.
+
+    The one dispatch behind ``star`` and ``star_c``: the first closed
+    form that applies wins, in the module docstring's order, with
+    zero-Pi for the classical product only and invertible-reduction
+    for the generalized one only (it subsumes the shuffle closed form
+    there). Without a closed form, or with ``fast_paths`` off, the
+    product is left to quadrature and carries its probe error.
+    """
+    q = q if q is not None else QuadratureConfig()
+    if fast_paths:
+        if isinstance(A, FrechetM):
+            return ProductResult(B, "identity-M", 0.0, q)
+        if isinstance(B, FrechetM):
+            return ProductResult(A, "identity-M", 0.0, q)
+        if family is None and (isinstance(A, ProductPi) or isinstance(B, ProductPi)):
+            return ProductResult(PI, "zero-Pi", 0.0, q)
+        if isinstance(B, FrechetW):
+            return ProductResult(WRightProduct(A), "W-closed-form", 0.0, q)
+        if isinstance(A, FrechetW):
+            return ProductResult(
+                TransposedCopula(WRightProduct(B.transpose())), "W-closed-form", 0.0, q
+            )
+        if family is not None:
+            if A.left_invertible or B.right_invertible:
+                inner = _fast_path(A, None, B, q)
+                return ProductResult(
+                    inner.copula, "invertible-reduction", inner.error_estimate, q
+                )
+        elif isinstance(A, ShuffleOfM):
+            closed = ShuffleStarProduct(A, B)
+            return ProductResult(closed, "shuffle-closed-form", 0.0, q)
+        elif isinstance(B, ShuffleOfM):
+            flipped = ShuffleStarProduct(B.transpose(), A.transpose())
+            return ProductResult(
+                TransposedCopula(flipped), "shuffle-closed-form", 0.0, q
+            )
     cop = ComputedCopula(A, family, B, q)
     return ProductResult(cop, "none", _probe_error(cop), q)
 
@@ -420,26 +438,7 @@ def star(A: Copula, B: Copula, q: QuadratureConfig | None = None,
     form (right factor checked first), shuffle closed form. Pass
     fast_paths=False to force raw quadrature.
     """
-    qq = q if q is not None else QuadratureConfig()
-    if fast_paths:
-        if isinstance(A, FrechetM):
-            return ProductResult(B, "identity-M", 0.0, qq)
-        if isinstance(B, FrechetM):
-            return ProductResult(A, "identity-M", 0.0, qq)
-        if isinstance(A, ProductPi) or isinstance(B, ProductPi):
-            return ProductResult(PI, "zero-Pi", 0.0, qq)
-        if isinstance(B, FrechetW):
-            return ProductResult(WRightProduct(A), "W-closed-form", 0.0, qq)
-        if isinstance(A, FrechetW):
-            return ProductResult(WLeftProduct(B), "W-closed-form", 0.0, qq)
-        if isinstance(A, ShuffleOfM):
-            return ProductResult(ShuffleStarProduct(A, B), "shuffle-closed-form", 0.0, qq)
-        if isinstance(B, ShuffleOfM):
-            flipped = ShuffleStarProduct(B.transpose(), A.transpose())
-            return ProductResult(
-                TransposedCopula(flipped), "shuffle-closed-form", 0.0, qq
-            )
-    return _quadrature_result(A, None, B, qq)
+    return _fast_path(A, None, B, q, fast_paths)
 
 
 def star_c(A: Copula, family, B: Copula, q: QuadratureConfig | None = None,
@@ -450,36 +449,4 @@ def star_c(A: Copula, family, B: Copula, q: QuadratureConfig | None = None,
     subsumes shuffle factors), then quadrature. There is no zero-Pi
     path: Pi factors do not absorb the generalized product.
     """
-    qq = q if q is not None else QuadratureConfig()
-    if fast_paths:
-        if isinstance(A, FrechetM):
-            return ProductResult(B, "identity-M", 0.0, qq)
-        if isinstance(B, FrechetM):
-            return ProductResult(A, "identity-M", 0.0, qq)
-        if isinstance(B, FrechetW):
-            return ProductResult(WRightProduct(A), "W-closed-form", 0.0, qq)
-        if isinstance(A, FrechetW):
-            return ProductResult(WLeftProduct(B), "W-closed-form", 0.0, qq)
-        if A.left_invertible or B.right_invertible:
-            inner = star(A, B, qq)
-            return ProductResult(
-                inner.copula, "invertible-reduction", inner.error_estimate, qq
-            )
-    return _quadrature_result(A, family, B, qq)
-
-
-def invertible_reduction(A: Copula, family, B: Copula,
-                         q: QuadratureConfig | None = None) -> ProductResult:
-    """Reduce A *_C B to A * B when an invertible factor is present.
-
-    Valid because an invertible factor has a 0/1-valued conditional,
-    which pins the family evaluation to its arguments' product.
-    """
-    if not (A.left_invertible or B.right_invertible):
-        raise ConstructionError(
-            "invertible reduction needs a left-invertible left factor "
-            "or a right-invertible right factor"
-        )
-    qq = q if q is not None else QuadratureConfig()
-    inner = star(A, B, qq)
-    return ProductResult(inner.copula, "invertible-reduction", inner.error_estimate, qq)
+    return _fast_path(A, family, B, q, fast_paths)

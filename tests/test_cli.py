@@ -208,6 +208,18 @@ def test_verify_unknown_suite_rejected(capsys):
     capsys.readouterr()
 
 
+def test_verify_rejects_no_fast_path_flag(capsys, tmp_path):
+    # verify decides per check whether fast paths apply; the flag is
+    # eval and grid only
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "fgm", "--no-fast-path", "--out", str(tmp_path)])
+    assert exc.value.code == 2
+    _, err = capsys.readouterr()
+    assert "usage:" in err
+    assert "--no-fast-path" in err
+    assert not (tmp_path / "verify_fgm.txt").exists()
+
+
 def test_verify_deterministic_outputs(capsys, tmp_path):
     a, b = tmp_path / "a", tmp_path / "b"
     a.mkdir()

@@ -24,7 +24,6 @@ from copulalg import (
     grid_from_copula,
     read_grid_csv,
     shuffle_from_grid,
-    straight_shuffle,
     sup_distance,
     sup_distance_witness,
     validate,
@@ -90,9 +89,9 @@ def test_straight_shuffle_degenerate_is_m():
 
 def test_straight_shuffle_param_range():
     with pytest.raises(ConstructionError):
-        straight_shuffle(-0.01)
+        StraightShuffle(-0.01)
     with pytest.raises(ConstructionError):
-        straight_shuffle(1.5)
+        StraightShuffle(1.5)
 
 
 def test_shuffle_constructor_rejects_bad_input():
@@ -373,6 +372,23 @@ def test_shuffle_from_grid_approximates():
         s = shuffle_from_grid(g)
         assert sup_distance(s, g, 22) <= 4.0 / order
         assert sup_distance(s, FGMCopula(1.0), 22) <= 2.0 ** -n
+
+
+def test_many_piece_shuffle_bits_do_not_depend_on_batch(unit_grid_65):
+    # 1024 pieces: a point's value has the same bits alone, inside a
+    # 2-point batch and inside the 65 x 65 lattice
+    s = shuffle_from_grid(grid_from_copula(FGMCopula(0.7), 32))
+    assert s.n_pieces == 1024
+    lattice = s._cdf(unit_grid_65[:, None], unit_grid_65[None, :])
+    bad = []
+    for i in range(0, 65, 3):
+        for j in range(0, 65, 3):
+            u, v = unit_grid_65[i], unit_grid_65[j]
+            alone = s.eval(u, v)
+            pair = s.eval(np.array([u, 0.5]), np.array([v, 0.25]))[0]
+            if not alone == lattice[i, j] == pair:
+                bad.append((u, v))
+    assert bad == []
 
 
 # ---------------------------------------------------------------------------

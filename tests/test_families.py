@@ -14,7 +14,6 @@ from copulalg import (
     PiecewiseConstantFamily,
     W,
     ae_equal,
-    family_eval,
     family_integral,
     measurability_class,
     midpoint_fgm_approximation,
@@ -85,16 +84,16 @@ def test_fgm_curve_clips_theta():
 
 def test_family_eval_pinned():
     f = PiecewiseConstantFamily((0.5,), (M, PI))
-    assert family_eval(f, 0.25, 0.5, 0.625) == 0.5
-    assert family_eval(f, 0.75, 0.5, 0.625) == pytest.approx(0.3125)
+    assert f.eval(0.25, 0.5, 0.625) == 0.5
+    assert f.eval(0.75, 0.5, 0.625) == pytest.approx(0.3125)
 
 
 def test_family_eval_fgm_member():
     f = ConstantFamily(FGMCopula(0.5))
-    assert family_eval(f, 0.3, 0.5, 0.5) == pytest.approx(
+    assert f.eval(0.3, 0.5, 0.5) == pytest.approx(
         oracles.fgm_cdf(0.5)(0.5, 0.5)
     )
-    assert family_eval(f, 0.9, 0.25, 0.75) == pytest.approx(
+    assert f.eval(0.9, 0.25, 0.75) == pytest.approx(
         oracles.fgm_cdf(0.5)(0.25, 0.75), abs=1e-15
     )
 

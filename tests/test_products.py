@@ -17,14 +17,13 @@ from copulalg import (
     PiecewiseConstantFamily,
     QuadratureConfig,
     ShuffleOfM,
+    ShuffleStarProduct,
     StraightShuffle,
     W,
     grid_from_copula,
     integrate,
-    invertible_reduction,
     midpoint_fgm_approximation,
     shuffle_from_grid,
-    shuffle_star,
     star,
     star_c,
     sup_distance,
@@ -160,6 +159,20 @@ def test_star_fast_path_precedence(flip_shuffle):
     assert star(FGMCopula(1.0), FGMCopula(1.0)).fast_path == "none"
 
 
+def test_star_c_fast_path_precedence(flip_shuffle):
+    F = PiecewiseConstantFamily((0.5,), (M, W))
+    fgm = FGMCopula(0.5)
+    r = star_c(PI, F, flip_shuffle)
+    # invertible-reduction outranks the classical product's zero-Pi tag
+    assert r.fast_path == "invertible-reduction"
+    assert r.copula is PI
+    assert star_c(W, F, flip_shuffle).fast_path == "W-closed-form"
+    assert star_c(flip_shuffle, F, W).fast_path == "W-closed-form"
+    assert star_c(PI, F, W).fast_path == "W-closed-form"
+    assert star_c(M, F, W).fast_path == "identity-M"
+    assert star_c(fgm, F, fgm).fast_path == "none"
+
+
 def test_star_fast_paths_disabled():
     r = star(M, W, fast_paths=False)
     assert r.fast_path == "none"
@@ -169,19 +182,19 @@ def test_star_fast_paths_disabled():
 
 def test_shuffle_star_pinned_value():
     S = StraightShuffle(0.3)
-    assert shuffle_star(S, PI).eval(0.4, 0.6) == pytest.approx(0.24, abs=1e-15)
+    assert ShuffleStarProduct(S, PI).eval(0.4, 0.6) == pytest.approx(0.24, abs=1e-15)
 
 
 def test_shuffle_star_requires_shuffle():
     with pytest.raises(ConstructionError):
-        shuffle_star(FGMCopula(0.5), PI)
+        ShuffleStarProduct(FGMCopula(0.5), PI)
 
 
 def test_straight_shuffle_star_closed_form():
     alpha = 0.3
     S = StraightShuffle(alpha)
     C = FGMCopula(0.8)
-    P = shuffle_star(S, C)
+    P = ShuffleStarProduct(S, C)
     for u, v in [(0.2, 0.5), (0.7, 0.9), (0.71, 0.4), (1.0, 0.6), (0.0, 0.3)]:
         if u <= 1 - alpha:
             want = C.eval(u + alpha, v) - C.eval(alpha, v)
@@ -331,14 +344,9 @@ def test_invertible_reduction_consistency(flip_shuffle):
     # family must drop out when a factor has 0/1 conditionals
     F = PiecewiseConstantFamily((0.5,), (M, W))
     raw = star_c(flip_shuffle, F, FGMCopula(0.8), fast_paths=False)
-    red = invertible_reduction(flip_shuffle, F, FGMCopula(0.8))
+    red = star_c(flip_shuffle, F, FGMCopula(0.8))
     assert red.fast_path == "invertible-reduction"
     assert sup_on_lattice(raw.copula, red.copula) <= 1e-6
-
-
-def test_invertible_reduction_rejects_noninvertible():
-    with pytest.raises(ConstructionError):
-        invertible_reduction(FGMCopula(1.0), ConstantFamily(PI), FGMCopula(1.0))
 
 
 def test_star_c_matches_scipy_oracle():
