@@ -145,6 +145,12 @@ class Copula:
     Subclasses implement ``_cdf`` (vectorized, no domain checks) and may
     override ``_d1``/``_d2`` with analytic a.e. derivatives. The public
     methods validate domains and accept scalars or arrays.
+
+    Kernel contract: ``_d1``/``_d2`` take broadcastable arrays that have
+    not been broadcast, for instance a (1, 1) cell against (k, 1)
+    nodes, and use elementwise arithmetic only, so a value's bits do
+    not depend on the shape it is evaluated in. They return a new float
+    array of the broadcast shape, which the quadrature clips in place.
     """
 
     kind = "abstract"
@@ -222,11 +228,11 @@ class FrechetM(Copula):
 
     def _d1(self, u, v):
         # right-hand slope is 1 strictly below v; left-hand at u=1 needs u <= v
-        u, v = np.broadcast_arrays(np.asarray(u, float), np.asarray(v, float))
+        u, v = np.asarray(u, float), np.asarray(v, float)
         return np.where(u == 1.0, (u <= v) & (v >= 1.0), u < v).astype(float)
 
     def _d2(self, u, v):
-        u, v = np.broadcast_arrays(np.asarray(u, float), np.asarray(v, float))
+        u, v = np.asarray(u, float), np.asarray(v, float)
         return np.where(v == 1.0, (v <= u) & (u >= 1.0), v < u).astype(float)
 
     def transpose(self):
@@ -250,12 +256,12 @@ class FrechetW(Copula):
         return np.maximum(u + v - 1.0, 0.0)
 
     def _d1(self, u, v):
-        u, v = np.broadcast_arrays(np.asarray(u, float), np.asarray(v, float))
+        u, v = np.asarray(u, float), np.asarray(v, float)
         # slope 1 on u > 1-v (right-hand includes equality), at u=1 needs v > 0
         return np.where(u == 1.0, v > 0.0, u + v >= 1.0).astype(float)
 
     def _d2(self, u, v):
-        u, v = np.broadcast_arrays(np.asarray(u, float), np.asarray(v, float))
+        u, v = np.asarray(u, float), np.asarray(v, float)
         return np.where(v == 1.0, u > 0.0, u + v >= 1.0).astype(float)
 
     def transpose(self):
@@ -277,12 +283,12 @@ class ProductPi(Copula):
         return u * v
 
     def _d1(self, u, v):
-        u, v = np.broadcast_arrays(np.asarray(u, float), np.asarray(v, float))
-        return v.astype(float).copy()
+        u, v = np.asarray(u, float), np.asarray(v, float)
+        return np.broadcast_to(v, np.broadcast_shapes(u.shape, v.shape)).copy()
 
     def _d2(self, u, v):
-        u, v = np.broadcast_arrays(np.asarray(u, float), np.asarray(v, float))
-        return u.astype(float).copy()
+        u, v = np.asarray(u, float), np.asarray(v, float)
+        return np.broadcast_to(u, np.broadcast_shapes(u.shape, v.shape)).copy()
 
     def transpose(self):
         return self
@@ -308,11 +314,11 @@ class FGMCopula(Copula):
         return u * v * (1.0 + self.theta * (1.0 - u) * (1.0 - v))
 
     def _d1(self, u, v):
-        u, v = np.broadcast_arrays(np.asarray(u, float), np.asarray(v, float))
+        u, v = np.asarray(u, float), np.asarray(v, float)
         return v + self.theta * v * (1.0 - v) * (1.0 - 2.0 * u)
 
     def _d2(self, u, v):
-        u, v = np.broadcast_arrays(np.asarray(u, float), np.asarray(v, float))
+        u, v = np.asarray(u, float), np.asarray(v, float)
         return u + self.theta * u * (1.0 - u) * (1.0 - 2.0 * v)
 
     def transpose(self):
@@ -397,8 +403,8 @@ class ShuffleOfM(Copula):
         return out
 
     def _d2(self, u, v):
-        u, v = np.broadcast_arrays(np.asarray(u, float), np.asarray(v, float))
-        out = np.zeros_like(u, dtype=float)
+        u, v = np.asarray(u, float), np.asarray(v, float)
+        out = np.zeros(np.broadcast_shapes(u.shape, v.shape))
         at_one = v == 1.0
         for i in range(self.n_pieces):
             s0, w = self._s0[i], self._w[i]

@@ -153,16 +153,17 @@ class PiecewiseConstantFamily(CopulaFamily):
         return self.members[int(self._index(t))]
 
     def eval_grid(self, ts, x, y):
-        x, y = np.broadcast_arrays(np.asarray(x, float), np.asarray(y, float))
-        shape = np.broadcast_shapes((len(ts), 1), x.shape)
-        out = np.empty(shape)
+        x, y = np.asarray(x, float), np.asarray(y, float)
+        out = np.empty(np.broadcast_shapes((len(ts), 1), x.shape, y.shape))
         idx = self._index(np.asarray(ts))
-        xb = np.broadcast_to(x, shape)
-        yb = np.broadcast_to(y, shape)
         for k, member in enumerate(self.members):
             mask = idx == k
             if mask.any():
-                out[mask] = member._cdf(xb[mask], yb[mask])
+                # pick rows only from inputs with one row per t, so a
+                # (1, m) row or an (n, 1) column is never expanded
+                xm = x[mask] if x.ndim == 2 and x.shape[0] == mask.size else x
+                ym = y[mask] if y.ndim == 2 and y.shape[0] == mask.size else y
+                out[mask] = member._cdf(xm, ym)
         return out
 
     def breakpoints(self):

@@ -156,7 +156,7 @@ def _initial_edges(breakpoints, q: QuadratureConfig):
 
 
 def _segment_values(fbatch, segs, nodes, weights, chunk):
-    """Gauss-Legendre value of fbatch over each (a, b) segment.
+    """Gauss-Legendre value of fbatch over each (a, b) row of ``segs``.
 
     Returns an array (len(segs), width). Segments are evaluated in order
     but batched into single fbatch calls of at most ``chunk`` nodes,
@@ -169,7 +169,6 @@ def _segment_values(fbatch, segs, nodes, weights, chunk):
     size, or which points are evaluated together.
     """
     n = len(nodes)
-    segs = np.asarray(segs, dtype=float)
     a, b = segs[:, :1], segs[:, 1:]
     hw = 0.5 * (b - a)
     ts = hw * nodes + 0.5 * (a + b)
@@ -191,50 +190,55 @@ def _integrate_batch(fbatch, breakpoints, q: QuadratureConfig, width: int):
     fbatch maps a node array (k,) to values (k, width). Returns the
     (width,) integral and a scalar error estimate valid for every
     component (sum over pieces of the max-norm two-level defect).
+
+    Each adaptive level is one array of segments, in increasing order.
+    A segment is accepted when the max-norm gap between its n-point
+    rule and the sum of its two halves is within its share of the
+    tolerance; the rest are bisected into the next level. Accepted
+    values are then added strictly left to right in the order of
+    their left ends.
     """
     nodes, weights = _gl(q.nodes_per_subinterval)
     edges = _initial_edges(breakpoints, q)
     tol0 = q.adaptive_tol / (len(edges) - 1)
     chunk = max(3 * len(nodes), _CHUNK_ELEMENTS // max(width, 1))
-    # work items: (a, b, depth, value of the n-point rule on [a, b] if known)
-    work = [(float(a), float(b), 0, None) for a, b in zip(edges[:-1], edges[1:])]
-    accepted = []
-    while work:
-        segs = []
-        for a, b, depth, pval in work:
-            mid = 0.5 * (a + b)
-            if pval is None:
-                segs.append((a, b))
-            segs.append((a, mid))
-            segs.append((mid, b))
-        vals = _segment_values(fbatch, segs, nodes, weights, chunk)
-        pos = 0
-        nxt = []
-        for a, b, depth, pval in work:
-            if pval is None:
-                pval = vals[pos]
-                pos += 1
-            left, right = vals[pos], vals[pos + 1]
-            pos += 2
-            fine = left + right
-            err = float(np.max(np.abs(pval - fine)))
-            # each bisection halves the budget so the total stays bounded
-            if err <= tol0 / (1 << depth):
-                accepted.append((a, fine, err))
-            elif depth >= q.max_depth:
-                raise NonConvergenceError((a, b), err, tol0 / (1 << depth))
-            else:
-                mid = 0.5 * (a + b)
-                nxt.append((a, mid, depth + 1, left))
-                nxt.append((mid, b, depth + 1, right))
-        work = nxt
-    accepted.sort(key=lambda rec: rec[0])
-    total = np.zeros(width)
-    err_sum = 0.0
-    for _, v, e in accepted:
-        total += v
-        err_sum += e
-    return total, err_sum
+    a, b = edges[:-1], edges[1:]
+    coarse = None  # n-point rule on each [a, b], computed with level 0
+    starts, fines, errs = [], [], []
+    depth = 0
+    while a.size:
+        mid = 0.5 * (a + b)
+        if coarse is None:
+            lo, hi = (a, a, mid), (b, mid, b)
+        else:
+            lo, hi = (a, mid), (mid, b)
+        segs = np.stack((np.stack(lo, axis=1), np.stack(hi, axis=1)), axis=-1)
+        vals = _segment_values(fbatch, segs.reshape(-1, 2), nodes, weights, chunk)
+        vals = vals.reshape(a.size, len(lo), -1)
+        if coarse is None:
+            coarse = vals[:, 0]
+        left, right = vals[:, -2], vals[:, -1]
+        fine = left + right
+        err = np.max(np.abs(coarse - fine), axis=1)
+        # each bisection halves the budget so the total stays bounded
+        tol = tol0 / (1 << depth)
+        ok = err <= tol
+        starts.append(a[ok])
+        fines.append(fine[ok])
+        errs.append(err[ok])
+        bad = ~ok
+        if depth >= q.max_depth and bad.any():
+            i = int(np.argmax(bad))
+            raise NonConvergenceError((float(a[i]), float(b[i])), float(err[i]), tol)
+        a = np.stack((a[bad], mid[bad]), axis=1).reshape(-1)
+        b = np.stack((mid[bad], b[bad]), axis=1).reshape(-1)
+        coarse = np.stack((left[bad], right[bad]), axis=1).reshape(-1, vals.shape[-1])
+        depth += 1
+    order = np.argsort(np.concatenate(starts), kind="stable")
+    # add.accumulate runs strictly in order; + 0.0 matches a sum from zero
+    total = np.add.accumulate(np.concatenate(fines)[order], axis=0)[-1] + 0.0
+    err_sum = np.add.accumulate(np.concatenate(errs)[order])[-1] + 0.0
+    return total, float(err_sum)
 
 
 def integrate(f, breakpoints=(), q: QuadratureConfig | None = None):
@@ -248,17 +252,30 @@ def integrate(f, breakpoints=(), q: QuadratureConfig | None = None):
     return float(total[0]), err
 
 
+def _row(zs):
+    """zs as a (1, k) row, or a (1, 1) cell when its values share their bits."""
+    zs = np.asarray(zs, dtype=float)
+    bits = zs.view(np.uint64)
+    if bits.size and (bits == bits[0]).all():
+        return zs[:1].reshape(1, 1)
+    return zs.reshape(1, -1)
+
+
 def _make_integrand(A: Copula, family, B: Copula, xs, ys):
-    X = xs.reshape(1, -1)
-    Y = ys.reshape(1, -1)
+    # a coordinate that is constant over the batch, as in a group of
+    # _product_points_eval, is a (1, 1) cell: its side's conditional is
+    # then evaluated once per node and broadcast only in the result
+    X, Y = _row(xs), _row(ys)
+    width = xs.size
 
     def fbatch(ts):
         T = ts.reshape(-1, 1)
-        s = np.clip(A._d2(X, T), 0.0, 1.0)
-        r = np.clip(B._d1(T, Y), 0.0, 1.0)
-        if family is None:
-            return s * r
-        return family.eval_grid(ts, s, r)
+        s = A._d2(X, T)
+        np.clip(s, 0.0, 1.0, out=s)
+        r = B._d1(T, Y)
+        np.clip(r, 0.0, 1.0, out=r)
+        out = s * r if family is None else family.eval_grid(ts, s, r)
+        return np.broadcast_to(out, (ts.size, width))
 
     return fbatch
 

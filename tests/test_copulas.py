@@ -18,6 +18,7 @@ from copulalg import (
     Rectangle,
     ShuffleOfM,
     StraightShuffle,
+    TransposedCopula,
     W,
     fd_partial1,
     fd_partial2,
@@ -275,6 +276,40 @@ def test_shuffle_partial_matches_fd_off_kinks(flip_shuffle):
     fd = fd_partial2(flip_shuffle, pts[:, 0], pts[:, 1], h=1e-7)
     # FD smears the jump inside a 1e-7 window; random points miss it
     assert np.abs(d2 - fd).max() <= 1e-6
+
+
+def _random_shuffle(rng):
+    n = int(rng.integers(1, 7))
+    cuts = np.concatenate(([0.0], np.sort(rng.uniform(0.0, 1.0, n - 1)), [1.0]))
+    return ShuffleOfM(cuts, rng.permutation(n) + 1, rng.random(n) < 0.5)
+
+
+def test_kernels_agree_unbroadcast():
+    # the quadrature hands _d1/_d2 a (1, w) row or a (1, 1) cell against
+    # a (k, 1) column of nodes; the values must carry the same bits as on
+    # explicitly broadcast (k, w) inputs. For shuffles the inputs sit on
+    # every strip edge _s0, _t0, _t1, where one piece hands over to the
+    # next, and on u = 1 and v = 1, where the left-hand rule applies.
+    rng = np.random.default_rng(20)
+    base = np.concatenate(([0.0, 0.5, 1.0], rng.uniform(0.0, 1.0, 5)))
+    cases = [(c, base) for c in (
+        M, W, PI, FGMCopula(0.7), FGMCopula(-1.0),
+        TransposedCopula(FGMCopula(0.3)), TransposedCopula(W))]
+    for _ in range(40):
+        s = _random_shuffle(rng)
+        edges = np.concatenate((s._s0, s._s0 + s._w, s._t0, s._t1, base))
+        cases += [(s, edges), (TransposedCopula(s), edges)]
+    for c, pts in cases:
+        row, col = pts.reshape(1, -1), pts.reshape(-1, 1)
+        pairs = [(row, col), (col, row)]
+        pairs += [(pts[i:i + 1].reshape(1, 1), col) for i in range(pts.size)]
+        pairs += [(col, pts[i:i + 1].reshape(1, 1)) for i in range(pts.size)]
+        for u, v in pairs:
+            shape = np.broadcast_shapes(u.shape, v.shape)
+            ub = np.broadcast_to(u, shape).copy()
+            vb = np.broadcast_to(v, shape).copy()
+            for d in (c._d1, c._d2):
+                assert np.array_equal(d(u, v), d(ub, vb)), (c, d.__name__)
 
 
 # ---------------------------------------------------------------------------

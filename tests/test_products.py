@@ -5,12 +5,14 @@ import pytest
 
 import oracles
 from copulalg import products
+from copulalg.verify import corpus_families
 from copulalg import (
     ComputedCopula,
     ConstantFamily,
     ConstructionError,
     FGMCopula,
     FGMCurveFamily,
+    FrechetM,
     M,
     NonConvergenceError,
     PI,
@@ -95,6 +97,42 @@ def test_nonconvergence_raises():
     with pytest.raises(NonConvergenceError) as exc:
         integrate(lambda t: abs(t - 1 / 3), q=q)
     assert exc.value.err > exc.value.tol
+    # the first segment in work order that fails at max depth is named
+    assert exc.value.interval == (0.25, 0.5)
+    assert exc.value.err == float.fromhex("0x1.0bd03dada1fc0p-11")
+    assert exc.value.tol == float.fromhex("0x1.19799812dea11p-42")
+    # kinks in [0.25, 0.5] and [0.5, 0.75]: both fail, the left one is named
+    with pytest.raises(NonConvergenceError) as exc:
+        integrate(lambda t: abs(t - 1 / 3) + abs(t - 0.7), q=q)
+    assert exc.value.interval == (0.25, 0.5)
+    assert exc.value.err == float.fromhex("0x1.0bd03dada1f80p-11")
+
+
+GL16_NODES = (
+    "0x1.fa92c264d787ep-1", "0x1.e39f56616f9b0p-1", "0x1.bb3403514e483p-1",
+    "0x1.82c45dda4726bp-1", "0x1.3c5a466d5e8b8p-1", "0x1.d50259a43a772p-2",
+    "0x1.205cae642337cp-2", "0x1.852bd6676a9f9p-4",
+)
+GL16_WEIGHTS = (
+    "0x1.bcddab4b7c228p-6", "0x1.fdfb1a2c1261ep-5", "0x1.85c4ee79cc24bp-4",
+    "0x1.fe7af2bad3878p-4", "0x1.325f61bca3cbep-3", "0x1.5a6ebbb5a7600p-3",
+    "0x1.75f8c77e0c011p-3", "0x1.83feae80e4e01p-3",
+)
+
+
+def test_gauss_legendre_16_bits_pinned():
+    # leggauss finds the nodes with LAPACK eigvalsh plus a Newton step, so
+    # these bits could move with the LAPACK build; every bit-identity
+    # promise of the products holds for this set of nodes and weights
+    nodes, weights = products._gl(16)
+    half_nodes = [float.fromhex(h) for h in GL16_NODES]
+    half_weights = [float.fromhex(h) for h in GL16_WEIGHTS]
+    want_nodes = [-x for x in half_nodes] + half_nodes[::-1]
+    want_weights = half_weights + half_weights[::-1]
+    msg = ("Gauss-Legendre nodes/weights from numpy leggauss (LAPACK) "
+           "differ from the pinned bits; product values will differ too")
+    assert [float(x) for x in nodes] == want_nodes, msg
+    assert [float(w) for w in weights] == want_weights, msg
 
 
 # ---------------------------------------------------------------------------
@@ -289,6 +327,126 @@ def test_quadrature_bits_do_not_depend_on_batch(monkeypatch):
     # chunks of three segments instead of one chunk per level
     monkeypatch.setattr(products, "_CHUNK_ELEMENTS", 1)
     assert value_in_batch([0.7], 0) == alone
+
+
+def _work_list_integrate(fbatch, breakpoints, q, width):
+    # reference: the adaptive loop one segment at a time, as a work list
+    nodes, weights = products._gl(q.nodes_per_subinterval)
+    edges = products._initial_edges(breakpoints, q)
+    tol0 = q.adaptive_tol / (len(edges) - 1)
+    chunk = max(3 * len(nodes), products._CHUNK_ELEMENTS // max(width, 1))
+    work = [(float(a), float(b), 0, None) for a, b in zip(edges[:-1], edges[1:])]
+    accepted = []
+    while work:
+        segs = []
+        for a, b, depth, pval in work:
+            mid = 0.5 * (a + b)
+            if pval is None:
+                segs.append((a, b))
+            segs += [(a, mid), (mid, b)]
+        vals = products._segment_values(fbatch, np.asarray(segs), nodes, weights, chunk)
+        pos, nxt = 0, []
+        for a, b, depth, pval in work:
+            if pval is None:
+                pval, pos = vals[pos], pos + 1
+            left, right = vals[pos], vals[pos + 1]
+            pos += 2
+            fine = left + right
+            err = float(np.max(np.abs(pval - fine)))
+            if err <= tol0 / (1 << depth):
+                accepted.append((a, fine, err))
+            elif depth >= q.max_depth:
+                raise NonConvergenceError((a, b), err, tol0 / (1 << depth))
+            else:
+                mid = 0.5 * (a + b)
+                nxt += [(a, mid, depth + 1, left), (mid, b, depth + 1, right)]
+        work = nxt
+    accepted.sort(key=lambda rec: rec[0])
+    total, err_sum = np.zeros(width), 0.0
+    for _, v, e in accepted:
+        total += v
+        err_sum += e
+    return total, err_sum
+
+
+def test_level_loop_matches_work_list_reference():
+    # one array per level must give the work list's bits: same segments,
+    # same acceptance, same left-to-right sum
+    for kinks in ([1 / 3, 0.5, 0.7071, 0.9], [1 / 3]):
+        kinks = np.asarray(kinks)
+
+        def fbatch(ts):
+            return np.abs(ts[:, None] - kinks) ** 1.5 + np.sin(5 * ts[:, None])
+
+        for q, breaks in ((QuadratureConfig(), ()),
+                          (QuadratureConfig(base_subintervals=3, max_depth=30), (0.5,)),
+                          (QuadratureConfig(nodes_per_subinterval=5, adaptive_tol=1e-12,
+                                            max_depth=40), ())):
+            want = _work_list_integrate(fbatch, breaks, q, kinks.size)
+            got = products._integrate_batch(fbatch, breaks, q, kinks.size)
+            assert np.array_equal(got[0], want[0]) and got[1] == want[1]
+    fgm = FGMCopula(0.6)
+    xs, ys = np.repeat(GRID_33, 33), np.tile(GRID_33, 33)
+    fb = products._make_integrand(fgm, FGMCurveFamily((-1.0, 3.0)), fgm, xs, ys)
+    q = QuadratureConfig()
+    # theta is clipped from t = 2/3 on; without that breakpoint it refines
+    want = _work_list_integrate(fb, (), q, xs.size)
+    got = products._integrate_batch(fb, (), q, xs.size)
+    assert np.array_equal(got[0], want[0]) and got[1] == want[1]
+
+
+def test_grouped_points_bits_match_alone(flip_shuffle):
+    # _product_points_eval groups a lattice by x (kA >= kB) or by y
+    # (kA < kB) and evaluates the group's fixed coordinate as a single
+    # cell; every lattice value must equal the point evaluated alone
+    g = np.arange(9) / 8
+    fgm = FGMCopula(1.0)
+    branches = set()
+    for F in corpus_families():
+        for A in (flip_shuffle, fgm):
+            for left, right in ((M, A), (A, M)):
+                kA = len(left.d2_breakpoints(0.375))
+                kB = len(right.d1_breakpoints(0.375))
+                branches.add(kA >= kB)
+                prod = star_c(left, F, right, fast_paths=False).copula
+                lattice = prod.eval(g[:, None], g[None, :])
+                for i, x in enumerate(g):
+                    for j, y in enumerate(g):
+                        assert prod.eval(x, y) == lattice[i, j], (F, left, right, x, y)
+                # a batch of identical points: both coordinates constant
+                same = prod.eval(np.full(4, 0.375), np.full(4, 0.625))
+                assert (same == prod.eval(0.375, 0.625)).all()
+    assert branches == {True, False}
+
+
+def test_constant_coordinate_evaluated_once_per_node(monkeypatch):
+    # work-counter gate: in an x-group the left conditional is evaluated
+    # once per quadrature node, not once per node and point
+    left = FrechetM()
+    prod = star_c(left, ConstantFamily(PI), FGMCopula(1.0), fast_paths=False).copula
+    d2 = left._d2
+    counts = {"d2": 0, "nodes": 0, "elements": 0}
+
+    def counting_d2(u, v):
+        counts["d2"] += np.broadcast(u, v).size
+        return d2(u, v)
+
+    integrate_batch = products._integrate_batch
+
+    def counting_batch(fbatch, *args):
+        def inner(ts):
+            out = fbatch(ts)
+            counts["nodes"] += ts.size
+            counts["elements"] += out.size
+            return out
+        return integrate_batch(inner, *args)
+
+    monkeypatch.setattr(left, "_d2", counting_d2)
+    monkeypatch.setattr(products, "_integrate_batch", counting_batch)
+    prod.eval(GRID_33[:, None], GRID_33[None, :])
+    assert counts["nodes"] > 0
+    assert counts["elements"] == 33 * counts["nodes"]
+    assert counts["d2"] == counts["nodes"]
 
 
 def test_error_estimate_and_config_passthrough():
