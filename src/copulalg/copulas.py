@@ -561,20 +561,46 @@ class GridCopula(Copula):
         h[1:, 1:] = m.cumsum(axis=0).cumsum(axis=1)
         self._h = h
 
-    def _cdf(self, u, v):
+    def _cell(self, x):
+        # cell index and offset; the top cell keeps x = 1 (left-hand at 1)
         n = self.n
+        i = np.clip((x * n).astype(int), 0, n - 1)
+        return i, x * n - i
+
+    def _cdf(self, u, v):
         u = np.asarray(u, float)
         v = np.asarray(v, float)
-        iu = np.clip((u * n).astype(int), 0, n - 1)
-        iv = np.clip((v * n).astype(int), 0, n - 1)
-        fu = u * n - iu
-        fv = v * n - iv
+        iu, fu = self._cell(u)
+        iv, fv = self._cell(v)
         h = self._h
         return (
             h[iu, iv] * (1 - fu) * (1 - fv)
             + h[iu + 1, iv] * fu * (1 - fv)
             + h[iu, iv + 1] * (1 - fu) * fv
             + h[iu + 1, iv + 1] * fu * fv
+        )
+
+    # the bilinear cdf is linear in v on each cell, so d/dv is constant in
+    # v there and the cell index of v picks the right-hand slope at an
+    # interior edge j/n; d/du is the mirror image
+    def _d1(self, u, v):
+        u, v = np.asarray(u, float), np.asarray(v, float)
+        iu, _ = self._cell(u)
+        iv, fv = self._cell(v)
+        h = self._h
+        return self.n * (
+            (h[iu + 1, iv] - h[iu, iv]) * (1 - fv)
+            + (h[iu + 1, iv + 1] - h[iu, iv + 1]) * fv
+        )
+
+    def _d2(self, u, v):
+        u, v = np.asarray(u, float), np.asarray(v, float)
+        iu, fu = self._cell(u)
+        iv, _ = self._cell(v)
+        h = self._h
+        return self.n * (
+            (h[iu, iv + 1] - h[iu, iv]) * (1 - fu)
+            + (h[iu + 1, iv + 1] - h[iu + 1, iv]) * fu
         )
 
     def transpose(self):

@@ -26,6 +26,10 @@ except where a structural fast path gives the result in closed form:
   family drops out, and the generalized product equals the classical one.
 * shuffle-closed-form: a shuffle factor turns the integral into a finite
   sum of increments of the other factor.
+* grid-closed-form: two checkerboards of the same order N have
+  conditionals that are constant in t on every cell, so their classical
+  product is the checkerboard of N times the matrix product of their
+  masses (the Markov product of doubly stochastic matrices).
 """
 
 from __future__ import annotations
@@ -41,6 +45,7 @@ from .copulas import (
     CopulaError,
     FrechetM,
     FrechetW,
+    GridCopula,
     PI,
     ProductPi,
     ShuffleOfM,
@@ -67,6 +72,7 @@ FAST_PATHS = (
     "W-closed-form",
     "invertible-reduction",
     "shuffle-closed-form",
+    "grid-closed-form",
 )
 
 # memory cap for one integrand evaluation batch (elements, not bytes)
@@ -289,6 +295,8 @@ def _product_points_eval(A, family, B, xs, ys, q):
     """
     m = xs.size
     out = np.empty(m)
+    if m == 0:
+        return out, 0.0
     fam_breaks = tuple(family.breakpoints()) if family is not None else ()
     kA = len(A.d2_breakpoints(0.375))
     kB = len(B.d1_breakpoints(0.375))
@@ -397,6 +405,16 @@ class WRightProduct(Copula):
         return f"<WRightProduct A={self.A!r}>"
 
 
+def _markov_product(a, b):
+    """a @ b for square arrays, with each entry summed k = 0 .. n-1 in
+    order by elementwise arithmetic, so its bits do not depend on the
+    BLAS build or the CPU."""
+    acc = a[:, :1] * b[:1, :]
+    for k in range(1, a.shape[0]):
+        acc += a[:, k : k + 1] * b[k : k + 1, :]
+    return acc
+
+
 def _probe_error(cop: ComputedCopula) -> float:
     xs = np.asarray([p[0] for p in _PROBES])
     ys = np.asarray([p[1] for p in _PROBES])
@@ -443,6 +461,9 @@ def _fast_path(A: Copula, family, B: Copula, q: QuadratureConfig | None,
             return ProductResult(
                 TransposedCopula(flipped), "shuffle-closed-form", 0.0, q
             )
+        elif isinstance(A, GridCopula) and isinstance(B, GridCopula) and A.n == B.n:
+            mass = A.n * _markov_product(A.mass, B.mass)
+            return ProductResult(GridCopula(mass), "grid-closed-form", 0.0, q)
     cop = ComputedCopula(A, family, B, q)
     return ProductResult(cop, "none", _probe_error(cop), q)
 
@@ -452,8 +473,9 @@ def star(A: Copula, B: Copula, q: QuadratureConfig | None = None,
     """Classical star product A * B.
 
     Fast paths, in precedence order: identity-M, zero-Pi, W closed
-    form (right factor checked first), shuffle closed form. Pass
-    fast_paths=False to force raw quadrature.
+    form (right factor checked first), shuffle closed form, grid closed
+    form (two grids of the same order). Pass fast_paths=False to force
+    raw quadrature.
     """
     return _fast_path(A, None, B, q, fast_paths)
 

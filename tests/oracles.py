@@ -111,3 +111,47 @@ def counterexample_value(theta, x, y):
     FGM polynomials; re-checked against brute-force quadrature.
     """
     return x * y + theta * theta * x * (1.0 - x) * (0.5 - x) * y * (1.0 - y)
+
+
+def d2_grid(mass):
+    """t -> d2 C(u, t) of the checkerboard with this mass, right-hand:
+    n times the mass of t's column below u, the cell row of u counted
+    by the share of it that lies below u."""
+    n = len(mass)
+
+    def d2(u, t):
+        i = min(int(u * n), n - 1)
+        k = min(int(t * n), n - 1)
+        below = sum(mass[r][k] for r in range(i))
+        return n * (below + (u * n - i) * mass[i][k])
+
+    return d2
+
+
+def d1_grid(mass):
+    """t -> d1 C(t, v): n times the mass of t's row left of v."""
+    n = len(mass)
+
+    def d1(t, v):
+        k = min(int(t * n), n - 1)
+        j = min(int(v * n), n - 1)
+        left = sum(mass[k][c] for c in range(j))
+        return n * (left + (v * n - j) * mass[k][j])
+
+    return d1
+
+
+def grid_star_grid(mass_a, mass_b, u, v):
+    """Classical product of two checkerboards of the same order n.
+
+    Both conditionals are constant in t on each cell [k/n, (k+1)/n),
+    so the integral is exact as a sum of cell width times the integrand
+    at the cell's midpoint.
+    """
+    n = len(mass_a)
+    d2a, d1b = d2_grid(mass_a), d1_grid(mass_b)
+    total = 0.0
+    for k in range(n):
+        t = (k + 0.5) / n
+        total += d2a(u, t) * d1b(t, v) / n
+    return total

@@ -6,7 +6,14 @@ import sys
 import numpy as np
 import pytest
 
-from copulalg import StraightShuffle, grid_from_copula, write_grid_csv
+import oracles
+from copulalg import (
+    FGMCopula,
+    StraightShuffle,
+    grid_from_copula,
+    shuffle_from_grid,
+    write_grid_csv,
+)
 from copulalg.cli import format_value, main
 
 
@@ -121,6 +128,21 @@ def test_grid_round_trip_through_expression(capsys, tmp_path):
     rc, out, _ = run(capsys, "eval", f'grid("{p}")', "0.5", "0.5")
     assert rc == 0
     assert out == format_value(StraightShuffle(0.3).eval(0.5, 0.5)) + "\n"
+
+
+def test_eval_grid_product_expression(capsys, tmp_path):
+    a = grid_from_copula(FGMCopula(0.9), 8)
+    coarse = grid_from_copula(StraightShuffle(0.3), 4)
+    b = grid_from_copula(shuffle_from_grid(coarse), 8)
+    pa, pb = tmp_path / "a.csv", tmp_path / "b.csv"
+    write_grid_csv(a, pa)
+    write_grid_csv(b, pb)
+    expr = f'star(grid("{pa}"), grid("{pb}"))'
+    for u, v in ((0.3, 0.7), (0.5, 0.375), (1.0, 0.6)):
+        rc, out, _ = run(capsys, "eval", expr, str(u), str(v))
+        assert rc == 0
+        want = oracles.grid_star_grid(a.mass, b.mass, u, v)
+        assert float(out) == pytest.approx(want, abs=1e-10)
 
 
 def test_grid_order_range_exit_2(capsys, tmp_path):

@@ -299,6 +299,11 @@ def test_kernels_agree_unbroadcast():
         s = _random_shuffle(rng)
         edges = np.concatenate((s._s0, s._s0 + s._w, s._t0, s._t1, base))
         cases += [(s, edges), (TransposedCopula(s), edges)]
+    # grids on every cell edge j/n, where the right-hand cell is picked
+    for g in (grid_from_copula(FGMCopula(0.8), 8),
+              grid_from_copula(_random_shuffle(rng), 5)):
+        edges = np.concatenate((np.arange(g.n + 1) / g.n, base))
+        cases += [(g, edges), (TransposedCopula(g), edges)]
     for c, pts in cases:
         row, col = pts.reshape(1, -1), pts.reshape(-1, 1)
         pairs = [(row, col), (col, row)]
@@ -353,6 +358,28 @@ def test_grid_interpolates_corners_exactly():
     assert np.abs(
         g.eval(pts[:, None], pts[None, :]) - c.eval(pts[:, None], pts[None, :])
     ).max() <= 1e-15
+
+
+def test_grid_partials_right_hand_at_cell_edges():
+    # at v = j/8 the bilinear cdf kinks; d2 must take the slope of the
+    # cell above v (right-hand), and the cell below at v = 1 (left-hand).
+    # j/8 * 8 is exact, so the cell index is never off by rounding.
+    g = grid_from_copula(FGMCopula(0.8), 8)
+    d2, d1 = oracles.d2_grid(g.mass), oracles.d1_grid(g.mass)
+    assert g.partial2(0.3, 0.375) == pytest.approx(0.320625, abs=1e-14)
+    assert g.partial2(0.3, 0.5) == pytest.approx(0.279375, abs=1e-14)
+    edges = np.arange(9) / 8
+    for x in (0.0, 0.3, 0.375, 0.9, 1.0):
+        for e in edges:
+            assert g.partial2(x, e) == pytest.approx(d2(x, e), abs=1e-14), (x, e)
+            assert g.partial1(e, x) == pytest.approx(d1(e, x), abs=1e-14), (e, x)
+    # a one-sided difference inside the cell above each edge agrees
+    u = np.full(8, 0.3)
+    h = 1e-7
+    fd = (g.eval(u, edges[:-1] + h) - g.eval(u, edges[:-1])) / h
+    assert np.abs(g.partial2(u, edges[:-1]) - fd).max() <= 1e-6
+    fd = (g.eval(1.0 - h, 0.3) - g.eval(1.0 - 2 * h, 0.3)) / h
+    assert g.partial1(1.0, 0.3) == pytest.approx(fd, abs=1e-6)
 
 
 def test_grid_constructor_rejects_bad_mass():

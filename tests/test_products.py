@@ -1,3 +1,5 @@
+import ast
+import inspect
 import math
 
 import numpy as np
@@ -13,6 +15,7 @@ from copulalg import (
     FGMCopula,
     FGMCurveFamily,
     FrechetM,
+    GridCopula,
     M,
     NonConvergenceError,
     PI,
@@ -195,6 +198,31 @@ def test_star_fast_path_precedence(flip_shuffle):
     assert star(flip_shuffle, FGMCopula(1.0)).fast_path == "shuffle-closed-form"
     assert star(FGMCopula(1.0), flip_shuffle).fast_path == "shuffle-closed-form"
     assert star(FGMCopula(1.0), FGMCopula(1.0)).fast_path == "none"
+    g8a = grid_from_copula(FGMCopula(0.6), 8)
+    g8b = grid_from_copula(flip_shuffle, 8)
+    g16 = grid_from_copula(FGMCopula(-0.4), 16)
+    assert star(g8a, g8b).fast_path == "grid-closed-form"
+    assert star(M, g8a).fast_path == "identity-M"
+    assert star(PI, g8a).fast_path == "zero-Pi"
+    assert star(g8a, W).fast_path == "W-closed-form"
+    assert star(g8a, g16).fast_path == "none"
+    assert star(g8a, g8b, fast_paths=False).fast_path == "none"
+    F = PiecewiseConstantFamily((0.5,), (M, W))
+    assert star_c(g8a, F, g8b).fast_path == "none"
+
+
+def test_fast_path_tags_are_listed():
+    # FAST_PATHS is the one list of tags: every tag _fast_path can
+    # return is in it, and every listed tag can be returned
+    tree = ast.parse(inspect.getsource(products._fast_path).lstrip())
+    tags = {
+        node.args[1].value
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "id", None) == "ProductResult"
+    }
+    assert tags == set(products.FAST_PATHS)
+    assert len(products.FAST_PATHS) == len(set(products.FAST_PATHS))
 
 
 def test_star_c_fast_path_precedence(flip_shuffle):
@@ -553,6 +581,69 @@ def test_products_over_ae_equal_families_agree():
     p1 = star_c(A, F1, B, fast_paths=False)
     p2 = star_c(A, F2, B, fast_paths=False)
     assert sup_on_lattice(p1.copula, p2.copula) <= 1e-8
+
+
+# ---------------------------------------------------------------------------
+# checkerboard products
+
+
+def _random_grid_pairs(rng, n):
+    """Grids of order n from FGM members and from random shuffles."""
+    def shuffle():
+        k = int(rng.integers(3, 7))
+        cuts = np.concatenate(([0.0], np.sort(rng.uniform(0.0, 1.0, k - 1)), [1.0]))
+        return ShuffleOfM(cuts, rng.permutation(k) + 1, rng.random(k) < 0.5)
+
+    fgm_a = grid_from_copula(FGMCopula(rng.uniform(-1.0, 1.0)), n)
+    fgm_b = grid_from_copula(FGMCopula(rng.uniform(-1.0, 1.0)), n)
+    sh_a, sh_b = grid_from_copula(shuffle(), n), grid_from_copula(shuffle(), n)
+    return ((fgm_a, fgm_b), (sh_a, sh_b), (sh_b, fgm_a))
+
+
+@pytest.mark.parametrize("n", [1, 2, 8, 16])
+def test_grid_closed_form_matches_quadrature_and_oracle(n):
+    rng = np.random.default_rng(100 + n)
+    pts = np.arange(17) / 16
+    for a, b in _random_grid_pairs(rng, n):
+        r = star(a, b)
+        assert r.fast_path == "grid-closed-form"
+        assert r.error_estimate == 0.0
+        assert isinstance(r.copula, GridCopula) and r.copula.n == n
+        raw = star(a, b, fast_paths=False)
+        assert sup_on_lattice(r.copula, raw.copula) <= 1e-12
+        got = r.copula.eval(pts[:, None], pts[None, :])
+        for i, u in enumerate(pts):
+            for j, v in enumerate(pts):
+                want = oracles.grid_star_grid(a.mass, b.mass, u, v)
+                assert got[i, j] == pytest.approx(want, abs=1e-12), (u, v)
+        rep = validate(r.copula, 64, 1e-12)
+        assert rep.passed, rep
+
+
+def test_grid_product_mass_bits_match_ordered_sum():
+    # each entry is n * (a[i,0] b[0,j] + a[i,1] b[1,j] + ... ) added
+    # k = 0 .. n-1 in order, whatever BLAS would do with a @ b
+    rng = np.random.default_rng(5)
+    for n in (1, 3, 16):
+        for a, b in _random_grid_pairs(rng, n):
+            mass = star(a, b).copula.mass
+            A, B = a.mass.tolist(), b.mass.tolist()
+            for i in range(n):
+                for j in range(n):
+                    acc = A[i][0] * B[0][j]
+                    for k in range(1, n):
+                        acc += A[i][k] * B[k][j]
+                    assert mass[i, j] == n * acc, (n, i, j)
+
+
+def test_empty_batch_evaluates_to_empty():
+    empty = np.array([])
+    for r in (
+        star(FGMCopula(1.0), FGMCopula(1.0), fast_paths=False),
+        star_c(M, ConstantFamily(PI), FGMCopula(1.0), fast_paths=False),
+    ):
+        out = r.copula.eval(empty, empty)
+        assert out.shape == (0,)
 
 
 # ---------------------------------------------------------------------------
