@@ -153,7 +153,6 @@ class Copula:
     array of the broadcast shape, which the quadrature clips in place.
     """
 
-    kind = "abstract"
     left_invertible = False
     right_invertible = False
 
@@ -219,7 +218,6 @@ class Copula:
 class FrechetM(Copula):
     """Upper Frechet bound M(u, v) = min(u, v), the comonotone copula."""
 
-    kind = "FrechetM"
     left_invertible = True
     right_invertible = True
 
@@ -248,7 +246,6 @@ class FrechetM(Copula):
 class FrechetW(Copula):
     """Lower Frechet bound W(u, v) = max(u + v - 1, 0), countermonotone."""
 
-    kind = "FrechetW"
     left_invertible = True
     right_invertible = True
 
@@ -277,8 +274,6 @@ class FrechetW(Copula):
 class ProductPi(Copula):
     """Independence copula Pi(u, v) = u v."""
 
-    kind = "ProductPi"
-
     def _cdf(self, u, v):
         return u * v
 
@@ -301,8 +296,6 @@ class FGMCopula(Copula):
     theta = 0 gives Pi. The density 1 + theta (1 - 2u)(1 - 2v) is
     bounded, so both partials are smooth polynomials.
     """
-
-    kind = "FGM"
 
     def __init__(self, theta: float):
         theta = float(theta)
@@ -342,7 +335,6 @@ class ShuffleOfM(Copula):
     flips : n booleans; True reverses strip i (antidiagonal support).
     """
 
-    kind = "ShuffleOfM"
     left_invertible = True
     right_invertible = True
 
@@ -477,8 +469,6 @@ class StraightShuffle(ShuffleOfM):
     without reflection. alpha in {0, 1} degenerates to M.
     """
 
-    kind = "StraightShuffle"
-
     def __init__(self, alpha: float):
         alpha = float(alpha)
         if math.isnan(alpha) or not 0.0 <= alpha <= 1.0:
@@ -498,8 +488,6 @@ class StraightShuffle(ShuffleOfM):
 
 class TransposedCopula(Copula):
     """Lazy transpose wrapper: C^T(u, v) = C(v, u)."""
-
-    kind = "Transpose"
 
     def __init__(self, inner: Copula):
         self.inner = inner
@@ -536,8 +524,6 @@ class GridCopula(Copula):
     1/N. Evaluation is the bilinear interpolant of the cumulative mass,
     which is exactly the checkerboard cdf.
     """
-
-    kind = "GridCopula"
 
     def __init__(self, mass):
         m = np.array(mass, dtype=float)

@@ -6,16 +6,19 @@ Grammar (LL(1), whitespace insignificant):
             | "shuffle(" numlist ";" intlist ";" intlist ")"
             | "grid(" path ")" | "t(" expr ")"
             | "star(" expr "," expr ")" | "starc(" expr "," family "," expr ")"
-    family := "const(" expr ")" | "pw(" numlist ":" exprlist ")"
+    family := "const(" expr ")" | "pw(" [numlist] ":" exprlist ")"
             | "fgmcurve(" ["poly" ":"] numlist ")"
     num    := decimal literal; lists are comma-separated
     path   := quoted string (bare paths without delimiters also accepted)
 
-``pw`` cuts may be given interior-only (one fewer than members) or with
-the 0 and 1 endpoints included. ``parse``/``parse_family`` produce an
-AST; ``to_text`` prints the canonical form (quoted paths, interior-only
-cuts, repr-exact numbers); ``build_copula``/``build_family`` construct
-the numerical objects.
+``pw`` cuts may be given interior-only (one fewer than members, so a
+one-member family has an empty list) or with the 0 and 1 endpoints
+included. ``parse``/``parse_family`` produce an AST; ``to_text`` prints
+the canonical form (quoted paths, interior-only cuts, repr-exact
+numbers); ``build_copula``/``build_family`` construct the numerical
+objects, and ``expr_of`` maps an object back to the AST that builds it.
+This module is the one place that spells the syntax: report labels
+are ``to_text(expr_of(x), num)`` with a shorter number format.
 
 Syntax problems raise ``ParseError`` carrying a 1-based column; value
 and arity problems found while building raise ``SemanticError``.
@@ -31,15 +34,27 @@ from .copulas import (
     ConstructionError,
     DomainError,
     FGMCopula,
+    FrechetM,
+    FrechetW,
+    GridCopula,
     M,
     PI,
+    ProductPi,
     ShuffleOfM,
     StraightShuffle,
+    TransposedCopula,
     W,
     read_grid_csv,
 )
 from .families import ConstantFamily, FGMCurveFamily, PiecewiseConstantFamily
-from .products import QuadratureConfig, star, star_c
+from .products import (
+    ComputedCopula,
+    QuadratureConfig,
+    ShuffleStarProduct,
+    WRightProduct,
+    star,
+    star_c,
+)
 
 __all__ = [
     "ParseError",
@@ -47,6 +62,7 @@ __all__ = [
     "parse",
     "parse_family",
     "to_text",
+    "expr_of",
     "build_copula",
     "build_family",
     "Atom",
@@ -60,6 +76,7 @@ __all__ = [
     "Const",
     "Pw",
     "FgmCurve",
+    "Opaque",
 ]
 
 
@@ -141,6 +158,11 @@ class FgmCurve:
     coeffs: tuple
 
 
+@dataclass(frozen=True)
+class Opaque:
+    name: str  # label of an object with no source text; never parsed
+
+
 _NUMBER = re.compile(r"[+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?")
 _IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 _BARE_PATH = re.compile(r"[^(),;:\"\s]+")
@@ -205,7 +227,7 @@ class _Scanner:
     def integer(self) -> int:
         col = self.col()
         x = self.number()
-        if x != int(x):
+        if not x.is_integer():
             raise ParseError(col, ("an integer",), repr(x))
         return int(x)
 
@@ -244,96 +266,67 @@ def _int_list(sc: _Scanner):
     return tuple(out)
 
 
-def _parse_expr(sc: _Scanner):
+def _head(sc: _Scanner, heads):
     col = sc.col()
     head = sc.ident()
-    if head is None:
-        raise ParseError(col, _EXPR_HEADS, sc.describe_here())
-    if head == "M":
-        return Atom("M")
-    if head == "W":
-        return Atom("W")
-    if head == "Pi":
-        return Atom("Pi")
+    if head not in heads:
+        found = sc.describe_here() if head is None else repr(head)
+        raise ParseError(col, heads, found)
+    return head
+
+
+def _parse_expr(sc: _Scanner):
+    head = _head(sc, _EXPR_HEADS)
+    if head in ("M", "W", "Pi"):
+        return Atom(head)
+    sc.expect("(")
     if head == "fgm":
-        sc.expect("(")
-        theta = sc.number()
-        sc.expect(")")
-        return Fgm(theta)
-    if head == "straight":
-        sc.expect("(")
-        alpha = sc.number()
-        sc.expect(")")
-        return Straight(alpha)
-    if head == "shuffle":
-        sc.expect("(")
+        node = Fgm(sc.number())
+    elif head == "straight":
+        node = Straight(sc.number())
+    elif head == "shuffle":
         cuts = _num_list(sc)
         sc.expect(";")
         sigma = _int_list(sc)
         sc.expect(";")
-        flips = _int_list(sc)
-        sc.expect(")")
-        return Shuffle(cuts, sigma, flips)
-    if head == "grid":
-        sc.expect("(")
-        p = sc.path()
-        sc.expect(")")
-        return Grid(p)
-    if head == "t":
-        sc.expect("(")
-        child = _parse_expr(sc)
-        sc.expect(")")
-        return Transpose(child)
-    if head == "star":
-        sc.expect("(")
+        node = Shuffle(cuts, sigma, _int_list(sc))
+    elif head == "grid":
+        node = Grid(sc.path())
+    elif head == "t":
+        node = Transpose(_parse_expr(sc))
+    elif head == "star":
         left = _parse_expr(sc)
         sc.expect(",")
-        right = _parse_expr(sc)
-        sc.expect(")")
-        return Star(left, right)
-    if head == "starc":
-        sc.expect("(")
+        node = Star(left, _parse_expr(sc))
+    else:
         left = _parse_expr(sc)
         sc.expect(",")
         family = _parse_family(sc)
         sc.expect(",")
-        right = _parse_expr(sc)
-        sc.expect(")")
-        return StarC(left, family, right)
-    raise ParseError(col, _EXPR_HEADS, repr(head))
+        node = StarC(left, family, _parse_expr(sc))
+    sc.expect(")")
+    return node
 
 
 def _parse_family(sc: _Scanner):
-    col = sc.col()
-    head = sc.ident()
-    if head is None:
-        raise ParseError(col, _FAMILY_HEADS, sc.describe_here())
+    head = _head(sc, _FAMILY_HEADS)
+    sc.expect("(")
     if head == "const":
-        sc.expect("(")
-        member = _parse_expr(sc)
-        sc.expect(")")
-        return Const(member)
-    if head == "pw":
-        sc.expect("(")
-        cuts = _num_list(sc)
+        node = Const(_parse_expr(sc))
+    elif head == "pw":
+        cuts = () if sc.peek_char() == ":" else _num_list(sc)
         sc.expect(":")
         members = [_parse_expr(sc)]
         while sc.take(","):
             members.append(_parse_expr(sc))
-        sc.expect(")")
-        return Pw(cuts, tuple(members))
-    if head == "fgmcurve":
-        sc.expect("(")
+        node = Pw(cuts, tuple(members))
+    else:
         save = sc.pos
-        tag = sc.ident()
-        if tag == "poly" and sc.take(":"):
-            pass  # optional labeled form
-        else:
-            sc.pos = save
-        coeffs = _num_list(sc)
-        sc.expect(")")
-        return FgmCurve(coeffs)
-    raise ParseError(col, _FAMILY_HEADS, repr(head))
+        if not (sc.ident() == "poly" and sc.take(":")):
+            sc.pos = save  # the "poly:" label is optional
+        node = FgmCurve(_num_list(sc))
+    sc.expect(")")
+    return node
 
 
 def _parse_top(text: str, entry):
@@ -358,44 +351,92 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
-def to_text(node) -> str:
-    """Canonical text of an AST node; parse(to_text(n)) == n."""
-    if isinstance(node, Atom):
+def to_text(node, num=_fmt) -> str:
+    """Canonical text of an AST node; parse(to_text(n)) == n.
+
+    ``num`` spells each float. The repr-exact default keeps the text an
+    exact inverse of ``parse``; a shorter format such as ``%g`` gives
+    readable labels that may round.
+    """
+    def text(child):
+        return to_text(child, num)
+
+    def nums(xs):
+        return ",".join(num(x) for x in xs)
+
+    if isinstance(node, (Atom, Opaque)):
         return node.name
     if isinstance(node, Fgm):
-        return f"fgm({_fmt(node.theta)})"
+        return f"fgm({num(node.theta)})"
     if isinstance(node, Straight):
-        return f"straight({_fmt(node.alpha)})"
+        return f"straight({num(node.alpha)})"
     if isinstance(node, Shuffle):
-        return "shuffle({}; {}; {})".format(
-            ",".join(_fmt(c) for c in node.cuts),
-            ",".join(str(int(s)) for s in node.sigma),
-            ",".join(str(int(f)) for f in node.flips),
-        )
+        sigma = ",".join(str(int(s)) for s in node.sigma)
+        flips = ",".join(str(int(f)) for f in node.flips)
+        return f"shuffle({nums(node.cuts)}; {sigma}; {flips})"
     if isinstance(node, Grid):
         return f'grid("{node.path}")'
     if isinstance(node, Transpose):
-        return f"t({to_text(node.child)})"
+        return f"t({text(node.child)})"
     if isinstance(node, Star):
-        return f"star({to_text(node.left)}, {to_text(node.right)})"
+        return f"star({text(node.left)}, {text(node.right)})"
     if isinstance(node, StarC):
-        return "starc({}, {}, {})".format(
-            to_text(node.left), to_text(node.family), to_text(node.right)
-        )
+        return f"starc({text(node.left)}, {text(node.family)}, {text(node.right)})"
     if isinstance(node, Const):
-        return f"const({to_text(node.member)})"
+        return f"const({text(node.member)})"
     if isinstance(node, Pw):
         cuts = node.cuts
         # canonical form lists interior cuts only
         if len(cuts) == len(node.members) + 1:
             cuts = cuts[1:-1]
-        return "pw({}: {})".format(
-            ",".join(_fmt(c) for c in cuts),
-            ", ".join(to_text(m) for m in node.members),
-        )
+        return f"pw({nums(cuts)}: {', '.join(text(m) for m in node.members)})"
     if isinstance(node, FgmCurve):
-        return f"fgmcurve({','.join(_fmt(c) for c in node.coeffs)})"
+        return f"fgmcurve({nums(node.coeffs)})"
     raise SemanticError(f"not an AST node: {node!r}")
+
+
+def expr_of(obj):
+    """The AST that builds ``obj``: the inverse of ``build_copula`` and
+    ``build_family``.
+
+    A product maps to the ``star``/``starc`` of its factors, whichever
+    closed form or quadrature evaluates it; its quadrature settings are
+    not part of the text. A ``GridCopula`` held in
+    memory has no source text and maps to ``Opaque("grid[NxN]")``; any
+    other class the language cannot spell maps to ``Opaque`` of its
+    class name.
+    """
+    if isinstance(obj, FrechetM):
+        return Atom("M")
+    if isinstance(obj, FrechetW):
+        return Atom("W")
+    if isinstance(obj, ProductPi):
+        return Atom("Pi")
+    if isinstance(obj, FGMCopula):
+        return Fgm(obj.theta)
+    if isinstance(obj, StraightShuffle):
+        return Straight(obj.alpha)
+    if isinstance(obj, ShuffleOfM):
+        return Shuffle(obj.cuts[1:-1], obj.sigma, obj.flips)
+    if isinstance(obj, TransposedCopula):
+        return Transpose(expr_of(obj.inner))
+    if isinstance(obj, GridCopula):
+        return Opaque(f"grid[{obj.n}x{obj.n}]")
+    if isinstance(obj, ComputedCopula):
+        if obj.family is None:
+            return Star(expr_of(obj.A), expr_of(obj.B))
+        return StarC(expr_of(obj.A), expr_of(obj.family), expr_of(obj.B))
+    if isinstance(obj, ShuffleStarProduct):
+        return Star(expr_of(obj.S), expr_of(obj.C))
+    if isinstance(obj, WRightProduct):
+        return Star(expr_of(obj.A), Atom("W"))
+    if isinstance(obj, ConstantFamily):
+        return Const(expr_of(obj.member))
+    if isinstance(obj, PiecewiseConstantFamily):
+        return Pw(obj.cuts[1:-1], tuple(expr_of(m) for m in obj.members))
+    if isinstance(obj, FGMCurveFamily):
+        return FgmCurve(obj.coeffs)
+    return Opaque(type(obj).__name__)
 
 
 def build_copula(node, q: QuadratureConfig | None = None,

@@ -50,7 +50,6 @@ AE_EQUAL_TOL = 1e-12
 class CopulaFamily:
     """Abstract measurable family of copulas indexed by t in [0, 1]."""
 
-    kind = "abstract"
     measurability = CLASS_MEASURABLE
 
     def member_at(self, t: float) -> Copula:
@@ -85,7 +84,6 @@ class CopulaFamily:
 class ConstantFamily(CopulaFamily):
     """C_t = member for all t."""
 
-    kind = "constant"
     measurability = CLASS_PIECEWISE
 
     def __init__(self, member: Copula):
@@ -115,7 +113,6 @@ class PiecewiseConstantFamily(CopulaFamily):
     piece also owns t = 1.
     """
 
-    kind = "piecewise"
     measurability = CLASS_PIECEWISE
 
     def __init__(self, cuts, members):
@@ -180,7 +177,6 @@ class FGMCurveFamily(CopulaFamily):
     coeffs=(a, b, c) means theta(t) = a + b t + c t^2 before clipping.
     """
 
-    kind = "fgm-curve"
     measurability = CLASS_MEASURABLE
 
     def __init__(self, coeffs):
@@ -284,7 +280,7 @@ def family_integral(F: CopulaFamily, x, y, q=None):
         )
         out = xx * yy * (1.0 + mean_theta * (1.0 - xx) * (1.0 - yy))
         return _maybe_scalar(out, x, y)
-    raise ConstructionError(f"unsupported family kind {F.kind!r}")
+    raise ConstructionError(f"unsupported family {type(F).__name__}")
 
 
 def midpoint_fgm_approximation(curve: FGMCurveFamily, pieces: int) -> PiecewiseConstantFamily:

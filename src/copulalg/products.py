@@ -331,8 +331,6 @@ def _product_points_eval(A, family, B, xs, ys, q):
 class ComputedCopula(Copula):
     """Star product evaluated on demand by adaptive quadrature."""
 
-    kind = "computed"
-
     def __init__(self, A: Copula, family, B: Copula, q: QuadratureConfig):
         self.A = A
         self.family = family
@@ -358,8 +356,6 @@ class ShuffleStarProduct(Copula):
     (lo_i(u), hi_i(u)), so the product integral collapses to
     sum_i C(hi_i, v) - C(lo_i, v).
     """
-
-    kind = "computed"
 
     def __init__(self, S: ShuffleOfM, C: Copula):
         if not isinstance(S, ShuffleOfM):
@@ -391,8 +387,6 @@ class WRightProduct(Copula):
     Transposed around B^T it gives the left form, (W * B)(u, v) =
     v - B(1 - u, v).
     """
-
-    kind = "computed"
 
     def __init__(self, A: Copula):
         self.A = A

@@ -33,15 +33,10 @@ from .copulas import (
     ConstructionError,
     DomainError,
     FGMCopula,
-    FrechetM,
-    FrechetW,
-    GridCopula,
     M,
     PI,
-    ProductPi,
     ShuffleOfM,
     StraightShuffle,
-    TransposedCopula,
     W,
     _lattice_values,
     sup_distance_witness,
@@ -97,41 +92,19 @@ def _num(x) -> str:
     return str(x)
 
 
+# The labels import the expression module when first called, so that
+# `import copulalg` does not pay the ~10 ms its AST dataclasses take.
+
 def copula_label(C) -> str:
-    """Short stable text for a copula, matching the expression syntax."""
-    if isinstance(C, FrechetM):
-        return "M"
-    if isinstance(C, FrechetW):
-        return "W"
-    if isinstance(C, ProductPi):
-        return "Pi"
-    if isinstance(C, FGMCopula):
-        return f"fgm({_num(C.theta)})"
-    if isinstance(C, StraightShuffle):
-        return f"straight({_num(C.alpha)})"
-    if isinstance(C, ShuffleOfM):
-        cuts = ",".join(_num(c) for c in C.cuts[1:-1])
-        sigma = ",".join(str(s) for s in C.sigma)
-        flips = ",".join("1" if f else "0" for f in C.flips)
-        return f"shuffle({cuts}; {sigma}; {flips})"
-    if isinstance(C, TransposedCopula):
-        return f"t({copula_label(C.inner)})"
-    if isinstance(C, GridCopula):
-        return f"grid[{C.n}x{C.n}]"
-    return C.kind
+    """Short stable text for a copula, in the expression syntax."""
+    from .dsl import expr_of, to_text
+    return to_text(expr_of(C), _num)
 
 
 def family_label(F) -> str:
-    """Short stable text for a family, matching the expression syntax."""
-    if isinstance(F, ConstantFamily):
-        return f"const({copula_label(F.member)})"
-    if isinstance(F, PiecewiseConstantFamily):
-        cuts = ",".join(_num(c) for c in F.cuts[1:-1])
-        members = ", ".join(copula_label(m) for m in F.members)
-        return f"pw({cuts}: {members})"
-    if isinstance(F, FGMCurveFamily):
-        return f"fgmcurve({','.join(_num(c) for c in F.coeffs)})"
-    return F.kind
+    """Short stable text for a family, in the expression syntax."""
+    from .dsl import expr_of, to_text
+    return to_text(expr_of(F), _num)
 
 
 def corpus_copulas():

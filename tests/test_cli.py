@@ -76,6 +76,13 @@ def test_eval_parse_error_exit_1(capsys):
     assert err.startswith("error:")
 
 
+def test_eval_overflowing_integer_is_a_parse_error(capsys):
+    rc, out, err = run(capsys, "eval", "shuffle(0.5; 1e999, 2; 0, 0)",
+                       "0.5", "0.5")
+    assert (rc, out) == (1, "")
+    assert err.startswith("error: column 13: expected an integer")
+
+
 def test_eval_semantic_error_exit_1(capsys):
     rc, _, err = run(capsys, "eval", "fgm(2)", "0.3", "0.8")
     assert rc == 1

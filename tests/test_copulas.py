@@ -491,8 +491,6 @@ def test_validate_boundary_points_1025(copula_corpus):
 
 def test_validate_flags_non_copula():
     class SquaredW(Copula):
-        kind = "computed"
-
         def _cdf(self, u, v):
             return np.maximum(u + v - 1.0, 0.0) ** 2
 
@@ -503,8 +501,6 @@ def test_validate_flags_non_copula():
 
 def test_validate_flags_negative_volume():
     class Tilted(Copula):
-        kind = "computed"
-
         def _cdf(self, u, v):
             # boundary-correct but not 2-increasing
             return u * v + 0.05 * np.sin(2 * np.pi * u) * np.sin(2 * np.pi * v)

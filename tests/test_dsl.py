@@ -1,20 +1,30 @@
 import numpy as np
 import pytest
 
+import copulalg
 from copulalg import (
+    ComputedCopula,
     ConstantFamily,
+    Copula,
+    CopulaFamily,
     FGMCopula,
     FGMCurveFamily,
     GridCopula,
     M,
     PI,
     PiecewiseConstantFamily,
+    QuadratureConfig,
     ShuffleOfM,
+    ShuffleStarProduct,
     StraightShuffle,
     TransposedCopula,
     W,
+    WRightProduct,
     ae_equal,
     grid_from_copula,
+    midpoint_fgm_approximation,
+    star,
+    star_c,
     sup_distance,
     write_grid_csv,
 )
@@ -24,6 +34,7 @@ from copulalg.dsl import (
     Fgm,
     FgmCurve,
     Grid,
+    Opaque,
     ParseError,
     Pw,
     SemanticError,
@@ -34,10 +45,12 @@ from copulalg.dsl import (
     Transpose,
     build_copula,
     build_family,
+    expr_of,
     parse,
     parse_family,
     to_text,
 )
+from copulalg.verify import corpus_copulas, corpus_families
 
 
 # ---------------------------------------------------------------------------
@@ -152,12 +165,17 @@ def test_to_text_parse_inverse():
         "starc(fgm(1), pw(0.5: fgm(1), fgm(-1)), Pi)",
         "starc(Pi, fgmcurve(-1, 2), Pi)",
         "starc(W, const(straight(0.7)), t(M))",
+        "pw(0, 1: M)",
+        "pw(: M)",
     ]
     for s in sources:
-        node = parse(s)
-        again = parse(to_text(node))
-        assert again == node
+        reader = parse_family if s.startswith("pw(") else parse
+        node = reader(s)
+        again = reader(to_text(node))
         assert to_text(again) == to_text(node)
+        assert reader(to_text(again)) == again
+        if s != "pw(0, 1: M)":  # endpoint cuts print interior-only
+            assert again == node
 
 
 # ---------------------------------------------------------------------------
@@ -247,3 +265,62 @@ def test_parse_errors_are_not_semantic():
     # the two error kinds stay distinct for the CLI exit codes
     assert not issubclass(ParseError, SemanticError)
     assert not issubclass(SemanticError, ParseError)
+
+
+# ---------------------------------------------------------------------------
+# expr_of: the inverse of building
+
+
+def split_sign_family(theta):
+    return PiecewiseConstantFamily((0.5,), (FGMCopula(theta), FGMCopula(-theta)))
+
+
+def same_bits(a, b):
+    return np.asarray(a).tobytes() == np.asarray(b).tobytes()
+
+
+def test_expr_of_inverts_build_copula():
+    x, y = np.meshgrid(np.arange(17) / 16, np.arange(17) / 16, indexing="ij")
+    forced = (
+        star(FGMCopula(0.5), FGMCopula(-0.5), fast_paths=False).copula,
+        star_c(FGMCopula(1.0), split_sign_family(1.0), PI,
+               fast_paths=False).copula,
+    )
+    for C in corpus_copulas() + forced:
+        node = expr_of(C)
+        assert parse(to_text(node)) == node
+        rebuilt = build_copula(node, fast_paths=False)
+        assert same_bits(rebuilt.eval(x, y), C.eval(x, y)), to_text(node)
+
+
+def test_expr_of_inverts_build_family():
+    t, x, y = np.meshgrid(*(np.arange(17) / 16,) * 3, indexing="ij")
+    curve = FGMCurveFamily((-1.0, 2.0))
+    for F in corpus_families() + (
+        split_sign_family(0.5),
+        midpoint_fgm_approximation(curve, 5),
+    ):
+        node = expr_of(F)
+        assert parse_family(to_text(node)) == node
+        rebuilt = build_family(node)
+        assert same_bits(rebuilt.eval(t, x, y), F.eval(t, x, y)), to_text(node)
+
+
+def test_every_exported_class_has_a_spelling():
+    # a concrete class exported without an expr_of case would label its
+    # reports with its bare class name; GridCopula alone has no source
+    exported = {
+        obj for obj in (getattr(copulalg, name) for name in copulalg.__all__)
+        if isinstance(obj, type) and issubclass(obj, (Copula, CopulaFamily))
+    } - {Copula, CopulaFamily, GridCopula}
+    fgm = FGMCopula(0.5)
+    shuffle = ShuffleOfM((0.0, 0.5, 1.0), (2, 1))
+    samples = {type(x): x for x in (
+        M, W, PI, fgm, shuffle, StraightShuffle(0.3), TransposedCopula(fgm),
+        ComputedCopula(fgm, None, fgm, QuadratureConfig()),
+        ShuffleStarProduct(shuffle, fgm), WRightProduct(fgm),
+        ConstantFamily(PI), split_sign_family(1.0), FGMCurveFamily((0.5,)),
+    )}
+    assert set(samples) == exported
+    for cls, x in samples.items():
+        assert not isinstance(expr_of(x), Opaque), cls.__name__

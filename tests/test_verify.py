@@ -6,8 +6,11 @@ import pytest
 from copulalg import (
     ConstantFamily,
     ConstructionError,
+    Copula,
+    CopulaFamily,
     FGMCopula,
     FGMCurveFamily,
+    GridCopula,
     M,
     PI,
     PiecewiseConstantFamily,
@@ -23,6 +26,8 @@ from copulalg import (
     reports_to_json,
     reports_to_text,
     run_suite,
+    star,
+    star_c,
 )
 from copulalg.verify import copula_label, family_label, report_lines
 
@@ -50,6 +55,24 @@ def test_labels(flip_shuffle):
     assert family_label(ConstantFamily(PI)) == "const(Pi)"
     assert family_label(split_sign_family(1.0)) == "pw(0.5: fgm(1), fgm(-1))"
     assert family_label(FGMCurveFamily((-1.0, 2.0))) == "fgmcurve(-1,2)"
+    assert family_label(PiecewiseConstantFamily((), (M,))) == "pw(: M)"
+    fgm = FGMCopula(0.5)
+    quad = star(fgm, FGMCopula(-0.5), fast_paths=False).copula
+    assert copula_label(quad) == "star(fgm(0.5), fgm(-0.5))"
+    assert copula_label(star(W, fgm).copula) == "t(star(fgm(0.5), W))"
+    generalized = star_c(fgm, split_sign_family(1.0), PI, fast_paths=False)
+    assert copula_label(generalized.copula) == \
+        "starc(fgm(0.5), pw(0.5: fgm(1), fgm(-1)), Pi)"
+    assert copula_label(GridCopula(np.full((4, 4), 1 / 16))) == "grid[4x4]"
+
+    class Custom(Copula):
+        pass
+
+    class CustomFamily(CopulaFamily):
+        pass
+
+    assert copula_label(Custom()) == "Custom"
+    assert family_label(CustomFamily()) == "CustomFamily"
 
 
 # ---------------------------------------------------------------------------
