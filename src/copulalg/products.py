@@ -35,7 +35,8 @@ except where a structural fast path gives the result in closed form:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
+from typing import Callable
 
 import numpy as np
 
@@ -50,6 +51,8 @@ from .copulas import (
     ProductPi,
     ShuffleOfM,
     TransposedCopula,
+    _maybe_scalar,
+    _unit,
 )
 
 __all__ = [
@@ -78,7 +81,7 @@ FAST_PATHS = (
 # memory cap for one integrand evaluation batch (elements, not bytes)
 _CHUNK_ELEMENTS = 1 << 21
 
-# points probed to attach an error estimate to a quadrature product
+# points probed for a quadrature product's error_estimate
 _PROBES = ((0.25, 0.25), (0.5, 0.5), (0.75, 0.25), (0.3, 0.7), (0.9, 0.6))
 
 
@@ -128,12 +131,23 @@ class QuadratureConfig:
 
 @dataclass(frozen=True)
 class ProductResult:
-    """A star product: its evaluator plus how it was obtained."""
+    """A star product: its evaluator plus how it was obtained.
+
+    The third argument is the error estimate, or a function of no
+    arguments that computes it. A function runs on the first read of
+    ``error_estimate``, whose value is then cached, so a product pays
+    for its probe only if the estimate is read.
+    """
 
     copula: Copula
     fast_path: str
-    error_estimate: float
+    _error: float | Callable[[], float]
     config: QuadratureConfig
+
+    @cached_property
+    def error_estimate(self) -> float:
+        e = self._error
+        return e() if callable(e) else e
 
 
 @lru_cache(maxsize=8)
@@ -337,12 +351,24 @@ class ComputedCopula(Copula):
         self.B = B
         self.q = q
 
-    def _cdf(self, u, v):
+    def _cdf_with_error(self, u, v):
         u, v = np.broadcast_arrays(np.asarray(u, float), np.asarray(v, float))
-        vals, _ = _product_points_eval(
+        vals, err = _product_points_eval(
             self.A, self.family, self.B, u.reshape(-1), v.reshape(-1), self.q
         )
-        return vals.reshape(u.shape)
+        return vals.reshape(u.shape), err
+
+    def _cdf(self, u, v):
+        return self._cdf_with_error(u, v)[0]
+
+    def eval_with_error(self, u, v):
+        """(C(u, v), error estimate): the values of ``eval`` and the
+        largest two-level quadrature estimate among these points, 0.0
+        for an empty batch."""
+        uu = _unit(u, "u")
+        vv = _unit(v, "v")
+        vals, err = self._cdf_with_error(uu, vv)
+        return _maybe_scalar(vals, u, v), err
 
     def __repr__(self):
         inner = "" if self.family is None else f" family={self.family!r}"
@@ -412,8 +438,7 @@ def _markov_product(a, b):
 def _probe_error(cop: ComputedCopula) -> float:
     xs = np.asarray([p[0] for p in _PROBES])
     ys = np.asarray([p[1] for p in _PROBES])
-    _, err = _product_points_eval(cop.A, cop.family, cop.B, xs, ys, cop.q)
-    return err
+    return cop.eval_with_error(xs, ys)[1]
 
 
 def _fast_path(A: Copula, family, B: Copula, q: QuadratureConfig | None,
@@ -425,7 +450,8 @@ def _fast_path(A: Copula, family, B: Copula, q: QuadratureConfig | None,
     zero-Pi for the classical product only and invertible-reduction
     for the generalized one only (it subsumes the shuffle closed form
     there). Without a closed form, or with ``fast_paths`` off, the
-    product is left to quadrature and carries its probe error.
+    product is left to quadrature, and its error estimate is probed
+    when first read.
     """
     q = q if q is not None else QuadratureConfig()
     if fast_paths:
@@ -445,7 +471,8 @@ def _fast_path(A: Copula, family, B: Copula, q: QuadratureConfig | None,
             if A.left_invertible or B.right_invertible:
                 inner = _fast_path(A, None, B, q)
                 return ProductResult(
-                    inner.copula, "invertible-reduction", inner.error_estimate, q
+                    inner.copula, "invertible-reduction",
+                    lambda: inner.error_estimate, q,
                 )
         elif isinstance(A, ShuffleOfM):
             closed = ShuffleStarProduct(A, B)
@@ -459,7 +486,7 @@ def _fast_path(A: Copula, family, B: Copula, q: QuadratureConfig | None,
             mass = A.n * _markov_product(A.mass, B.mass)
             return ProductResult(GridCopula(mass), "grid-closed-form", 0.0, q)
     cop = ComputedCopula(A, family, B, q)
-    return ProductResult(cop, "none", _probe_error(cop), q)
+    return ProductResult(cop, "none", lambda: _probe_error(cop), q)
 
 
 def star(A: Copula, B: Copula, q: QuadratureConfig | None = None,

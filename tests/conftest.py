@@ -15,6 +15,7 @@ def pytest_terminal_summary(terminalreporter):
         word = "pass" if flag else "FAIL"
         terminalreporter.write_line(f"criterion {n:2d} [{label}]: {word}")
 
+from copulalg import products
 from copulalg import (
     ConstantFamily,
     FGMCopula,
@@ -26,6 +27,30 @@ from copulalg import (
     StraightShuffle,
     W,
 )
+
+
+@pytest.fixture
+def quad_counter(monkeypatch):
+    """Counts the quadrature runs of the test: ``calls`` to
+    ``products._integrate_batch``, the ``nodes`` its integrands are
+    evaluated at and the ``elements`` (nodes x batch width) they
+    return."""
+    counts = {"calls": 0, "nodes": 0, "elements": 0}
+    integrate_batch = products._integrate_batch
+
+    def counting_batch(fbatch, *args):
+        counts["calls"] += 1
+
+        def inner(ts):
+            out = fbatch(ts)
+            counts["nodes"] += ts.size
+            counts["elements"] += out.size
+            return out
+
+        return integrate_batch(inner, *args)
+
+    monkeypatch.setattr(products, "_integrate_batch", counting_batch)
+    return counts
 
 
 @pytest.fixture(scope="session")

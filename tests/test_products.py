@@ -7,11 +7,13 @@ import pytest
 
 import oracles
 from copulalg import products
+from copulalg.dsl import build_copula, parse
 from copulalg.verify import corpus_families
 from copulalg import (
     ComputedCopula,
     ConstantFamily,
     ConstructionError,
+    DomainError,
     FGMCopula,
     FGMCurveFamily,
     FrechetM,
@@ -24,6 +26,7 @@ from copulalg import (
     ShuffleOfM,
     ShuffleStarProduct,
     StraightShuffle,
+    TransposedCopula,
     W,
     grid_from_copula,
     integrate,
@@ -447,34 +450,25 @@ def test_grouped_points_bits_match_alone(flip_shuffle):
     assert branches == {True, False}
 
 
-def test_constant_coordinate_evaluated_once_per_node(monkeypatch):
+def test_constant_coordinate_evaluated_once_per_node(monkeypatch, quad_counter):
     # work-counter gate: in an x-group the left conditional is evaluated
     # once per quadrature node, not once per node and point
     left = FrechetM()
     prod = star_c(left, ConstantFamily(PI), FGMCopula(1.0), fast_paths=False).copula
     d2 = left._d2
-    counts = {"d2": 0, "nodes": 0, "elements": 0}
+    d2_elements = 0
 
     def counting_d2(u, v):
-        counts["d2"] += np.broadcast(u, v).size
+        nonlocal d2_elements
+        d2_elements += np.broadcast(u, v).size
         return d2(u, v)
 
-    integrate_batch = products._integrate_batch
-
-    def counting_batch(fbatch, *args):
-        def inner(ts):
-            out = fbatch(ts)
-            counts["nodes"] += ts.size
-            counts["elements"] += out.size
-            return out
-        return integrate_batch(inner, *args)
-
     monkeypatch.setattr(left, "_d2", counting_d2)
-    monkeypatch.setattr(products, "_integrate_batch", counting_batch)
     prod.eval(GRID_33[:, None], GRID_33[None, :])
-    assert counts["nodes"] > 0
-    assert counts["elements"] == 33 * counts["nodes"]
-    assert counts["d2"] == counts["nodes"]
+    assert quad_counter["calls"] == 33
+    assert quad_counter["nodes"] > 0
+    assert quad_counter["elements"] == 33 * quad_counter["nodes"]
+    assert d2_elements == quad_counter["nodes"]
 
 
 def test_error_estimate_and_config_passthrough():
@@ -485,6 +479,122 @@ def test_error_estimate_and_config_passthrough():
     closed = star(W, FGMCopula(1.0), q)
     assert closed.error_estimate == 0.0
     assert closed.config is q
+
+
+SPLIT_M_W = PiecewiseConstantFamily((0.5,), (M, W))
+
+
+def _probed_products(flip_shuffle):
+    # (product, tag, pinned error_estimate as float.hex)
+    quad = star(FGMCopula(1.0), FGMCopula(1.0)).copula
+    return (
+        (star(FGMCopula(1.0), FGMCopula(-1.0)), "none", "0x1.4000000000000p-54"),
+        (star_c(FGMCopula(1.0), SPLIT_M_W, flip_shuffle, fast_paths=False),
+         "none", "0x1.d800000000000p-55"),
+        # a transposed shuffle is left invertible but not a ShuffleOfM,
+        # so the classical product it reduces to runs quadrature
+        (star_c(TransposedCopula(flip_shuffle), SPLIT_M_W, FGMCopula(0.8)),
+         "invertible-reduction", "0x1.e800000000000p-55"),
+        (star(M, quad), "identity-M", "0x0.0p+0"),
+    )
+
+
+def test_error_estimate_computed_on_first_read(flip_shuffle, quad_counter):
+    results = _probed_products(flip_shuffle)
+    assert quad_counter["calls"] == 0
+    for r, tag, want in results:
+        assert r.fast_path == tag
+        assert r.error_estimate.hex() == want, tag
+        calls = quad_counter["calls"]
+        # a second read is served from the cache
+        assert r.error_estimate.hex() == want
+        assert quad_counter["calls"] == calls
+    assert isinstance(results[-1][0].copula, ComputedCopula)
+
+
+def test_closed_forms_estimate_zero(flip_shuffle, quad_counter):
+    fgm = FGMCopula(0.5)
+    g8a = grid_from_copula(FGMCopula(0.6), 8)
+    g8b = grid_from_copula(flip_shuffle, 8)
+    results = (
+        star(M, fgm), star(PI, fgm), star(fgm, W), star(W, fgm),
+        star(flip_shuffle, fgm), star(fgm, flip_shuffle), star(g8a, g8b),
+        star_c(flip_shuffle, SPLIT_M_W, fgm),
+    )
+    for r in results:
+        assert r.fast_path != "none"
+        assert r.error_estimate == 0.0
+    assert {r.fast_path for r in results} == set(products.FAST_PATHS) - {"none"}
+    assert quad_counter["calls"] == 0
+
+
+def test_building_quadrature_products_runs_no_quadrature(flip_shuffle, quad_counter):
+    fgm = FGMCopula(0.5)
+    built = [
+        star(fgm, FGMCopula(-0.5)),
+        star(fgm, flip_shuffle, fast_paths=False),
+        star_c(fgm, SPLIT_M_W, FGMCopula(-0.5)),
+        star_c(TransposedCopula(flip_shuffle), SPLIT_M_W, fgm),
+    ]
+    assert {r.fast_path for r in built} == {"none", "invertible-reduction"}
+    for text in (
+        "star(fgm(0.5), fgm(-0.5))",
+        "starc(fgm(1), pw(0.5: M, W), fgm(-1))",
+        "star(star(fgm(1), fgm(1)), fgm(1))",
+    ):
+        assert isinstance(build_copula(parse(text)), ComputedCopula)
+    assert quad_counter["calls"] == 0
+
+
+def _branch_products(flip_shuffle):
+    # ungrouped (no factor has breakpoints) and grouped (a shuffle factor)
+    fgm = FGMCopula(1.0)
+    ungrouped = star(fgm, FGMCopula(-1.0))
+    grouped = star_c(fgm, SPLIT_M_W, flip_shuffle, fast_paths=False)
+    assert len(fgm.d2_breakpoints(0.375)) == 0
+    assert len(flip_shuffle.d1_breakpoints(0.375)) > 0
+    return ungrouped, grouped
+
+
+def test_eval_with_error_values_are_eval(flip_shuffle):
+    g = np.arange(9) / 8
+    for r in _branch_products(flip_shuffle):
+        cop = r.copula
+        val, err = cop.eval_with_error(0.3, 0.7)
+        assert isinstance(val, float) and val.hex() == cop.eval(0.3, 0.7).hex()
+        assert err >= 0.0
+        vals, err = cop.eval_with_error(g[:, None], g[None, :])
+        want = cop.eval(g[:, None], g[None, :])
+        assert vals.shape == (9, 9) and vals.tobytes() == want.tobytes()
+        assert err >= 0.0
+        xs, ys = (np.asarray(c) for c in zip(*products._PROBES))
+        assert cop.eval_with_error(xs, ys)[1] == r.error_estimate
+
+
+def test_eval_with_error_domain_and_empty_batch(flip_shuffle):
+    for r in _branch_products(flip_shuffle):
+        cop = r.copula
+        for u, v in ((1.5, 0.5), (0.5, -0.1), (0.5, math.nan)):
+            with pytest.raises(DomainError) as want:
+                cop.eval(u, v)
+            with pytest.raises(DomainError) as got:
+                cop.eval_with_error(u, v)
+            assert str(got.value) == str(want.value)
+        vals, err = cop.eval_with_error(np.array([]), np.array([]))
+        assert vals.tolist() == [] and err == 0.0
+
+
+def test_nonconvergence_raised_on_first_evaluation(quad_counter):
+    q = QuadratureConfig(adaptive_tol=1e-300)
+    r = star(FGMCopula(1.0), FGMCopula(1.0), q)
+    assert r.fast_path == "none" and quad_counter["calls"] == 0
+    with pytest.raises(NonConvergenceError):
+        r.copula.eval(0.3, 0.7)
+    with pytest.raises(NonConvergenceError):
+        r.error_estimate
+    # a probe that failed is not cached: the next read fails again
+    with pytest.raises(NonConvergenceError):
+        r.error_estimate
 
 
 # ---------------------------------------------------------------------------
