@@ -47,11 +47,12 @@ def format_value(x: float) -> str:
 
 
 def _add_quadrature_flags(p: argparse.ArgumentParser):
-    p.add_argument("--subintervals", type=int, default=64,
+    d = QuadratureConfig()
+    p.add_argument("--subintervals", type=int, default=d.base_subintervals,
                    help="base uniform subintervals for product quadrature")
-    p.add_argument("--nodes", type=int, default=16,
+    p.add_argument("--nodes", type=int, default=d.nodes_per_subinterval,
                    help="Gauss-Legendre nodes per subinterval")
-    p.add_argument("--qtol", type=float, default=1e-8,
+    p.add_argument("--qtol", type=float, default=d.adaptive_tol,
                    help="adaptive quadrature tolerance")
 
 

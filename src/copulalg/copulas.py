@@ -151,6 +151,13 @@ class Copula:
     nodes, and use elementwise arithmetic only, so a value's bits do
     not depend on the shape it is evaluated in. They return a new float
     array of the broadcast shape, which the quadrature clips in place.
+
+    Breakpoint contract: ``d2_breakpoints(u)`` takes a scalar or an
+    array of coordinates u and returns one flat float array holding,
+    for every given u, the t-values where t -> partial2(u, t) may jump
+    or kink; ``d1_breakpoints(v)`` does the same for t -> partial1(t, v).
+    Duplicates are allowed and the order is free: the quadrature sorts
+    and merges them. An empty array means smooth conditionals.
     """
 
     left_invertible = False
@@ -203,13 +210,11 @@ class Copula:
         """The copula (u, v) -> C(v, u)."""
         return TransposedCopula(self)
 
-    # Quadrature hints: t-values where t -> partial2(u, t) (resp.
-    # t -> partial1(t, v)) may jump or kink. Empty means smooth.
-    def d2_breakpoints(self, u: float):
-        return ()
+    def d2_breakpoints(self, u):
+        return np.empty(0)
 
-    def d1_breakpoints(self, v: float):
-        return ()
+    def d1_breakpoints(self, v):
+        return np.empty(0)
 
     def __repr__(self):
         return f"<{type(self).__name__}>"
@@ -237,10 +242,10 @@ class FrechetM(Copula):
         return self
 
     def d2_breakpoints(self, u):
-        return (float(u),)
+        return np.ravel(u).astype(float)
 
     def d1_breakpoints(self, v):
-        return (float(v),)
+        return np.ravel(v).astype(float)
 
 
 class FrechetW(Copula):
@@ -265,10 +270,10 @@ class FrechetW(Copula):
         return self
 
     def d2_breakpoints(self, u):
-        return (1.0 - float(u),)
+        return 1.0 - np.ravel(u)
 
     def d1_breakpoints(self, v):
-        return (1.0 - float(v),)
+        return 1.0 - np.ravel(v)
 
 
 class ProductPi(Copula):
@@ -342,7 +347,8 @@ class ShuffleOfM(Copula):
         cuts = tuple(float(c) for c in cuts)
         if len(cuts) < 2 or cuts[0] != 0.0 or cuts[-1] != 1.0:
             raise ConstructionError(f"cuts must run from 0 to 1, got {cuts}")
-        if any(b <= a for a, b in zip(cuts, cuts[1:])):
+        widths = np.diff(cuts)
+        if np.any(widths <= 0.0):
             raise ConstructionError(f"cuts must be strictly increasing, got {cuts}")
         n = len(cuts) - 1
         sigma = tuple(int(s) for s in sigma)
@@ -361,12 +367,10 @@ class ShuffleOfM(Copula):
         self.flips = flips
         self.n_pieces = n
 
-        widths = np.diff(np.asarray(cuts))
-        # target cut j is the total width of strips landing in slots <= j
-        inv = np.empty(n, dtype=int)
-        for i, s in enumerate(sigma):
-            inv[s - 1] = i
-        tcuts = np.concatenate(([0.0], np.cumsum(widths[inv])))
+        # target cut j is the total width of strips landing in slots <= j;
+        # _inv[j] is the strip that lands in slot j
+        self._inv = np.argsort(sigma)
+        tcuts = np.concatenate(([0.0], np.cumsum(widths[self._inv])))
         tcuts[-1] = 1.0
 
         self._s0 = np.asarray(cuts[:-1])
@@ -420,13 +424,7 @@ class ShuffleOfM(Copula):
     def transpose(self):
         """Transpose of a shuffle is a shuffle (reflect the support)."""
         if self._transposed is None:
-            n = self.n_pieces
-            inv = [0] * n
-            for i, s in enumerate(self.sigma):
-                inv[s - 1] = i + 1
-            tcuts = tuple(float(t) for t in self._tcuts)
-            tflips = tuple(self.flips[inv[j] - 1] for j in range(n))
-            t = ShuffleOfM(tcuts, tuple(inv), tflips)
+            t = ShuffleOfM(self._tcuts, self._inv + 1, self._flip[self._inv])
             t._transposed = self
             self._transposed = t
         return self._transposed
@@ -444,15 +442,11 @@ class ShuffleOfM(Copula):
         return tuple(segs)
 
     def d2_breakpoints(self, u):
-        u = float(u)
-        pts = []
-        for i in range(self.n_pieces):
-            c = min(max(u - self._s0[i], 0.0), self._w[i])
-            if self._flip[i]:
-                pts += [self._t1[i] - c, self._t1[i]]
-            else:
-                pts += [self._t0[i], self._t0[i] + c]
-        return tuple(pts)
+        # each piece's conditional is 1 on a t-interval [lo, hi] per u
+        c = np.clip(np.reshape(u, (-1, 1)) - self._s0, 0.0, self._w)
+        lo = np.where(self._flip, self._t1 - c, self._t0)
+        hi = np.where(self._flip, self._t1, self._t0 + c)
+        return np.concatenate((lo, hi), axis=None)
 
     def d1_breakpoints(self, v):
         return self.transpose().d2_breakpoints(v)
@@ -592,11 +586,12 @@ class GridCopula(Copula):
     def transpose(self):
         return GridCopula(self.mass.T)
 
+    # the cell edges, whatever the coordinate
     def d2_breakpoints(self, u):
-        return tuple(np.arange(1, self.n) / self.n)
+        return np.arange(1, self.n) / self.n
 
     def d1_breakpoints(self, v):
-        return tuple(np.arange(1, self.n) / self.n)
+        return np.arange(1, self.n) / self.n
 
     def __repr__(self):
         return f"<GridCopula n={self.n}>"
@@ -637,28 +632,26 @@ def shuffle_from_grid(grid: GridCopula) -> ShuffleOfM:
     placed so that the piece's u-interval sits inside column band i (cells
     ordered by j) and its v-interval inside row band j (cells ordered by
     i). The resulting shuffle S satisfies sup |S - C| <= 4 / n.
+
+    A cell whose mass is too small to move the running cut, such as the
+    rounding residue that ``grid_from_copula`` leaves in an empty cell,
+    would be a piece of width zero and is dropped.
     """
     m = grid.mass
     n = grid.n
-    cuts = [0.0]
-    targets = []  # v-interval start per piece, in u order
     col_base = np.arange(n) / n
     row_off = np.vstack([np.zeros(n), m.cumsum(axis=0)[:-1]])  # offsets within row band
-    for i in range(n):
-        for j in range(n):
-            w = m[i, j]
-            if w <= 0.0:
-                continue
-            cuts.append(cuts[-1] + w)
-            targets.append(col_base[j] + row_off[i, j])
-    if not targets:
+    cell = m > 0.0  # row-major: pieces in u order
+    # running cut after each piece, added strictly in order
+    ends = np.add.accumulate(m[cell])
+    moves = ends > np.concatenate(([0.0], ends[:-1]))
+    if not moves.any():
         raise ConstructionError("grid has no mass")
+    cuts = np.concatenate(([0.0], ends[moves]))
     cuts[-1] = 1.0
-    order = sorted(range(len(targets)), key=targets.__getitem__)
-    sigma = [0] * len(targets)
-    for slot, piece in enumerate(order):
-        sigma[piece] = slot + 1
-    return ShuffleOfM(tuple(cuts), tuple(sigma))
+    targets = (col_base + row_off)[cell][moves]  # v-interval start per piece
+    sigma = np.argsort(np.argsort(targets, kind="stable")) + 1
+    return ShuffleOfM(cuts, sigma)
 
 
 def grid_from_copula(C: Copula, n: int) -> GridCopula:

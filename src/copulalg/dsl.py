@@ -386,8 +386,9 @@ def to_text(node, num=_fmt) -> str:
         return f"const({text(node.member)})"
     if isinstance(node, Pw):
         cuts = node.cuts
-        # canonical form lists interior cuts only
-        if len(cuts) == len(node.members) + 1:
+        # canonical form lists interior cuts only; strip the ends only
+        # where the family would, so invalid cuts stay invalid
+        if len(cuts) == len(node.members) + 1 and cuts[0] == 0 and cuts[-1] == 1:
             cuts = cuts[1:-1]
         return f"pw({nums(cuts)}: {', '.join(text(m) for m in node.members)})"
     if isinstance(node, FgmCurve):

@@ -51,6 +51,9 @@ class CopulaFamily:
     """Abstract measurable family of copulas indexed by t in [0, 1]."""
 
     measurability = CLASS_MEASURABLE
+    # degree in t of the members' parameter between breakpoints; 0 means
+    # the family is constant there
+    theta_degree = 0
 
     def member_at(self, t: float) -> Copula:
         """The copula C_t."""
@@ -187,6 +190,10 @@ class FGMCurveFamily(CopulaFamily):
             raise ConstructionError(f"coefficients must be finite, got {coeffs}")
         self.coeffs = coeffs
 
+    @property
+    def theta_degree(self):
+        return len(self.coeffs) - 1
+
     def theta(self, t):
         """Clipped parameter value(s) at t."""
         t = np.asarray(t, float)
@@ -225,34 +232,32 @@ def measurability_class(F: CopulaFamily) -> str:
 
 
 def _refined_samples(F: CopulaFamily, G: CopulaFamily):
-    """One sample t inside each interval of the common cut refinement."""
+    """d + 1 evenly spaced t inside each interval of the common cut
+    refinement, d the larger theta degree, plus t = 1."""
     cuts = sorted(set((0.0, 1.0)) | set(F.breakpoints()) | set(G.breakpoints()))
-    mids = [(a + b) / 2.0 for a, b in zip(cuts, cuts[1:])]
-    return mids + [1.0]
+    a, b = np.asarray(cuts[:-1])[:, None], np.asarray(cuts[1:])[:, None]
+    d = max(F.theta_degree, G.theta_degree)
+    k = np.arange(1, d + 2)
+    return np.append((a * (d + 2 - k) + b * k) / (d + 2), 1.0)
 
 
 def ae_equal(F: CopulaFamily, G: CopulaFamily, lattice: int = 32) -> bool:
     """Whether C^F_t == C^G_t off a null set of t.
 
-    Samples one t per interval of the common breakpoint refinement
-    (plus t=1) and compares members on a uniform (lattice+1)^2 grid to
-    1e-12. Jumps exactly at sampled t's cannot hide: the families are
-    constant or continuous between breakpoints. Two parameter curves
-    are compared by their clipped theta values on a dense t grid.
+    Samples d + 1 t's per interval of the common breakpoint refinement,
+    where d is the larger theta degree of the two families (plus t=1),
+    and compares members on a uniform (lattice+1)^2 grid to 1e-12.
+    Between breakpoints both parameters are polynomials of degree at
+    most d, so d + 1 equal samples make them equal on the whole
+    interval, and jumps at cuts cannot hide.
     """
-    if isinstance(F, FGMCurveFamily) and isinstance(G, FGMCurveFamily):
-        ts = np.arange(33) / 32
-        return bool(np.abs(F.theta(ts) - G.theta(ts)).max() <= AE_EQUAL_TOL)
     g = np.arange(lattice + 1) / lattice
     xg = np.tile(g, lattice + 1).reshape(1, -1)
     y = np.repeat(g, lattice + 1).reshape(1, -1)
-    for t in _refined_samples(F, G):
-        ts = np.asarray([t])
-        a = F.eval_grid(ts, xg, y)
-        b = G.eval_grid(ts, xg, y)
-        if np.abs(a - b).max() > AE_EQUAL_TOL:
-            return False
-    return True
+    ts = _refined_samples(F, G)
+    a = F.eval_grid(ts, xg, y)
+    b = G.eval_grid(ts, xg, y)
+    return bool(np.abs(a - b).max() <= AE_EQUAL_TOL)
 
 
 def family_integral(F: CopulaFamily, x, y, q=None):

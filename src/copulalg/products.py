@@ -158,15 +158,10 @@ def _gl(n: int):
 
 def _initial_edges(breakpoints, q: QuadratureConfig):
     base = np.arange(q.base_subintervals + 1) / q.base_subintervals
-    pts = [base]
-    extra = [
-        float(b)
-        for b in tuple(q.extra_breakpoints) + tuple(breakpoints)
-        if np.isfinite(b) and 0.0 < float(b) < 1.0
-    ]
-    if extra:
-        pts.append(np.asarray(extra, dtype=float))
-    e = np.unique(np.concatenate(pts))
+    extra = np.concatenate((q.extra_breakpoints, breakpoints), axis=None)
+    # NaN and the infinities fail both comparisons
+    extra = extra[(0.0 < extra) & (extra < 1.0)]
+    e = np.unique(np.concatenate((base, extra)))
     # merge nearly coincident cut points so no subinterval degenerates
     keep = np.concatenate(([True], np.diff(e) > 1e-14))
     e = e[keep]
@@ -305,40 +300,33 @@ def _product_points_eval(A, family, B, xs, ys, q):
 
     Points sharing a coordinate on the side with the richer breakpoint
     structure are integrated together so the subdivision is built once
-    per group. Returns (values, worst per-point error estimate).
+    per group; without breakpoints on either side all points form one
+    group. Each group is split at the family's breakpoints and at both
+    factors' breakpoints for the group's coordinates. Returns (values,
+    worst per-point error estimate).
     """
     m = xs.size
     out = np.empty(m)
     if m == 0:
         return out, 0.0
-    fam_breaks = tuple(family.breakpoints()) if family is not None else ()
+    fam_breaks = family.breakpoints() if family is not None else ()
     kA = len(A.d2_breakpoints(0.375))
     kB = len(B.d1_breakpoints(0.375))
-    worst = 0.0
-    if kA == 0 and kB == 0:
-        fb = _make_integrand(A, family, B, xs, ys)
-        vals, worst = _integrate_batch(fb, fam_breaks, q, m)
-        out[:] = vals
-    else:
+    if kA or kB:
         keys = xs if kA >= kB else ys
-        for val in np.unique(keys):
-            mask = keys == val
-            xs_g, ys_g = xs[mask], ys[mask]
-            breaks = list(fam_breaks)
-            if kA >= kB:
-                breaks += list(A.d2_breakpoints(float(val)))
-                if kB:
-                    for yv in np.unique(ys_g):
-                        breaks += list(B.d1_breakpoints(float(yv)))
-            else:
-                breaks += list(B.d1_breakpoints(float(val)))
-                if kA:
-                    for xv in np.unique(xs_g):
-                        breaks += list(A.d2_breakpoints(float(xv)))
-            fb = _make_integrand(A, family, B, xs_g, ys_g)
-            vals, err = _integrate_batch(fb, tuple(breaks), q, int(mask.sum()))
-            out[mask] = vals
-            worst = max(worst, err)
+        groups = [keys == val for val in np.unique(keys)]
+    else:
+        groups = [slice(None)]
+    worst = 0.0
+    for g in groups:
+        xs_g, ys_g = xs[g], ys[g]
+        breaks = np.concatenate(
+            (fam_breaks, A.d2_breakpoints(xs_g), B.d1_breakpoints(ys_g)), axis=None
+        )
+        fb = _make_integrand(A, family, B, xs_g, ys_g)
+        vals, err = _integrate_batch(fb, breaks, q, xs_g.size)
+        out[g] = vals
+        worst = max(worst, err)
     return np.clip(out, 0.0, 1.0), worst
 
 

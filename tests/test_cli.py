@@ -14,7 +14,8 @@ from copulalg import (
     shuffle_from_grid,
     write_grid_csv,
 )
-from copulalg.cli import format_value, main
+from copulalg.cli import _build_parser, _quad_config, format_value, main
+from copulalg.products import QuadratureConfig
 
 
 def run(capsys, *argv):
@@ -67,6 +68,11 @@ def test_eval_no_fast_path_flag(capsys):
     rc, out, _ = run(capsys, "eval", "star(M, W)", "0.3", "0.8",
                      "--no-fast-path")
     assert (rc, out) == (0, "0.100000000000\n")
+
+
+def test_quadrature_flag_defaults_are_the_config_defaults():
+    args = _build_parser().parse_args(["eval", "M", "0.5", "0.5"])
+    assert _quad_config(args) == QuadratureConfig()
 
 
 def test_eval_parse_error_exit_1(capsys):

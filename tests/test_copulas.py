@@ -453,6 +453,36 @@ def test_many_piece_shuffle_bits_do_not_depend_on_batch(unit_grid_65):
     assert bad == []
 
 
+def _residue_sweep():
+    # grids of shuffles, whose empty cells keep a rounding residue of
+    # about 1e-17: straight shuffles, the three-piece corpus shuffle and
+    # seeded random shuffles with flips
+    for a in range(1, 20):
+        for n in range(2, 17):
+            yield StraightShuffle(a * 0.05), n
+    corpus = ShuffleOfM((0.0, 0.2, 0.7, 1.0), (3, 1, 2), (False, True, False))
+    for n in range(2, 17):
+        yield corpus, n
+    rng = np.random.default_rng(123)
+    for _ in range(200):
+        k = int(rng.integers(2, 6))
+        cuts = (0.0, *np.sort(rng.uniform(size=k - 1)), 1.0)
+        flips = rng.integers(0, 2, k).astype(bool)
+        yield ShuffleOfM(cuts, rng.permutation(k) + 1, flips), int(rng.integers(2, 17))
+
+
+def test_shuffle_from_grid_survives_rounding_residue():
+    # a residue cell cannot advance the running cut; it is dropped
+    # instead of becoming a piece of width zero
+    residue = grid_from_copula(StraightShuffle(0.4), 5)
+    assert 0.0 < residue.mass[residue.mass < 1e-12].max() < 1e-15
+    for C, n in _residue_sweep():
+        grid = grid_from_copula(C, n)
+        S = shuffle_from_grid(grid)
+        assert S.cuts[-1] == 1.0
+        assert sup_distance(S, grid, 64) <= 4.0 / n, (C, n)
+
+
 # ---------------------------------------------------------------------------
 # sup distance and validation
 

@@ -167,6 +167,7 @@ def test_to_text_parse_inverse():
         "starc(W, const(straight(0.7)), t(M))",
         "pw(0, 1: M)",
         "pw(: M)",
+        "pw(0.2, 0.4, 0.6, 0.8: M, W, Pi)",  # invalid: ends are not 0 and 1
     ]
     for s in sources:
         reader = parse_family if s.startswith("pw(") else parse

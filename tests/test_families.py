@@ -157,6 +157,18 @@ def test_ae_equal_curves():
     assert not ae_equal(f, FGMCurveFamily((0.0, 0.5)))
 
 
+def test_ae_equal_sees_a_varying_theta():
+    # theta(t) = -2 + 4t meets each member at its piece's midpoint only:
+    # at t = 0.3 the curve's member is fgm(-0.8), the piece's fgm(-0.5)
+    curve = FGMCurveFamily((-2.0, 4.0))
+    steps = PiecewiseConstantFamily(
+        (0.25, 0.5, 0.75),
+        (FGMCopula(-1.0), FGMCopula(-0.5), FGMCopula(0.5), FGMCopula(1.0)),
+    )
+    assert not ae_equal(curve, steps)
+    assert not ae_equal(steps, curve)
+
+
 def test_ae_equal_curve_vs_constant():
     assert ae_equal(FGMCurveFamily((0.5,)), ConstantFamily(FGMCopula(0.5)))
     assert not ae_equal(FGMCurveFamily((0.5,)), ConstantFamily(PI))

@@ -17,6 +17,7 @@ from copulalg import (
     FGMCopula,
     FGMCurveFamily,
     FrechetM,
+    FrechetW,
     GridCopula,
     M,
     NonConvergenceError,
@@ -139,6 +140,105 @@ def test_gauss_legendre_16_bits_pinned():
            "differ from the pinned bits; product values will differ too")
     assert [float(x) for x in nodes] == want_nodes, msg
     assert [float(w) for w in weights] == want_weights, msg
+
+
+# ---------------------------------------------------------------------------
+# breakpoint hints
+
+
+def _point_breakpoints(C, side, x):
+    """Reference: the breakpoints of one coordinate as a tuple, each
+    shuffle piece visited in a Python loop. side 2 is d2_breakpoints,
+    side 1 is d1_breakpoints."""
+    if isinstance(C, TransposedCopula):
+        return _point_breakpoints(C.inner, 3 - side, x)
+    if isinstance(C, ShuffleOfM):
+        S = C if side == 2 else C.transpose()  # d1 of S is d2 of S^T
+        pts = []
+        for i in range(S.n_pieces):
+            c = min(max(x - S._s0[i], 0.0), S._w[i])
+            if S._flip[i]:
+                pts += [S._t1[i] - c, S._t1[i]]
+            else:
+                pts += [S._t0[i], S._t0[i] + c]
+        return tuple(pts)
+    if isinstance(C, FrechetM):
+        return (float(x),)
+    if isinstance(C, FrechetW):
+        return (1.0 - float(x),)
+    if isinstance(C, GridCopula):
+        return tuple(np.arange(1, C.n) / C.n)
+    return ()
+
+
+def _tuple_path_edges(breakpoints, q):
+    """Reference: initial edges from a tuple of breakpoints, filtered
+    one value at a time."""
+    base = np.arange(q.base_subintervals + 1) / q.base_subintervals
+    pts = [base]
+    extra = [
+        float(b)
+        for b in tuple(q.extra_breakpoints) + tuple(breakpoints)
+        if np.isfinite(b) and 0.0 < float(b) < 1.0
+    ]
+    if extra:
+        pts.append(np.asarray(extra, dtype=float))
+    e = np.unique(np.concatenate(pts))
+    keep = np.concatenate(([True], np.diff(e) > 1e-14))
+    e = e[keep]
+    e[0] = 0.0
+    e[-1] = 1.0
+    return e
+
+
+def _hint_corpus():
+    rng = np.random.default_rng(7)
+    base = [M, W, PI, FGMCopula(0.7), StraightShuffle(0.3),
+            grid_from_copula(FGMCopula(0.8), 6)]
+    for k in (2, 3, 5, 9):
+        cuts = (0.0, *np.sort(rng.uniform(size=k - 1)), 1.0)
+        flips = rng.integers(0, 2, k).astype(bool)
+        base.append(ShuffleOfM(cuts, rng.permutation(k) + 1, flips))
+    return [c for C in base for c in (C, C.transpose(), TransposedCopula(C))]
+
+
+def test_breakpoints_are_flat_arrays_over_coordinates():
+    xs = np.concatenate((np.arange(17) / 16, [0.3, 1 / 3, 0.7, 0.3]))
+    for C in _hint_corpus():
+        for side, method in ((2, C.d2_breakpoints), (1, C.d1_breakpoints)):
+            whole = method(xs)
+            assert isinstance(whole, np.ndarray) and whole.ndim == 1
+            assert whole.dtype == np.float64, (C, side)
+            union = {b for x in xs for b in _point_breakpoints(C, side, float(x))}
+            assert set(whole.tolist()) == union, (C, side)
+            for x in (0.375, 1 / 3, 0.0, 1.0):
+                one = method(x)
+                assert one.ndim == 1 and one.dtype == np.float64
+                assert set(one.tolist()) == set(_point_breakpoints(C, side, x))
+            if not union:  # smooth conditionals
+                assert whole.size == 0 and method(0.375).size == 0
+
+
+def test_initial_edges_match_tuple_path():
+    # the edges of one group from array hints are bit-identical to the
+    # edges from the concatenated per-point tuples
+    corpus = _hint_corpus()
+    ys = np.arange(9) / 8
+    fam_breaks = (0.25, 0.5)
+    for q in (QuadratureConfig(), QuadratureConfig(base_subintervals=5,
+                                                   extra_breakpoints=(0.3, 0.9))):
+        for A in corpus:
+            for B in corpus[::3]:
+                for x in (0.2, 0.5):
+                    xs = np.full(ys.size, x)
+                    arrays = np.concatenate(
+                        (fam_breaks, A.d2_breakpoints(xs), B.d1_breakpoints(ys))
+                    )
+                    tuples = fam_breaks + _point_breakpoints(A, 2, x)
+                    for y in ys:
+                        tuples += _point_breakpoints(B, 1, float(y))
+                    got = products._initial_edges(arrays, q)
+                    assert got.tobytes() == _tuple_path_edges(tuples, q).tobytes()
 
 
 # ---------------------------------------------------------------------------
