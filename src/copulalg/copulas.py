@@ -348,7 +348,8 @@ class ShuffleOfM(Copula):
         if len(cuts) < 2 or cuts[0] != 0.0 or cuts[-1] != 1.0:
             raise ConstructionError(f"cuts must run from 0 to 1, got {cuts}")
         widths = np.diff(cuts)
-        if np.any(widths <= 0.0):
+        # NaN fails the comparison, so a NaN cut is rejected too
+        if not np.all(widths > 0.0):
             raise ConstructionError(f"cuts must be strictly increasing, got {cuts}")
         n = len(cuts) - 1
         sigma = tuple(int(s) for s in sigma)

@@ -47,6 +47,7 @@ from .copulas import (
     read_grid_csv,
 )
 from .families import ConstantFamily, FGMCurveFamily, PiecewiseConstantFamily
+from .poly import PolyCopula
 from .products import (
     ComputedCopula,
     QuadratureConfig,
@@ -402,9 +403,10 @@ def expr_of(obj):
 
     A product maps to the ``star``/``starc`` of its factors, whichever
     closed form or quadrature evaluates it; its quadrature settings are
-    not part of the text. A ``GridCopula`` held in
-    memory has no source text and maps to ``Opaque("grid[NxN]")``; any
-    other class the language cannot spell maps to ``Opaque`` of its
+    not part of the text. A ``GridCopula`` held in memory has no source
+    text and maps to ``Opaque("grid[NxN]")``, as a ``PolyCopula`` built
+    from coefficients maps to ``Opaque("poly[du,dv]")`` of its degrees;
+    any other class the language cannot spell maps to ``Opaque`` of its
     class name.
     """
     if isinstance(obj, FrechetM):
@@ -423,10 +425,13 @@ def expr_of(obj):
         return Transpose(expr_of(obj.inner))
     if isinstance(obj, GridCopula):
         return Opaque(f"grid[{obj.n}x{obj.n}]")
-    if isinstance(obj, ComputedCopula):
-        if obj.family is None:
-            return Star(expr_of(obj.A), expr_of(obj.B))
-        return StarC(expr_of(obj.A), expr_of(obj.family), expr_of(obj.B))
+    if isinstance(obj, PolyCopula) and obj.source is None:
+        return Opaque("poly[{},{}]".format(*obj.degree))
+    if isinstance(obj, (ComputedCopula, PolyCopula)):
+        A, family, B = obj.source
+        if family is None:
+            return Star(expr_of(A), expr_of(B))
+        return StarC(expr_of(A), expr_of(family), expr_of(B))
     if isinstance(obj, ShuffleStarProduct):
         return Star(expr_of(obj.S), expr_of(obj.C))
     if isinstance(obj, WRightProduct):

@@ -136,7 +136,8 @@ class PiecewiseConstantFamily(CopulaFamily):
                 f"{len(members)} members need {len(members) + 1} cuts "
                 f"(with endpoints), got {len(cuts)}"
             )
-        if any(b <= a for a, b in zip(cuts, cuts[1:])):
+        # NaN fails the comparison, so a NaN cut is rejected too
+        if any(not b > a for a, b in zip(cuts, cuts[1:])):
             raise ConstructionError(f"cuts must increase strictly, got {cuts}")
         if cuts[0] != 0.0 or cuts[-1] != 1.0:
             raise ConstructionError(f"cuts must span [0, 1], got {cuts}")

@@ -30,6 +30,15 @@ except where a structural fast path gives the result in closed form:
   conditionals that are constant in t on every cell, so their classical
   product is the checkerboard of N times the matrix product of their
   masses (the Markov product of doubly stochastic matrices).
+* poly-closed-form: when both factors are polynomial copulas (Pi, FGM,
+  an earlier polynomial product, or a transpose of one) and, for the
+  generalized product, every member is too, with a parameter that is
+  polynomial in t on each piece (``ConstantFamily``,
+  ``PiecewiseConstantFamily``, ``FGMCurveFamily`` split at its clip
+  points), the product is a ``PolyCopula`` computed in exact rational
+  arithmetic (see ``poly``). It is tried last, and a product whose
+  degree would pass ``poly.MAX_DEGREE`` = 16 in either variable is
+  left to quadrature.
 """
 
 from __future__ import annotations
@@ -54,6 +63,7 @@ from .copulas import (
     _maybe_scalar,
     _unit,
 )
+from .poly import poly_product
 
 __all__ = [
     "QuadratureConfig",
@@ -76,6 +86,7 @@ FAST_PATHS = (
     "invertible-reduction",
     "shuffle-closed-form",
     "grid-closed-form",
+    "poly-closed-form",
 )
 
 # memory cap for one integrand evaluation batch (elements, not bytes)
@@ -302,8 +313,8 @@ def _product_points_eval(A, family, B, xs, ys, q):
     structure are integrated together so the subdivision is built once
     per group; without breakpoints on either side all points form one
     group. Each group is split at the family's breakpoints and at both
-    factors' breakpoints for the group's coordinates. Returns (values,
-    worst per-point error estimate).
+    factors' breakpoints for the group's coordinates, the shared one
+    asked for once. Returns (values, worst per-point error estimate).
     """
     m = xs.size
     out = np.empty(m)
@@ -316,13 +327,15 @@ def _product_points_eval(A, family, B, xs, ys, q):
         keys = xs if kA >= kB else ys
         groups = [keys == val for val in np.unique(keys)]
     else:
-        groups = [slice(None)]
+        keys, groups = None, [slice(None)]
     worst = 0.0
     for g in groups:
         xs_g, ys_g = xs[g], ys[g]
-        breaks = np.concatenate(
-            (fam_breaks, A.d2_breakpoints(xs_g), B.d1_breakpoints(ys_g)), axis=None
-        )
+        breaks = np.concatenate((
+            fam_breaks,
+            A.d2_breakpoints(xs_g[:1] if keys is xs else xs_g),
+            B.d1_breakpoints(ys_g[:1] if keys is ys else ys_g),
+        ), axis=None)
         fb = _make_integrand(A, family, B, xs_g, ys_g)
         vals, err = _integrate_batch(fb, breaks, q, xs_g.size)
         out[g] = vals
@@ -338,6 +351,11 @@ class ComputedCopula(Copula):
         self.family = family
         self.B = B
         self.q = q
+
+    @property
+    def source(self):
+        """(A, family, B): the factors, as ``PolyCopula.source`` gives them."""
+        return (self.A, self.family, self.B)
 
     def _cdf_with_error(self, u, v):
         u, v = np.broadcast_arrays(np.asarray(u, float), np.asarray(v, float))
@@ -473,6 +491,9 @@ def _fast_path(A: Copula, family, B: Copula, q: QuadratureConfig | None,
         elif isinstance(A, GridCopula) and isinstance(B, GridCopula) and A.n == B.n:
             mass = A.n * _markov_product(A.mass, B.mass)
             return ProductResult(GridCopula(mass), "grid-closed-form", 0.0, q)
+        poly = poly_product(A, family, B)
+        if poly is not None:
+            return ProductResult(poly, "poly-closed-form", 0.0, q)
     cop = ComputedCopula(A, family, B, q)
     return ProductResult(cop, "none", lambda: _probe_error(cop), q)
 
@@ -483,8 +504,8 @@ def star(A: Copula, B: Copula, q: QuadratureConfig | None = None,
 
     Fast paths, in precedence order: identity-M, zero-Pi, W closed
     form (right factor checked first), shuffle closed form, grid closed
-    form (two grids of the same order). Pass fast_paths=False to force
-    raw quadrature.
+    form (two grids of the same order), polynomial closed form. Pass
+    fast_paths=False to force raw quadrature.
     """
     return _fast_path(A, None, B, q, fast_paths)
 
@@ -494,7 +515,8 @@ def star_c(A: Copula, family, B: Copula, q: QuadratureConfig | None = None,
     """Generalized star product A *_C B over a copula family.
 
     Precedence: identity-M, W closed form, invertible reduction (which
-    subsumes shuffle factors), then quadrature. There is no zero-Pi
-    path: Pi factors do not absorb the generalized product.
+    subsumes shuffle factors), polynomial closed form, then quadrature.
+    There is no zero-Pi path: Pi factors do not absorb the generalized
+    product.
     """
     return _fast_path(A, family, B, q, fast_paths)

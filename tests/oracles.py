@@ -3,10 +3,12 @@
 Everything here deliberately avoids the library's own evaluation
 paths: shuffle mass comes from Euclidean segment clipping
 (Liang-Barsky), product integrals from scipy's adaptive quadrature
-with the conditional-law formulas written out inline.
+with the conditional-law formulas written out inline, and polynomial
+products at a rational point from exact integration in t alone.
 """
 
 import math
+from fractions import Fraction
 
 from scipy.integrate import quad
 
@@ -155,3 +157,80 @@ def grid_star_grid(mass_a, mass_b, u, v):
         t = (k + 0.5) / n
         total += d2a(u, t) * d1b(t, v) / n
     return total
+
+
+# exact products of polynomial copulas at a rational point (u, v): the
+# conditionals and the member are polynomials in t alone, held as
+# Fraction coefficient lists in increasing degree, and integrated exactly
+
+def t_add(p, q):
+    n = max(len(p), len(q))
+    return [(p[k] if k < len(p) else 0) + (q[k] if k < len(q) else 0) for k in range(n)]
+
+
+def t_mul(p, q):
+    out = [Fraction(0)] * (len(p) + len(q) - 1)
+    for i, a in enumerate(p):
+        for j, b in enumerate(q):
+            out[i + j] += a * b
+    return out
+
+
+def t_at(p, t):
+    return sum(c * t**k for k, c in enumerate(p))
+
+
+def fgm_d2_t(theta, u):
+    """t -> d2 fgm(theta)(u, t) = u + theta u (1 - u)(1 - 2t)."""
+    k = Fraction(theta) * u * (1 - u)
+    return [u + k, -2 * k]
+
+
+def fgm_d1_t(theta, v):
+    """t -> d1 fgm(theta)(t, v), the mirror image of fgm_d2_t."""
+    return fgm_d2_t(theta, v)
+
+
+def pi_member(s, r):
+    return t_mul(s, r)
+
+
+def _one_minus(p):
+    return t_add([1], [-c for c in p])
+
+
+def fgm_member(theta_t):
+    """(s, r) -> s r + theta(t) s (1 - s) r (1 - r) for a t-polynomial theta."""
+    def inner(s, r):
+        bump = t_mul(t_mul(s, _one_minus(s)), t_mul(r, _one_minus(r)))
+        return t_add(t_mul(s, r), t_mul(theta_t, bump))
+    return inner
+
+
+def fgm_curve_pieces(coeffs, breakpoints):
+    """(lo, hi, member) pieces of an FGM curve family: between the clip
+    points theta is the raw polynomial or the constant -1 or 1 that the
+    raw value at the piece's midpoint says."""
+    raw = [Fraction(c) for c in coeffs]
+    cuts = [Fraction(0)] + [Fraction(b) for b in breakpoints] + [Fraction(1)]
+    out = []
+    for lo, hi in zip(cuts, cuts[1:]):
+        mid = t_at(raw, (lo + hi) / 2)
+        theta = raw if -1 <= mid <= 1 else [Fraction(1 if mid > 0 else -1)]
+        out.append((lo, hi, fgm_member(theta)))
+    return out
+
+
+def exact_star_c(s, r, pieces):
+    """integral over t of C_t(s(t), r(t)) for t-polynomials s and r and
+    pieces (lo, hi, inner), inner(s, r) the t-polynomial of C_t(s, r)."""
+    total = Fraction(0)
+    for lo, hi, inner in pieces:
+        for k, c in enumerate(inner(s, r)):
+            total += c * (hi ** (k + 1) - lo ** (k + 1)) / (k + 1)
+    return total
+
+
+def exact_poly_eval(coeffs, x, y):
+    """sum of coeffs[i][j] x^i y^j, exactly."""
+    return sum(c * x**i * y**j for (i, row) in enumerate(coeffs) for j, c in enumerate(row))

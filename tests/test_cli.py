@@ -97,16 +97,24 @@ def test_eval_semantic_error_exit_1(capsys):
 
 def test_eval_runs_one_quadrature(capsys, quad_counter):
     # the point asked for is integrated; the error probe is not run
-    rc, out, _ = run(capsys, "eval", "star(fgm(0.5), fgm(-0.5))", "0.3", "0.7")
+    rc, out, _ = run(capsys, "eval", "star(fgm(0.5), fgm(-0.5))", "0.3", "0.7",
+                     "--no-fast-path")
     assert rc == 0
     # fgm(a) * fgm(b) = fgm(ab / 3)
     assert out == format_value(FGMCopula(-1 / 12).eval(0.3, 0.7)) + "\n"
     assert quad_counter["calls"] == 1
 
 
+def test_eval_polynomial_product_runs_no_quadrature(capsys, quad_counter):
+    rc, out, _ = run(capsys, "eval", "star(fgm(0.5), fgm(-0.5))", "0.3", "0.7")
+    assert rc == 0
+    assert out == format_value(FGMCopula(-1 / 12).eval(0.3, 0.7)) + "\n"
+    assert quad_counter["calls"] == 0
+
+
 def test_eval_nonconvergence_exit_2(capsys):
     rc, out, err = run(capsys, "eval", "star(fgm(1), fgm(1))", "0.3", "0.7",
-                       "--qtol", "1e-300")
+                       "--qtol", "1e-300", "--no-fast-path")
     assert rc == 2 and out == ""
     assert err.startswith("error: quadrature did not converge")
 

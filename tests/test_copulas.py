@@ -108,6 +108,11 @@ def test_shuffle_constructor_rejects_bad_input():
         ShuffleOfM((0.0, 0.5, 1.0), (1, 2), (True,))  # flips arity
 
 
+def test_shuffle_rejects_nan_cut():
+    with pytest.raises(ConstructionError):
+        ShuffleOfM((0.0, float("nan"), 1.0), (2, 1))
+
+
 def test_flip_shuffle_pinned_value(flip_shuffle):
     assert flip_shuffle.eval(0.1, 0.9) == pytest.approx(0.1, abs=1e-12)
 

@@ -319,7 +319,7 @@ def test_every_exported_class_has_a_spelling():
     samples = {type(x): x for x in (
         M, W, PI, fgm, shuffle, StraightShuffle(0.3), TransposedCopula(fgm),
         ComputedCopula(fgm, None, fgm, QuadratureConfig()),
-        ShuffleStarProduct(shuffle, fgm), WRightProduct(fgm),
+        ShuffleStarProduct(shuffle, fgm), WRightProduct(fgm), star(fgm, fgm).copula,
         ConstantFamily(PI), split_sign_family(1.0), FGMCurveFamily((0.5,)),
     )}
     assert set(samples) == exported

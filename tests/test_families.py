@@ -57,6 +57,11 @@ def test_piecewise_rejects_bad_input():
         PiecewiseConstantFamily((), (M, W))
 
 
+def test_piecewise_rejects_nan_cut():
+    with pytest.raises(ConstructionError):
+        PiecewiseConstantFamily((float("nan"),), (M, W))
+
+
 def test_fgm_curve_family():
     f = FGMCurveFamily((0.0, 1.0))  # theta(t) = t before clipping
     c = f.member_at(0.5)

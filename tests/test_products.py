@@ -241,6 +241,30 @@ def test_initial_edges_match_tuple_path():
                     assert got.tobytes() == _tuple_path_edges(tuples, q).tobytes()
 
 
+def test_group_hints_its_shared_coordinate_once(monkeypatch):
+    # a group of points sharing x asks the left factor for that x's
+    # breakpoints once, not once per point, and gets the same edges
+    S = shuffle_from_grid(grid_from_copula(FGMCopula(0.7), 16))
+    B = FGMCopula(0.5)
+    seen = []
+    integrate_batch = products._integrate_batch
+
+    def recording(fbatch, breakpoints, q, width):
+        seen.append(np.asarray(breakpoints))
+        return integrate_batch(fbatch, breakpoints, q, width)
+
+    monkeypatch.setattr(products, "_integrate_batch", recording)
+    q = QuadratureConfig()
+    xs = np.full(33, 0.3)
+    star(S, B, q, fast_paths=False).copula.eval(xs, GRID_33)
+    (hints,) = seen
+    assert hints.size == S.d2_breakpoints(0.3).size == 2 * S.n_pieces
+    every_point = np.concatenate((S.d2_breakpoints(xs), B.d1_breakpoints(GRID_33)))
+    assert every_point.size == 33 * hints.size
+    want = products._initial_edges(every_point, q)
+    assert products._initial_edges(hints, q).tobytes() == want.tobytes()
+
+
 # ---------------------------------------------------------------------------
 # classical star product: closed forms
 
@@ -300,7 +324,8 @@ def test_star_fast_path_precedence(flip_shuffle):
     assert star(W, flip_shuffle).fast_path == "W-closed-form"
     assert star(flip_shuffle, FGMCopula(1.0)).fast_path == "shuffle-closed-form"
     assert star(FGMCopula(1.0), flip_shuffle).fast_path == "shuffle-closed-form"
-    assert star(FGMCopula(1.0), FGMCopula(1.0)).fast_path == "none"
+    assert star(FGMCopula(1.0), FGMCopula(1.0)).fast_path == "poly-closed-form"
+    assert star(FGMCopula(1.0), FGMCopula(1.0), fast_paths=False).fast_path == "none"
     g8a = grid_from_copula(FGMCopula(0.6), 8)
     g8b = grid_from_copula(flip_shuffle, 8)
     g16 = grid_from_copula(FGMCopula(-0.4), 16)
@@ -396,7 +421,7 @@ def test_fgm_star_law():
     # the family is closed: fgm(a) * fgm(b) = fgm(a b / 3)
     cases = [(1.0, 1.0), (0.5, -0.8), (-1.0, 1.0)]
     for a, b in cases:
-        r = star(FGMCopula(a), FGMCopula(b))
+        r = star(FGMCopula(a), FGMCopula(b), fast_paths=False)
         assert r.fast_path == "none"
         target = FGMCopula(a * b / 3.0)
         assert sup_on_lattice(r.copula, target) <= 1e-12
@@ -450,7 +475,7 @@ def test_quadrature_bits_do_not_depend_on_batch(monkeypatch):
         assert value_in_batch(vs, i) == alone
 
     # the same property through the public API
-    prod = star(fgm, fgm).copula
+    prod = star(fgm, fgm, fast_paths=False).copula
     vs = np.linspace(0.0, 1.0, 17)
     vs[11] = 0.7
     assert prod.eval(np.full(17, 0.3), vs)[11] == prod.eval(0.3, 0.7)
@@ -586,9 +611,10 @@ SPLIT_M_W = PiecewiseConstantFamily((0.5,), (M, W))
 
 def _probed_products(flip_shuffle):
     # (product, tag, pinned error_estimate as float.hex)
-    quad = star(FGMCopula(1.0), FGMCopula(1.0)).copula
+    quad = star(FGMCopula(1.0), FGMCopula(1.0), fast_paths=False).copula
     return (
-        (star(FGMCopula(1.0), FGMCopula(-1.0)), "none", "0x1.4000000000000p-54"),
+        (star(FGMCopula(1.0), FGMCopula(-1.0), fast_paths=False), "none",
+         "0x1.4000000000000p-54"),
         (star_c(FGMCopula(1.0), SPLIT_M_W, flip_shuffle, fast_paths=False),
          "none", "0x1.d800000000000p-55"),
         # a transposed shuffle is left invertible but not a ShuffleOfM,
@@ -619,7 +645,7 @@ def test_closed_forms_estimate_zero(flip_shuffle, quad_counter):
     results = (
         star(M, fgm), star(PI, fgm), star(fgm, W), star(W, fgm),
         star(flip_shuffle, fgm), star(fgm, flip_shuffle), star(g8a, g8b),
-        star_c(flip_shuffle, SPLIT_M_W, fgm),
+        star_c(flip_shuffle, SPLIT_M_W, fgm), star(fgm, FGMCopula(-0.5)),
     )
     for r in results:
         assert r.fast_path != "none"
@@ -631,9 +657,9 @@ def test_closed_forms_estimate_zero(flip_shuffle, quad_counter):
 def test_building_quadrature_products_runs_no_quadrature(flip_shuffle, quad_counter):
     fgm = FGMCopula(0.5)
     built = [
-        star(fgm, FGMCopula(-0.5)),
+        star(fgm, FGMCopula(-0.5), fast_paths=False),
         star(fgm, flip_shuffle, fast_paths=False),
-        star_c(fgm, SPLIT_M_W, FGMCopula(-0.5)),
+        star_c(fgm, SPLIT_M_W, FGMCopula(-0.5), fast_paths=False),
         star_c(TransposedCopula(flip_shuffle), SPLIT_M_W, fgm),
     ]
     assert {r.fast_path for r in built} == {"none", "invertible-reduction"}
@@ -642,14 +668,14 @@ def test_building_quadrature_products_runs_no_quadrature(flip_shuffle, quad_coun
         "starc(fgm(1), pw(0.5: M, W), fgm(-1))",
         "star(star(fgm(1), fgm(1)), fgm(1))",
     ):
-        assert isinstance(build_copula(parse(text)), ComputedCopula)
+        assert isinstance(build_copula(parse(text), fast_paths=False), ComputedCopula)
     assert quad_counter["calls"] == 0
 
 
 def _branch_products(flip_shuffle):
     # ungrouped (no factor has breakpoints) and grouped (a shuffle factor)
     fgm = FGMCopula(1.0)
-    ungrouped = star(fgm, FGMCopula(-1.0))
+    ungrouped = star(fgm, FGMCopula(-1.0), fast_paths=False)
     grouped = star_c(fgm, SPLIT_M_W, flip_shuffle, fast_paths=False)
     assert len(fgm.d2_breakpoints(0.375)) == 0
     assert len(flip_shuffle.d1_breakpoints(0.375)) > 0
@@ -686,7 +712,7 @@ def test_eval_with_error_domain_and_empty_batch(flip_shuffle):
 
 def test_nonconvergence_raised_on_first_evaluation(quad_counter):
     q = QuadratureConfig(adaptive_tol=1e-300)
-    r = star(FGMCopula(1.0), FGMCopula(1.0), q)
+    r = star(FGMCopula(1.0), FGMCopula(1.0), q, fast_paths=False)
     assert r.fast_path == "none" and quad_counter["calls"] == 0
     with pytest.raises(NonConvergenceError):
         r.copula.eval(0.3, 0.7)
