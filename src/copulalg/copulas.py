@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -81,6 +82,11 @@ def _unit(x, name: str):
     if a.size and (np.any(np.isnan(a)) or a.min() < 0.0 or a.max() > 1.0):
         raise DomainError(f"{name} must lie in [0, 1], got {x!r}")
     return a
+
+
+def _result(u, v):
+    """An uninitialized float array of the broadcast shape of u and v."""
+    return np.empty(np.broadcast_shapes(np.shape(u), np.shape(v)))
 
 
 def _maybe_scalar(out, *inputs):
@@ -150,7 +156,11 @@ class Copula:
     not been broadcast, for instance a (1, 1) cell against (k, 1)
     nodes, and use elementwise arithmetic only, so a value's bits do
     not depend on the shape it is evaluated in. They return a new float
-    array of the broadcast shape, which the quadrature clips in place.
+    array of the broadcast shape, never a view of an argument, which
+    the quadrature clips and multiplies into in place. A kernel
+    allocates that one result array and finishes it with in-place
+    ufuncs; its other temporaries have an argument's shape, except one
+    reused boolean mask in a shuffle and one gathered term in a grid.
 
     Breakpoint contract: ``d2_breakpoints(u)`` takes a scalar or an
     array of coordinates u and returns one flat float array holding,
@@ -230,13 +240,16 @@ class FrechetM(Copula):
         return np.minimum(u, v)
 
     def _d1(self, u, v):
-        # right-hand slope is 1 strictly below v; left-hand at u=1 needs u <= v
+        # right-hand slope is 1 strictly below v; left-hand at u=1 needs
+        # u <= v, which there is v >= 1
         u, v = np.asarray(u, float), np.asarray(v, float)
-        return np.where(u == 1.0, (u <= v) & (v >= 1.0), u < v).astype(float)
+        out = np.less(u, v, out=_result(u, v))
+        return np.greater_equal(v, 1.0, out=out, where=u == 1.0)
 
     def _d2(self, u, v):
         u, v = np.asarray(u, float), np.asarray(v, float)
-        return np.where(v == 1.0, (v <= u) & (u >= 1.0), v < u).astype(float)
+        out = np.less(v, u, out=_result(u, v))
+        return np.greater_equal(u, 1.0, out=out, where=v == 1.0)
 
     def transpose(self):
         return self
@@ -260,11 +273,15 @@ class FrechetW(Copula):
     def _d1(self, u, v):
         u, v = np.asarray(u, float), np.asarray(v, float)
         # slope 1 on u > 1-v (right-hand includes equality), at u=1 needs v > 0
-        return np.where(u == 1.0, v > 0.0, u + v >= 1.0).astype(float)
+        out = np.add(u, v, out=_result(u, v))
+        np.greater_equal(out, 1.0, out=out)
+        return np.greater(v, 0.0, out=out, where=u == 1.0)
 
     def _d2(self, u, v):
         u, v = np.asarray(u, float), np.asarray(v, float)
-        return np.where(v == 1.0, u > 0.0, u + v >= 1.0).astype(float)
+        out = np.add(u, v, out=_result(u, v))
+        np.greater_equal(out, 1.0, out=out)
+        return np.greater(u, 0.0, out=out, where=v == 1.0)
 
     def transpose(self):
         return self
@@ -311,13 +328,19 @@ class FGMCopula(Copula):
     def _cdf(self, u, v):
         return u * v * (1.0 + self.theta * (1.0 - u) * (1.0 - v))
 
+    # the last product is the first of the broadcast shape; the sum with
+    # v (or u) is added into it
     def _d1(self, u, v):
         u, v = np.asarray(u, float), np.asarray(v, float)
-        return v + self.theta * v * (1.0 - v) * (1.0 - 2.0 * u)
+        out = self.theta * v * (1.0 - v) * (1.0 - 2.0 * u)
+        out += v
+        return out
 
     def _d2(self, u, v):
         u, v = np.asarray(u, float), np.asarray(v, float)
-        return u + self.theta * u * (1.0 - u) * (1.0 - 2.0 * v)
+        out = self.theta * u * (1.0 - u) * (1.0 - 2.0 * v)
+        out += u
+        return out
 
     def transpose(self):
         return self
@@ -402,21 +425,28 @@ class ShuffleOfM(Copula):
     def _d2(self, u, v):
         u, v = np.asarray(u, float), np.asarray(v, float)
         out = np.zeros(np.broadcast_shapes(u.shape, v.shape))
+        hit = np.empty(out.shape, dtype=bool)
         at_one = v == 1.0
         for i in range(self.n_pieces):
             s0, w = self._s0[i], self._w[i]
             t0, t1 = self._t0[i], self._t1[i]
             a = u - s0
-            c = np.clip(a, 0.0, w)
+            # a piece has slope 1 where its right-hand conditions hold,
+            # its left-hand ones at v = 1; those on v alone are selected
+            # on v's shape, the rest are written into one reused mask
             if self._flip[i]:
                 d = t1 - v
-                right = (d > 0.0) & (d <= c)
-                left = (d >= 0.0) & (d < c)
+                c = np.clip(a, 0.0, w)
+                near = np.where(at_one, d >= 0.0, d > 0.0)
+                np.less_equal(d, c, out=hit)
+                np.less(d, c, out=hit, where=at_one)
             else:
                 b = v - t0
-                right = (b >= 0.0) & (b < w) & (b < a)
-                left = (b > 0.0) & (b <= w) & (b <= a)
-            out += np.where(at_one, left, right)
+                near = np.where(at_one, (b > 0.0) & (b <= w), (b >= 0.0) & (b < w))
+                np.less(b, a, out=hit)
+                np.less_equal(b, a, out=hit, where=at_one)
+            hit &= near
+            out += hit
         return out
 
     def _d1(self, u, v):
@@ -561,28 +591,45 @@ class GridCopula(Copula):
             + h[iu + 1, iv + 1] * fu * fv
         )
 
+    # steps of the cumulative mass, h[i + 1, j] - h[i, j] and
+    # h[i, j + 1] - h[i, j], made when a partial is first asked for
+    @cached_property
+    def _steps_u(self):
+        return self._h[1:] - self._h[:-1]
+
+    @cached_property
+    def _steps_v(self):
+        return self._h[:, 1:] - self._h[:, :-1]
+
     # the bilinear cdf is linear in v on each cell, so d/dv is constant in
     # v there and the cell index of v picks the right-hand slope at an
-    # interior edge j/n; d/du is the mirror image
+    # interior edge j/n; d/du is the mirror image. Each is
+    # n (step_j (1 - f) + step_j+1 f), gathered and finished in place
     def _d1(self, u, v):
         u, v = np.asarray(u, float), np.asarray(v, float)
         iu, _ = self._cell(u)
         iv, fv = self._cell(v)
-        h = self._h
-        return self.n * (
-            (h[iu + 1, iv] - h[iu, iv]) * (1 - fv)
-            + (h[iu + 1, iv + 1] - h[iu, iv + 1]) * fv
-        )
+        steps = self._steps_u
+        out = steps[iu, iv]
+        out *= 1 - fv
+        upper = steps[iu, iv + 1]
+        upper *= fv
+        out += upper
+        out *= self.n
+        return out
 
     def _d2(self, u, v):
         u, v = np.asarray(u, float), np.asarray(v, float)
         iu, fu = self._cell(u)
         iv, _ = self._cell(v)
-        h = self._h
-        return self.n * (
-            (h[iu, iv + 1] - h[iu, iv]) * (1 - fu)
-            + (h[iu + 1, iv + 1] - h[iu + 1, iv]) * fu
-        )
+        steps = self._steps_v
+        out = steps[iu, iv]
+        out *= 1 - fu
+        upper = steps[iu + 1, iv]
+        upper *= fu
+        out += upper
+        out *= self.n
+        return out
 
     def transpose(self):
         return GridCopula(self.mass.T)

@@ -264,8 +264,11 @@ def ae_equal(F: CopulaFamily, G: CopulaFamily, lattice: int = 32) -> bool:
 def family_integral(F: CopulaFamily, x, y, q=None):
     """integral over t in [0,1] of C_t(x, y) dt.
 
-    Exact interval-weighted sums for constant and piecewise families;
-    quadrature (with clip breakpoints) for parameter curves.
+    Exact interval-weighted sums for constant and piecewise families.
+    For parameter curves the member is FGM with the mean of theta, an
+    exact sum of polynomial moments between the clip points, rounded
+    once. No quadrature runs, so ``q`` is unused; it is accepted so
+    that existing calls keep working.
     """
     xx = _unit(x, "x")
     yy = _unit(y, "y")
@@ -278,12 +281,11 @@ def family_integral(F: CopulaFamily, x, y, q=None):
             out = out + w * member._cdf(xx, yy)
         return _maybe_scalar(out, x, y)
     if isinstance(F, FGMCurveFamily):
-        from .products import QuadratureConfig, integrate
+        from .poly import _fgm_curve_pieces, _moments
 
-        qq = q if q is not None else QuadratureConfig()
-        mean_theta, _ = integrate(
-            lambda t: float(F.theta(t)), F.breakpoints(), qq
-        )
+        mean, den = _moments(_fgm_curve_pieces(F), 1)
+        # int / int is correctly rounded
+        mean_theta = int(mean[0]) / den
         out = xx * yy * (1.0 + mean_theta * (1.0 - xx) * (1.0 - yy))
         return _maybe_scalar(out, x, y)
     raise ConstructionError(f"unsupported family {type(F).__name__}")

@@ -192,7 +192,9 @@ def _segment_values(fbatch, segs, nodes, weights, chunk):
     array arithmetic: no BLAS and no SIMD reduction, whose summation
     order varies with the build, the CPU and the array shape. So each
     value has the same bits whatever the BLAS build, the CPU, the chunk
-    size, or which points are evaluated together.
+    size, or which points are evaluated together. Each node's weighted
+    term is written into one scratch array per chunk, reused for every
+    j, and added into the accumulator in place.
     """
     n = len(nodes)
     a, b = segs[:, :1], segs[:, 1:]
@@ -204,9 +206,11 @@ def _segment_values(fbatch, segs, nodes, weights, chunk):
         fv = fbatch(ts[s : s + step].reshape(-1))
         fv = fv.reshape(-1, n, fv.shape[-1])
         acc = weights[0] * fv[:, 0]
+        term = np.empty_like(acc)
         for j in range(1, n):
-            acc += weights[j] * fv[:, j]
-        out.append(hw[s : s + step] * acc)
+            acc += np.multiply(weights[j], fv[:, j], out=term)
+        acc *= hw[s : s + step]
+        out.append(acc)
     return np.concatenate(out)
 
 
@@ -296,12 +300,18 @@ def _make_integrand(A: Copula, family, B: Copula, xs, ys):
 
     def fbatch(ts):
         T = ts.reshape(-1, 1)
+        full = (ts.size, width)
         s = A._d2(X, T)
         np.clip(s, 0.0, 1.0, out=s)
         r = B._d1(T, Y)
         np.clip(r, 0.0, 1.0, out=r)
-        out = s * r if family is None else family.eval_grid(ts, s, r)
-        return np.broadcast_to(out, (ts.size, width))
+        if family is not None:
+            out = family.eval_grid(ts, s, r)
+        else:
+            # into the conditional that already has the batch's shape
+            into = s if s.shape == full else r if r.shape == full else None
+            out = np.multiply(s, r, out=into)
+        return np.broadcast_to(out, full)
 
     return fbatch
 

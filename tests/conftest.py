@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -51,6 +53,37 @@ def quad_counter(monkeypatch):
 
     monkeypatch.setattr(products, "_integrate_batch", counting_batch)
     return counts
+
+
+@pytest.fixture
+def peak_alloc(monkeypatch):
+    """Peak memory of each quadrature integrand call of the test, in
+    full-size arrays: the most memory the call holds at once, returned
+    values included, divided by (nodes x batch width x 8) bytes. Wraps
+    the integrands that ``products._make_integrand`` builds and traces
+    each call with ``tracemalloc``."""
+    ratios = []
+    make_integrand = products._make_integrand
+
+    def tracing_make(A, family, B, xs, ys):
+        fbatch = make_integrand(A, family, B, xs, ys)
+
+        def inner(ts):
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            out = fbatch(ts)
+            peak = tracemalloc.get_traced_memory()[1] - before
+            ratios.append(peak / (ts.size * xs.size * 8))
+            return out
+
+        return inner
+
+    monkeypatch.setattr(products, "_make_integrand", tracing_make)
+    tracemalloc.start()
+    try:
+        yield ratios
+    finally:
+        tracemalloc.stop()
 
 
 @pytest.fixture(scope="session")

@@ -12,9 +12,12 @@ from copulalg import (
     DomainError,
     FGMCopula,
     FormatError,
+    FrechetM,
+    FrechetW,
     GridCopula,
     M,
     PI,
+    ProductPi,
     Rectangle,
     ShuffleOfM,
     StraightShuffle,
@@ -320,6 +323,112 @@ def test_kernels_agree_unbroadcast():
             vb = np.broadcast_to(v, shape).copy()
             for d in (c._d1, c._d2):
                 assert np.array_equal(d(u, v), d(ub, vb)), (c, d.__name__)
+
+
+def _old_shuffle_d2(S, u, v):
+    out = np.zeros(np.broadcast_shapes(u.shape, v.shape))
+    at_one = v == 1.0
+    for i in range(S.n_pieces):
+        s0, w = S._s0[i], S._w[i]
+        t0, t1 = S._t0[i], S._t1[i]
+        a = u - s0
+        c = np.clip(a, 0.0, w)
+        if S._flip[i]:
+            d = t1 - v
+            right = (d > 0.0) & (d <= c)
+            left = (d >= 0.0) & (d < c)
+        else:
+            b = v - t0
+            right = (b >= 0.0) & (b < w) & (b < a)
+            left = (b > 0.0) & (b <= w) & (b <= a)
+        out += np.where(at_one, left, right)
+    return out
+
+
+def _old_grid_d1(g, u, v):
+    iu, _ = g._cell(u)
+    iv, fv = g._cell(v)
+    h = g._h
+    return g.n * (
+        (h[iu + 1, iv] - h[iu, iv]) * (1 - fv)
+        + (h[iu + 1, iv + 1] - h[iu, iv + 1]) * fv
+    )
+
+
+def _old_grid_d2(g, u, v):
+    iu, fu = g._cell(u)
+    iv, _ = g._cell(v)
+    h = g._h
+    return g.n * (
+        (h[iu, iv + 1] - h[iu, iv]) * (1 - fu)
+        + (h[iu + 1, iv + 1] - h[iu + 1, iv]) * fu
+    )
+
+
+def _old_kernels(c):
+    """(d1, d2) as the kernels read before they built their results in
+    one array and finished them in place: the reference for their bits."""
+    if isinstance(c, TransposedCopula):
+        d1, d2 = _old_kernels(c.inner)
+        return (lambda u, v: d2(v, u)), (lambda u, v: d1(v, u))
+    if isinstance(c, FrechetM):
+        return (
+            lambda u, v: np.where(u == 1.0, (u <= v) & (v >= 1.0), u < v).astype(float),
+            lambda u, v: np.where(v == 1.0, (v <= u) & (u >= 1.0), v < u).astype(float),
+        )
+    if isinstance(c, FrechetW):
+        return (
+            lambda u, v: np.where(u == 1.0, v > 0.0, u + v >= 1.0).astype(float),
+            lambda u, v: np.where(v == 1.0, u > 0.0, u + v >= 1.0).astype(float),
+        )
+    if isinstance(c, ProductPi):
+        return (
+            lambda u, v: np.broadcast_to(v, np.broadcast_shapes(u.shape, v.shape)).copy(),
+            lambda u, v: np.broadcast_to(u, np.broadcast_shapes(u.shape, v.shape)).copy(),
+        )
+    if isinstance(c, FGMCopula):
+        th = c.theta
+        return (
+            lambda u, v: v + th * v * (1.0 - v) * (1.0 - 2.0 * u),
+            lambda u, v: u + th * u * (1.0 - u) * (1.0 - 2.0 * v),
+        )
+    if isinstance(c, ShuffleOfM):
+        return (
+            lambda u, v: _old_shuffle_d2(c.transpose(), v, u),
+            lambda u, v: _old_shuffle_d2(c, u, v),
+        )
+    if isinstance(c, GridCopula):
+        return (lambda u, v: _old_grid_d1(c, u, v)), (lambda u, v: _old_grid_d2(c, u, v))
+    raise AssertionError(c)
+
+
+def test_kernels_match_old_expressions_bit_for_bit(flip_shuffle):
+    # a kernel may only swap the operands of a single + or *, which is
+    # exact; on a (1, 1) cell, a (k, 1) column, a (1, w) row and a full
+    # (k, w) array, at 0 and 1, at shuffle cuts and at grid cell edges,
+    # every value keeps the old expression's bytes
+    rng = np.random.default_rng(13)
+    base = np.concatenate(([0.0, 1.0, np.nextafter(1.0, 0.0), 0.5],
+                           rng.uniform(0.0, 1.0, 4)))
+    cases = [(c, base) for c in (M, W, PI, FGMCopula(0.7), FGMCopula(-1.0))]
+    for s in [flip_shuffle, StraightShuffle(0.3)] + [_random_shuffle(rng) for _ in range(8)]:
+        cuts = np.concatenate((s._s0, s._s0 + s._w, s._t0, s._t1, base))
+        cases.append((s, cuts))
+    for g in (grid_from_copula(flip_shuffle, 8), grid_from_copula(FGMCopula(0.8), 5)):
+        cases.append((g, np.concatenate((np.arange(g.n + 1) / g.n, base))))
+    cases += [(TransposedCopula(c), pts) for c, pts in cases]
+    for c, pts in cases:
+        k = pts.size
+        col, row = pts.reshape(-1, 1), pts.reshape(1, -1)
+        forms = [col, row, np.repeat(col, k, axis=1), np.repeat(row, k, axis=0)]
+        forms += [pts[i:i + 1].reshape(1, 1) for i in range(k)]
+        for new, old in zip((c._d1, c._d2), _old_kernels(c)):
+            for u in forms:
+                for v in forms[:4]:
+                    for a, b in ((u, v), (v, u)):
+                        got, want = new(a, b), old(a, b)
+                        assert got.shape == want.shape and got.dtype == want.dtype
+                        assert got.tobytes() == want.tobytes(), (c, a.shape, b.shape)
 
 
 # ---------------------------------------------------------------------------

@@ -254,6 +254,19 @@ def test_family_integral_curve_clipping():
     assert dev <= 1e-12
 
 
+def test_family_integral_curve_mean_is_exact(curve_family_pool, quad_counter):
+    # the mean of theta is exact rational algebra: FGMCurveFamily((-1, 3))
+    # clips at t = 2/3 and averages to 1/3, so the integral is the FGM
+    # closed form at 1/3, bit for bit, and no quadrature runs
+    pts = np.linspace(0, 1, 33)
+    x, y = pts[:, None], pts[None, :]
+    got = family_integral(FGMCurveFamily((-1.0, 3.0)), x, y)
+    assert got.tobytes() == FGMCopula(1 / 3)._cdf(x, y).tobytes()
+    for f in curve_family_pool:
+        family_integral(f, x, y)
+    assert quad_counter["calls"] == 0
+
+
 def test_family_integral_margins(curve_family_pool):
     x = np.linspace(0, 1, 65)
     for f in curve_family_pool:

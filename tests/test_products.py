@@ -596,6 +596,25 @@ def test_constant_coordinate_evaluated_once_per_node(monkeypatch, quad_counter):
     assert d2_elements == quad_counter["nodes"]
 
 
+def test_integrand_with_a_cell_side_holds_one_full_array(flip_shuffle, peak_alloc):
+    # memory gate: grouped by x, the shuffle's conditional is one value
+    # per node, so the FGM conditional is the only (nodes, width) array
+    # and the product is taken in it
+    prod = star(flip_shuffle, FGMCopula(0.5), fast_paths=False).copula
+    prod.eval(GRID_33[:, None], GRID_33[None, :])
+    assert len(peak_alloc) >= 33
+    assert max(peak_alloc) <= 1.25
+
+
+def test_integrand_with_two_varying_sides_holds_two_full_arrays(peak_alloc):
+    # memory gate: one group of 1089 points, both conditionals full-size;
+    # each kernel builds one array and the product reuses one of them
+    prod = star(FGMCopula(0.5), FGMCopula(-0.5), fast_paths=False).copula
+    prod.eval(GRID_33[:, None], GRID_33[None, :])
+    assert len(peak_alloc) >= 1
+    assert max(peak_alloc) <= 2.25
+
+
 def test_error_estimate_and_config_passthrough():
     q = QuadratureConfig(adaptive_tol=1e-10)
     r = star(FGMCopula(1.0), FGMCopula(-1.0), q, fast_paths=False)
