@@ -162,6 +162,10 @@ class Copula:
     ufuncs; its other temporaries have an argument's shape, except one
     reused boolean mask in a shuffle and one gathered term in a grid.
 
+    Groundedness contract: ``_cdf(0, y)`` and ``_cdf(x, 0)`` are exactly
+    0 (+0.0 or -0.0) for every x, y in [0, 1]. The quadrature relies on
+    it to skip the t-segments where a grouped conditional is 0.
+
     Breakpoint contract: ``d2_breakpoints(u)`` takes a scalar or an
     array of coordinates u and returns one flat float array holding,
     for every given u, the t-values where t -> partial2(u, t) may jump

@@ -63,7 +63,9 @@ class CopulaFamily:
         """C_{ts[k]}(x[k, :], y[k, :]) for a batch of rows.
 
         ts has shape (k,); x and y broadcast to (k, m). Used by the
-        quadrature engine; no domain checks.
+        quadrature engine; no domain checks. Every member is grounded:
+        the value is exactly 0 (+0.0 or -0.0) wherever x or y is 0, as
+        ``_cdf(0, y)`` and ``_cdf(x, 0)`` are (see ``Copula``).
         """
         raise NotImplementedError
 
@@ -261,14 +263,13 @@ def ae_equal(F: CopulaFamily, G: CopulaFamily, lattice: int = 32) -> bool:
     return bool(np.abs(a - b).max() <= AE_EQUAL_TOL)
 
 
-def family_integral(F: CopulaFamily, x, y, q=None):
+def family_integral(F: CopulaFamily, x, y):
     """integral over t in [0,1] of C_t(x, y) dt.
 
     Exact interval-weighted sums for constant and piecewise families.
     For parameter curves the member is FGM with the mean of theta, an
     exact sum of polynomial moments between the clip points, rounded
-    once. No quadrature runs, so ``q`` is unused; it is accepted so
-    that existing calls keep working.
+    once. No quadrature runs.
     """
     xx = _unit(x, "x")
     yy = _unit(y, "y")

@@ -39,6 +39,14 @@ except where a structural fast path gives the result in closed form:
   arithmetic (see ``poly``). It is tried last, and a product whose
   degree would pass ``poly.MAX_DEGREE`` = 16 in either variable is
   left to quadrature.
+
+Quadrature integrates only where the grouped side's conditional is
+nonzero. Every member C_t is grounded, C_t(0, y) = C_t(x, 0) = 0, so a
+rule segment on which a grouped conditional is 0 at every node adds
+exactly +-0 and is skipped, with the same bits (see
+``_segment_values``). This is not a fast path: the family is still
+integrated wherever that conditional is nonzero, so forced quadrature,
+and the identity suite with it, still exercises the quadrature.
 """
 
 from __future__ import annotations
@@ -181,7 +189,7 @@ def _initial_edges(breakpoints, q: QuadratureConfig):
     return e
 
 
-def _segment_values(fbatch, segs, nodes, weights, chunk):
+def _segment_values(fbatch, segs, nodes, weights, chunk, width, support=None):
     """Gauss-Legendre value of fbatch over each (a, b) row of ``segs``.
 
     Returns an array (len(segs), width). Segments are evaluated in order
@@ -195,31 +203,54 @@ def _segment_values(fbatch, segs, nodes, weights, chunk):
     size, or which points are evaluated together. Each node's weighted
     term is written into one scratch array per chunk, reused for every
     j, and added into the accumulator in place.
+
+    ``support``, when given, maps all the nodes of ``segs`` to a boolean
+    array, False where a grouped side's conditional is exactly 0, and a
+    dict of that side's conditionals, passed on to fbatch as keyword
+    arguments. Segments whose nodes are all dead lie outside the grouped
+    side's support and are skipped: every member C_t is grounded, so
+    the integrand is exactly +-0 on them. A skipped segment's value is
+    +0.0 and fbatch sees only the other segments' nodes, in the same
+    order. Adding +-0 never moves a nonzero sum, and the differences
+    taken for the error estimate have the same magnitudes, so every
+    value and estimate keeps its bits.
     """
     n = len(nodes)
     a, b = segs[:, :1], segs[:, 1:]
     hw = 0.5 * (b - a)
     ts = hw * nodes + 0.5 * (a + b)
+    rows = np.arange(len(segs))
+    cells = {}
+    if support is not None:
+        live, cells = support(ts.reshape(-1))
+        rows = np.flatnonzero(live.reshape(-1, n).any(axis=1))
+        ts, hw = ts[rows], hw[rows]
+        cells = {k: c.reshape(-1, n)[rows].reshape(-1, 1) for k, c in cells.items()}
+    out = np.zeros((len(segs), width))
     step = -(-chunk // n)
-    out = []
-    for s in range(0, len(segs), step):
-        fv = fbatch(ts[s : s + step].reshape(-1))
+    for s in range(0, len(rows), step):
+        given = {k: c[s * n : (s + step) * n] for k, c in cells.items()}
+        fv = fbatch(ts[s : s + step].reshape(-1), **given)
         fv = fv.reshape(-1, n, fv.shape[-1])
         acc = weights[0] * fv[:, 0]
         term = np.empty_like(acc)
         for j in range(1, n):
             acc += np.multiply(weights[j], fv[:, j], out=term)
         acc *= hw[s : s + step]
-        out.append(acc)
-    return np.concatenate(out)
+        out[rows[s : s + step]] = acc
+    return out
 
 
-def _integrate_batch(fbatch, breakpoints, q: QuadratureConfig, width: int):
+def _integrate_batch(fbatch, breakpoints, q: QuadratureConfig, width: int,
+                     support=None):
     """Integrate a vector-valued function over [0, 1].
 
     fbatch maps a node array (k,) to values (k, width). Returns the
     (width,) integral and a scalar error estimate valid for every
     component (sum over pieces of the max-norm two-level defect).
+    ``support``, as ``_make_integrand`` returns it, lets each level skip
+    the segments outside a grouped side's support (``_segment_values``);
+    values and estimates have the bits they have without it.
 
     Each adaptive level is one array of segments, in increasing order.
     A segment is accepted when the max-norm gap between its n-point
@@ -243,7 +274,9 @@ def _integrate_batch(fbatch, breakpoints, q: QuadratureConfig, width: int):
         else:
             lo, hi = (a, mid), (mid, b)
         segs = np.stack((np.stack(lo, axis=1), np.stack(hi, axis=1)), axis=-1)
-        vals = _segment_values(fbatch, segs.reshape(-1, 2), nodes, weights, chunk)
+        vals = _segment_values(
+            fbatch, segs.reshape(-1, 2), nodes, weights, chunk, width, support
+        )
         vals = vals.reshape(a.size, len(lo), -1)
         if coarse is None:
             coarse = vals[:, 0]
@@ -292,19 +325,34 @@ def _row(zs):
 
 
 def _make_integrand(A: Copula, family, B: Copula, xs, ys):
-    # a coordinate that is constant over the batch, as in a group of
-    # _product_points_eval, is a (1, 1) cell: its side's conditional is
-    # then evaluated once per node and broadcast only in the result
+    """(fbatch, support) for a batch of points.
+
+    fbatch(ts, s=None, r=None) is the integrand at nodes ts, (k, width).
+    A coordinate that is constant over the batch, as in a group of
+    _product_points_eval, is a (1, 1) cell: its side's conditional is
+    then evaluated once per node and broadcast only in the result.
+    support(ts) evaluates the cell sides' clipped conditionals, s on
+    the left and r on the right, and returns them with the nodes where
+    none of them is 0 (NaN stays live); fbatch takes them back as s
+    and r instead of evaluating them again. Without a cell, support
+    is None.
+    """
     X, Y = _row(xs), _row(ys)
     width = xs.size
 
-    def fbatch(ts):
+    def left(T):
+        s = A._d2(X, T)
+        return np.clip(s, 0.0, 1.0, out=s)
+
+    def right(T):
+        r = B._d1(T, Y)
+        return np.clip(r, 0.0, 1.0, out=r)
+
+    def fbatch(ts, s=None, r=None):
         T = ts.reshape(-1, 1)
         full = (ts.size, width)
-        s = A._d2(X, T)
-        np.clip(s, 0.0, 1.0, out=s)
-        r = B._d1(T, Y)
-        np.clip(r, 0.0, 1.0, out=r)
+        s = left(T) if s is None else s
+        r = right(T) if r is None else r
         if family is not None:
             out = family.eval_grid(ts, s, r)
         else:
@@ -313,7 +361,19 @@ def _make_integrand(A: Copula, family, B: Copula, xs, ys):
             out = np.multiply(s, r, out=into)
         return np.broadcast_to(out, full)
 
-    return fbatch
+    sides = {k: f for k, f, Z in (("s", left, X), ("r", right, Y)) if Z.size == 1}
+    if not sides:
+        return fbatch, None
+
+    def support(ts):
+        T = ts.reshape(-1, 1)
+        cells = {k: f(T) for k, f in sides.items()}
+        live = np.ones(ts.size, dtype=bool)
+        for c in cells.values():
+            live &= c.reshape(-1) != 0.0
+        return live, cells
+
+    return fbatch, support
 
 
 def _product_points_eval(A, family, B, xs, ys, q):
@@ -346,8 +406,8 @@ def _product_points_eval(A, family, B, xs, ys, q):
             A.d2_breakpoints(xs_g[:1] if keys is xs else xs_g),
             B.d1_breakpoints(ys_g[:1] if keys is ys else ys_g),
         ), axis=None)
-        fb = _make_integrand(A, family, B, xs_g, ys_g)
-        vals, err = _integrate_batch(fb, breaks, q, xs_g.size)
+        fb, support = _make_integrand(A, family, B, xs_g, ys_g)
+        vals, err = _integrate_batch(fb, breaks, q, xs_g.size, support)
         out[g] = vals
         worst = max(worst, err)
     return np.clip(out, 0.0, 1.0), worst

@@ -168,15 +168,14 @@ def check_identity(family: CopulaFamily, corpus=None, tol: float = 1e-5,
 
 
 def check_zero_necessary(family: CopulaFamily, tol: float = 1e-12,
-                         lattice: int = DEFAULT_LATTICE,
-                         q: QuadratureConfig | None = None) -> VerificationReport:
+                         lattice: int = DEFAULT_LATTICE) -> VerificationReport:
     """Does the family average to Pi: integral of C_t(x, y) dt = x y?
 
     A failing family cannot give its product a zero element. Passing
     proves nothing further (the condition is necessary only).
     """
     g = np.arange(lattice + 1) / lattice
-    vals = family_integral(family, g[:, None], g[None, :], q=q)
+    vals = family_integral(family, g[:, None], g[None, :])
     dev = np.abs(vals - g[:, None] * g[None, :])
     flat = int(np.argmax(dev))
     i, j = divmod(flat, lattice + 1)
@@ -338,17 +337,17 @@ def _suite_identity(q, lattice, families=None):
     return [check_identity(F, lattice=lattice, q=q) for F in fams]
 
 
-def _suite_zero_necessary(q, lattice, families=None):
+def _suite_zero_necessary(lattice, families=None):
     reports = []
     if families is not None:
-        return [check_zero_necessary(F, lattice=lattice, q=q) for F in families]
+        return [check_zero_necessary(F, lattice=lattice) for F in families]
     for th in (0.1, 0.5, 1.0):
         fam = PiecewiseConstantFamily((0.5,), (FGMCopula(th), FGMCopula(-th)))
-        reports.append(check_zero_necessary(fam, lattice=lattice, q=q))
+        reports.append(check_zero_necessary(fam, lattice=lattice))
     # a family that fails the averaging condition, reported as the
     # expectation that the check detects the failure
     bad = ConstantFamily(FGMCopula(1.0))
-    r = check_zero_necessary(bad, lattice=lattice, q=q)
+    r = check_zero_necessary(bad, lattice=lattice)
     detected = (
         not r.passed
         and abs(r.deviation - 0.0625) <= 1e-9
@@ -410,7 +409,7 @@ def run_suite(name: str, q: QuadratureConfig | None = None,
     if name == "identity":
         return _suite_identity(qq, lattice, families=families)
     if name == "zero-necessary":
-        return _suite_zero_necessary(qq, lattice, families=families)
+        return _suite_zero_necessary(lattice, families=families)
     if name == "zero-candidate":
         fam = families[0] if families else None
         return _suite_zero_candidate(qq, lattice, family=fam)

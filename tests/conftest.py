@@ -19,39 +19,52 @@ def pytest_terminal_summary(terminalreporter):
 
 from copulalg import products
 from copulalg import (
+    ComputedCopula,
     ConstantFamily,
     FGMCopula,
     FGMCurveFamily,
     M,
     PI,
     PiecewiseConstantFamily,
+    QuadratureConfig,
     ShuffleOfM,
+    ShuffleStarProduct,
     StraightShuffle,
+    TransposedCopula,
     W,
+    WRightProduct,
+    star,
 )
 
 
 @pytest.fixture
 def quad_counter(monkeypatch):
     """Counts the quadrature runs of the test: ``calls`` to
-    ``products._integrate_batch``, the ``nodes`` its integrands are
-    evaluated at and the ``elements`` (nodes x batch width) they
-    return."""
-    counts = {"calls": 0, "nodes": 0, "elements": 0}
+    ``products._integrate_batch``, the ``rule_nodes`` its rule places,
+    the ``nodes`` its integrands are evaluated at (fewer when segments
+    outside a grouped side's support are skipped) and the ``elements``
+    (nodes x batch width) they return."""
+    counts = {"calls": 0, "rule_nodes": 0, "nodes": 0, "elements": 0}
     integrate_batch = products._integrate_batch
+    segment_values = products._segment_values
 
-    def counting_batch(fbatch, *args):
+    def counting_batch(fbatch, *args, **kwargs):
         counts["calls"] += 1
 
-        def inner(ts):
-            out = fbatch(ts)
+        def inner(ts, *a, **kw):
+            out = fbatch(ts, *a, **kw)
             counts["nodes"] += ts.size
             counts["elements"] += out.size
             return out
 
-        return integrate_batch(inner, *args)
+        return integrate_batch(inner, *args, **kwargs)
+
+    def counting_segments(fbatch, segs, nodes, *args, **kwargs):
+        counts["rule_nodes"] += len(segs) * len(nodes)
+        return segment_values(fbatch, segs, nodes, *args, **kwargs)
 
     monkeypatch.setattr(products, "_integrate_batch", counting_batch)
+    monkeypatch.setattr(products, "_segment_values", counting_segments)
     return counts
 
 
@@ -60,30 +73,56 @@ def peak_alloc(monkeypatch):
     """Peak memory of each quadrature integrand call of the test, in
     full-size arrays: the most memory the call holds at once, returned
     values included, divided by (nodes x batch width x 8) bytes. Wraps
-    the integrands that ``products._make_integrand`` builds and traces
-    each call with ``tracemalloc``."""
+    the integrands that ``products._make_integrand`` builds, passes
+    their support step through, and traces each call with
+    ``tracemalloc``.
+
+    numpy gives every ufunc call with a broadcast operand an iterator
+    buffer of min(bufsize, elements) doubles per such operand. That is
+    scratch of a fixed size, not an array of the integrand, yet in a
+    call of fewer than bufsize elements, as the skip of dead segments
+    makes, it weighs as much as a full array. The buffer size is set
+    to 16 elements while the fixture is in use, so the ratios count
+    the integrand's own arrays."""
     ratios = []
     make_integrand = products._make_integrand
 
     def tracing_make(A, family, B, xs, ys):
-        fbatch = make_integrand(A, family, B, xs, ys)
+        fbatch, support = make_integrand(A, family, B, xs, ys)
 
-        def inner(ts):
+        def inner(ts, *a, **kw):
             before = tracemalloc.get_traced_memory()[0]
             tracemalloc.reset_peak()
-            out = fbatch(ts)
+            out = fbatch(ts, *a, **kw)
             peak = tracemalloc.get_traced_memory()[1] - before
             ratios.append(peak / (ts.size * xs.size * 8))
             return out
 
-        return inner
+        return inner, support
 
     monkeypatch.setattr(products, "_make_integrand", tracing_make)
+    bufsize = np.setbufsize(16)
     tracemalloc.start()
     try:
         yield ratios
     finally:
         tracemalloc.stop()
+        np.setbufsize(bufsize)
+
+
+@pytest.fixture(scope="session")
+def exported_class_samples():
+    """One instance of every concrete exported Copula and CopulaFamily
+    class but GridCopula, keyed by its class."""
+    fgm = FGMCopula(0.5)
+    shuffle = ShuffleOfM((0.0, 0.5, 1.0), (2, 1))
+    split_sign = PiecewiseConstantFamily((0.5,), (FGMCopula(1.0), FGMCopula(-1.0)))
+    return {type(x): x for x in (
+        M, W, PI, fgm, shuffle, StraightShuffle(0.3), TransposedCopula(fgm),
+        ComputedCopula(fgm, None, fgm, QuadratureConfig()),
+        ShuffleStarProduct(shuffle, fgm), WRightProduct(fgm), star(fgm, fgm).copula,
+        ConstantFamily(PI), split_sign, FGMCurveFamily((0.5,)),
+    )}
 
 
 @pytest.fixture(scope="session")

@@ -3,7 +3,6 @@ import pytest
 
 import copulalg
 from copulalg import (
-    ComputedCopula,
     ConstantFamily,
     Copula,
     CopulaFamily,
@@ -13,13 +12,10 @@ from copulalg import (
     M,
     PI,
     PiecewiseConstantFamily,
-    QuadratureConfig,
     ShuffleOfM,
-    ShuffleStarProduct,
     StraightShuffle,
     TransposedCopula,
     W,
-    WRightProduct,
     ae_equal,
     grid_from_copula,
     midpoint_fgm_approximation,
@@ -307,21 +303,14 @@ def test_expr_of_inverts_build_family():
         assert same_bits(rebuilt.eval(t, x, y), F.eval(t, x, y)), to_text(node)
 
 
-def test_every_exported_class_has_a_spelling():
+def test_every_exported_class_has_a_spelling(exported_class_samples):
     # a concrete class exported without an expr_of case would label its
     # reports with its bare class name; GridCopula alone has no source
     exported = {
         obj for obj in (getattr(copulalg, name) for name in copulalg.__all__)
         if isinstance(obj, type) and issubclass(obj, (Copula, CopulaFamily))
     } - {Copula, CopulaFamily, GridCopula}
-    fgm = FGMCopula(0.5)
-    shuffle = ShuffleOfM((0.0, 0.5, 1.0), (2, 1))
-    samples = {type(x): x for x in (
-        M, W, PI, fgm, shuffle, StraightShuffle(0.3), TransposedCopula(fgm),
-        ComputedCopula(fgm, None, fgm, QuadratureConfig()),
-        ShuffleStarProduct(shuffle, fgm), WRightProduct(fgm), star(fgm, fgm).copula,
-        ConstantFamily(PI), split_sign_family(1.0), FGMCurveFamily((0.5,)),
-    )}
+    samples = exported_class_samples
     assert set(samples) == exported
     for cls, x in samples.items():
         assert not isinstance(expr_of(x), Opaque), cls.__name__

@@ -7,6 +7,7 @@ from copulalg import (
     CLASS_PIECEWISE,
     ConstantFamily,
     ConstructionError,
+    Copula,
     FGMCopula,
     FGMCurveFamily,
     M,
@@ -14,6 +15,7 @@ from copulalg import (
     PiecewiseConstantFamily,
     W,
     ae_equal,
+    grid_from_copula,
     family_integral,
     measurability_class,
     midpoint_fgm_approximation,
@@ -124,6 +126,36 @@ def test_curve_eval_grid_matches_member_loop():
     for i, t in enumerate(ts):
         c = f.member_at(float(t))
         assert np.allclose(out[i], c.eval(x[i], y[i]), atol=1e-15)
+
+
+def _is_zero(out):
+    # +0.0 or -0.0 in every entry, compared bit for bit
+    return np.abs(out).tobytes() == np.zeros(np.shape(out)).tobytes()
+
+
+def test_every_exported_class_is_grounded(exported_class_samples, flip_shuffle):
+    # the quadrature skips segments where a grouped side's conditional
+    # is 0, which holds the bits only if every member gives exactly +-0
+    # at a zero argument: C(0, y) = C(x, 0) = 0
+    g = np.arange(17) / 16
+    zero = np.zeros_like(g)
+    copulas = [x for x in exported_class_samples.values() if isinstance(x, Copula)]
+    copulas += [grid_from_copula(FGMCopula(0.7), 8), flip_shuffle]
+    copulas += [C.transpose() for C in copulas]
+    for C in copulas:
+        assert _is_zero(C._cdf(zero, g)), C
+        assert _is_zero(C._cdf(g, zero)), C
+    ts = np.linspace(0.0, 1.0, 9)
+    rows = np.tile(g, (ts.size, 1))
+    families = [ConstantFamily(C) for C in copulas] + [
+        PiecewiseConstantFamily(np.arange(1, len(copulas)) / len(copulas), copulas),
+        FGMCurveFamily((-1.0, 3.0)),
+        FGMCurveFamily((0.5, -2.0, 2.0)),
+    ]
+    for F in families:
+        for x, y in ((zero[None, :], g[None, :]), (rows, np.zeros_like(rows))):
+            assert _is_zero(F.eval_grid(ts, x, y)), F
+            assert _is_zero(F.eval_grid(ts, y, x)), F
 
 
 # ---------------------------------------------------------------------------

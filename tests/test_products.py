@@ -13,6 +13,7 @@ from copulalg import (
     ComputedCopula,
     ConstantFamily,
     ConstructionError,
+    Copula,
     DomainError,
     FGMCopula,
     FGMCurveFamily,
@@ -249,9 +250,9 @@ def test_group_hints_its_shared_coordinate_once(monkeypatch):
     seen = []
     integrate_batch = products._integrate_batch
 
-    def recording(fbatch, breakpoints, q, width):
+    def recording(fbatch, breakpoints, q, width, *rest):
         seen.append(np.asarray(breakpoints))
-        return integrate_batch(fbatch, breakpoints, q, width)
+        return integrate_batch(fbatch, breakpoints, q, width, *rest)
 
     monkeypatch.setattr(products, "_integrate_batch", recording)
     q = QuadratureConfig()
@@ -464,8 +465,8 @@ def test_quadrature_bits_do_not_depend_on_batch(monkeypatch):
 
     def value_in_batch(vs, i):
         vs = np.asarray(vs, dtype=float)
-        fb = products._make_integrand(fgm, None, fgm, np.full(vs.size, 0.3), vs)
-        vals, _ = products._integrate_batch(fb, (), q, vs.size)
+        fb, support = products._make_integrand(fgm, None, fgm, np.full(vs.size, 0.3), vs)
+        vals, _ = products._integrate_batch(fb, (), q, vs.size, support)
         return vals[i]
 
     alone = value_in_batch([0.7], 0)
@@ -500,7 +501,9 @@ def _work_list_integrate(fbatch, breakpoints, q, width):
             if pval is None:
                 segs.append((a, b))
             segs += [(a, mid), (mid, b)]
-        vals = products._segment_values(fbatch, np.asarray(segs), nodes, weights, chunk)
+        vals = products._segment_values(
+            fbatch, np.asarray(segs), nodes, weights, chunk, width
+        )
         pos, nxt = 0, []
         for a, b, depth, pval in work:
             if pval is None:
@@ -543,7 +546,8 @@ def test_level_loop_matches_work_list_reference():
             assert np.array_equal(got[0], want[0]) and got[1] == want[1]
     fgm = FGMCopula(0.6)
     xs, ys = np.repeat(GRID_33, 33), np.tile(GRID_33, 33)
-    fb = products._make_integrand(fgm, FGMCurveFamily((-1.0, 3.0)), fgm, xs, ys)
+    fb, support = products._make_integrand(fgm, FGMCurveFamily((-1.0, 3.0)), fgm, xs, ys)
+    assert support is None
     q = QuadratureConfig()
     # theta is clipped from t = 2/3 on; without that breakpoint it refines
     want = _work_list_integrate(fb, (), q, xs.size)
@@ -576,8 +580,10 @@ def test_grouped_points_bits_match_alone(flip_shuffle):
 
 
 def test_constant_coordinate_evaluated_once_per_node(monkeypatch, quad_counter):
-    # work-counter gate: in an x-group the left conditional is evaluated
-    # once per quadrature node, not once per node and point
+    # work-counter gates: in an x-group the left conditional is evaluated
+    # once per node the rule places, not once per node and point, and
+    # the integrand does not evaluate it again; M's conditional is 0 for
+    # t >= x, so about half of the nodes lie on skipped segments
     left = FrechetM()
     prod = star_c(left, ConstantFamily(PI), FGMCopula(1.0), fast_paths=False).copula
     d2 = left._d2
@@ -593,7 +599,111 @@ def test_constant_coordinate_evaluated_once_per_node(monkeypatch, quad_counter):
     assert quad_counter["calls"] == 33
     assert quad_counter["nodes"] > 0
     assert quad_counter["elements"] == 33 * quad_counter["nodes"]
-    assert d2_elements == quad_counter["nodes"]
+    assert d2_elements == quad_counter["rule_nodes"]
+    assert quad_counter["nodes"] <= 0.55 * quad_counter["rule_nodes"]
+
+
+def _no_skip_segment_values(fbatch, segs, nodes, weights, chunk, width, support=None):
+    # reference: the weighted sum before segments outside a grouped
+    # side's support were skipped; every node is evaluated
+    n = len(nodes)
+    a, b = segs[:, :1], segs[:, 1:]
+    hw = 0.5 * (b - a)
+    ts = hw * nodes + 0.5 * (a + b)
+    step = -(-chunk // n)
+    out = []
+    for s in range(0, len(segs), step):
+        fv = fbatch(ts[s : s + step].reshape(-1))
+        fv = fv.reshape(-1, n, fv.shape[-1])
+        acc = weights[0] * fv[:, 0]
+        term = np.empty_like(acc)
+        for j in range(1, n):
+            acc += np.multiply(weights[j], fv[:, j], out=term)
+        acc *= hw[s : s + step]
+        out.append(acc)
+    return np.concatenate(out)
+
+
+def _raw_integrations(monkeypatch, prod, u, v, segment_values):
+    # the product's values and every (integral, error sum) of its
+    # quadrature runs, as raw bytes
+    runs = []
+    integrate_batch = products._integrate_batch
+
+    def recording(*args):
+        total, err = integrate_batch(*args)
+        runs.append((total.tobytes(), np.float64(err).tobytes()))
+        return total, err
+
+    with monkeypatch.context() as m:
+        m.setattr(products, "_integrate_batch", recording)
+        m.setattr(products, "_segment_values", segment_values)
+        vals = prod.eval(u, v)
+    return vals.tobytes(), runs
+
+
+def test_skipping_dead_segments_keeps_the_bits(monkeypatch, flip_shuffle):
+    # grouped M, shuffle, grid and W sides, classical and over families:
+    # the same values and error sums as evaluating every node
+    fgm = FGMCopula(0.7)
+    g8 = grid_from_copula(FGMCopula(0.6), 8)
+    pairs = ((M, fgm), (fgm, M), (flip_shuffle, fgm), (fgm, flip_shuffle.transpose()),
+             (g8, fgm), (W, fgm), (fgm, W))
+    families = (None, ConstantFamily(FGMCopula(-1.0)),
+                PiecewiseConstantFamily((0.3, 0.6), (FGMCopula(0.5), PI, W)),
+                FGMCurveFamily((-1.0, 3.0)))
+    wide = np.linspace(0.0, 1.0, 1089)
+    runs = 0
+    for A, B in pairs:
+        # one group of width 1089 shares the coordinate of the grouped side
+        if len(A.d2_breakpoints(0.375)) >= len(B.d1_breakpoints(0.375)):
+            group = (np.full(wide.size, 0.45), wide)
+        else:
+            group = (wide, np.full(wide.size, 0.45))
+        batches = ((np.asarray([0.3]), np.asarray([0.6])),
+                   (GRID_33[:, None], GRID_33[None, :]), group)
+        for F in families:
+            prod = (star(A, B, fast_paths=False) if F is None
+                    else star_c(A, F, B, fast_paths=False)).copula
+            for u, v in batches:
+                want = _raw_integrations(monkeypatch, prod, u, v, _no_skip_segment_values)
+                got = _raw_integrations(monkeypatch, prod, u, v, products._segment_values)
+                assert got == want, (F, A, B, np.size(u))
+                runs += len(got[1])
+    assert runs == 7 * 4 * (1 + 33 + 1)
+
+
+def test_group_outside_the_support_makes_no_integrand_call(quad_counter):
+    # at u = 0 M's conditional is 0 on all of [0, 1]: every segment is
+    # skipped and the value is exactly +0.0
+    prod = star_c(M, ConstantFamily(FGMCopula(1.0)), FGMCopula(0.5), fast_paths=False)
+    vals = prod.copula.eval(np.zeros(5), np.linspace(0.0, 1.0, 5))
+    assert quad_counter["calls"] == 1
+    assert quad_counter["rule_nodes"] > 0
+    assert quad_counter["nodes"] == 0
+    assert vals.tobytes() == np.zeros(5).tobytes()
+
+
+class _NanBelowHalf(Copula):
+    # a faulty left factor: its conditional is NaN for t < 0.5 and 0 above
+    def _cdf(self, u, v):
+        return np.minimum(u, v)
+
+    def _d2(self, u, v):
+        return np.where(np.asarray(v) < 0.5, np.nan, 0.0) + 0.0 * np.asarray(u)
+
+
+def test_nan_cell_conditional_stays_live():
+    # only an exact 0 is dead: NaN nodes are integrated, and their NaN
+    # makes the quadrature fail instead of reading as +0.0
+    A, B = _NanBelowHalf(), FGMCopula(0.5)
+    fb, support = products._make_integrand(A, None, B, np.asarray([0.3]), np.asarray([0.6]))
+    ts = np.asarray([0.1, 0.4, 0.6, 0.9])
+    live, cells = support(ts)
+    assert live.tolist() == [True, True, False, False]
+    assert sorted(cells) == ["r", "s"]
+    with pytest.raises(NonConvergenceError):
+        star(A, B, fast_paths=False).copula.eval(0.3, 0.6)
 
 
 def test_integrand_with_a_cell_side_holds_one_full_array(flip_shuffle, peak_alloc):
@@ -602,8 +712,9 @@ def test_integrand_with_a_cell_side_holds_one_full_array(flip_shuffle, peak_allo
     # and the product is taken in it
     prod = star(flip_shuffle, FGMCopula(0.5), fast_paths=False).copula
     prod.eval(GRID_33[:, None], GRID_33[None, :])
-    assert len(peak_alloc) >= 33
-    assert max(peak_alloc) <= 1.25
+    # the x = 0 group lies outside the shuffle's support: no integrand call
+    assert len(peak_alloc) >= 32
+    assert max(peak_alloc) <= 1.125
 
 
 def test_integrand_with_two_varying_sides_holds_two_full_arrays(peak_alloc):
@@ -612,7 +723,7 @@ def test_integrand_with_two_varying_sides_holds_two_full_arrays(peak_alloc):
     prod = star(FGMCopula(0.5), FGMCopula(-0.5), fast_paths=False).copula
     prod.eval(GRID_33[:, None], GRID_33[None, :])
     assert len(peak_alloc) >= 1
-    assert max(peak_alloc) <= 2.25
+    assert max(peak_alloc) <= 2.2
 
 
 def test_error_estimate_and_config_passthrough():
