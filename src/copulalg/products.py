@@ -100,6 +100,21 @@ FAST_PATHS = (
 # memory cap for one integrand evaluation batch (elements, not bytes)
 _CHUNK_ELEMENTS = 1 << 21
 
+# numpy gives every broadcast operand of a ufunc call a scratch buffer
+# of its buffer size (8192 elements by default) or of the whole call if
+# smaller, so a small integrand call would hold more scratch than
+# result; the integrand caps the buffers at this share of its output
+_BUFFER_SHARE = 32
+
+
+def _integrand_bufsize(elements):
+    """numpy's ufunc buffer size for an integrand call of ``elements``:
+    at most 1/_BUFFER_SHARE of them, in the multiples of 16 numpy takes,
+    and never more than the size in force."""
+    cap = max(16, elements // _BUFFER_SHARE // 16 * 16)
+    return min(np.getbufsize(), cap)
+
+
 # points probed for a quadrature product's error_estimate
 _PROBES = ((0.25, 0.25), (0.5, 0.5), (0.75, 0.25), (0.3, 0.7), (0.9, 0.6))
 
@@ -219,16 +234,17 @@ def _segment_values(fbatch, segs, nodes, weights, chunk, width, support=None):
     a, b = segs[:, :1], segs[:, 1:]
     hw = 0.5 * (b - a)
     ts = hw * nodes + 0.5 * (a + b)
-    rows = np.arange(len(segs))
-    cells = {}
+    rows, cells = None, {}
     if support is not None:
         live, cells = support(ts.reshape(-1))
-        rows = np.flatnonzero(live.reshape(-1, n).any(axis=1))
-        ts, hw = ts[rows], hw[rows]
-        cells = {k: c.reshape(-1, n)[rows].reshape(-1, 1) for k, c in cells.items()}
-    out = np.zeros((len(segs), width))
+        keep = live.reshape(-1, n).any(axis=1)
+        if not keep.all():
+            rows = np.flatnonzero(keep)
+            ts, hw = ts[rows], hw[rows]
+            cells = {k: c.reshape(-1, n)[rows].reshape(-1, 1) for k, c in cells.items()}
     step = -(-chunk // n)
-    for s in range(0, len(rows), step):
+    parts = [np.empty((0, width))]
+    for s in range(0, len(ts), step):
         given = {k: c[s * n : (s + step) * n] for k, c in cells.items()}
         fv = fbatch(ts[s : s + step].reshape(-1), **given)
         fv = fv.reshape(-1, n, fv.shape[-1])
@@ -237,7 +253,12 @@ def _segment_values(fbatch, segs, nodes, weights, chunk, width, support=None):
         for j in range(1, n):
             acc += np.multiply(weights[j], fv[:, j], out=term)
         acc *= hw[s : s + step]
-        out[rows[s : s + step]] = acc
+        parts.append(acc)
+    vals = np.concatenate(parts)
+    if rows is None:
+        return vals
+    out = np.zeros((len(segs), width))
+    out[rows] = vals
     return out
 
 
@@ -335,7 +356,10 @@ def _make_integrand(A: Copula, family, B: Copula, xs, ys):
     the left and r on the right, and returns them with the nodes where
     none of them is 0 (NaN stays live); fbatch takes them back as s
     and r instead of evaluating them again. Without a cell, support
-    is None.
+    is None. fbatch runs its kernels with numpy's ufunc buffers capped
+    by ``_integrand_bufsize``, so a call on few live nodes holds about
+    one (k, width) array, as a large one does; buffering changes no
+    arithmetic, so the values keep their bits.
     """
     X, Y = _row(xs), _row(ys)
     width = xs.size
@@ -351,14 +375,18 @@ def _make_integrand(A: Copula, family, B: Copula, xs, ys):
     def fbatch(ts, s=None, r=None):
         T = ts.reshape(-1, 1)
         full = (ts.size, width)
-        s = left(T) if s is None else s
-        r = right(T) if r is None else r
-        if family is not None:
-            out = family.eval_grid(ts, s, r)
-        else:
-            # into the conditional that already has the batch's shape
-            into = s if s.shape == full else r if r.shape == full else None
-            out = np.multiply(s, r, out=into)
+        bufsize = np.setbufsize(_integrand_bufsize(ts.size * width))
+        try:
+            s = left(T) if s is None else s
+            r = right(T) if r is None else r
+            if family is not None:
+                out = family.eval_grid(ts, s, r)
+            else:
+                # into the conditional that already has the batch's shape
+                into = s if s.shape == full else r if r.shape == full else None
+                out = np.multiply(s, r, out=into)
+        finally:
+            np.setbufsize(bufsize)
         return np.broadcast_to(out, full)
 
     sides = {k: f for k, f, Z in (("s", left, X), ("r", right, Y)) if Z.size == 1}

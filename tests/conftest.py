@@ -75,15 +75,7 @@ def peak_alloc(monkeypatch):
     values included, divided by (nodes x batch width x 8) bytes. Wraps
     the integrands that ``products._make_integrand`` builds, passes
     their support step through, and traces each call with
-    ``tracemalloc``.
-
-    numpy gives every ufunc call with a broadcast operand an iterator
-    buffer of min(bufsize, elements) doubles per such operand. That is
-    scratch of a fixed size, not an array of the integrand, yet in a
-    call of fewer than bufsize elements, as the skip of dead segments
-    makes, it weighs as much as a full array. The buffer size is set
-    to 16 elements while the fixture is in use, so the ratios count
-    the integrand's own arrays."""
+    ``tracemalloc``."""
     ratios = []
     make_integrand = products._make_integrand
 
@@ -101,13 +93,11 @@ def peak_alloc(monkeypatch):
         return inner, support
 
     monkeypatch.setattr(products, "_make_integrand", tracing_make)
-    bufsize = np.setbufsize(16)
     tracemalloc.start()
     try:
         yield ratios
     finally:
         tracemalloc.stop()
-        np.setbufsize(bufsize)
 
 
 @pytest.fixture(scope="session")

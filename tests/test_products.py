@@ -709,12 +709,14 @@ def test_nan_cell_conditional_stays_live():
 def test_integrand_with_a_cell_side_holds_one_full_array(flip_shuffle, peak_alloc):
     # memory gate: grouped by x, the shuffle's conditional is one value
     # per node, so the FGM conditional is the only (nodes, width) array
-    # and the product is taken in it
+    # and the product is taken in it; numpy's buffers for the broadcast
+    # operands are capped at a share of the call, also in the small
+    # calls on few live nodes
     prod = star(flip_shuffle, FGMCopula(0.5), fast_paths=False).copula
     prod.eval(GRID_33[:, None], GRID_33[None, :])
     # the x = 0 group lies outside the shuffle's support: no integrand call
     assert len(peak_alloc) >= 32
-    assert max(peak_alloc) <= 1.125
+    assert max(peak_alloc) <= 1.18
 
 
 def test_integrand_with_two_varying_sides_holds_two_full_arrays(peak_alloc):
