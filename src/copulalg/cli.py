@@ -105,17 +105,25 @@ def _build_parser() -> argparse.ArgumentParser:
     return top
 
 
-def _cmd_eval(args) -> int:
+def _build(args):
+    """(copula, 0) for the expression of ``args``, or (None, exit code):
+    1 for a bad expression, 2 for a failed construction."""
     try:
         node = parse(args.expr)
-        cop = build_copula(node, _quad_config(args),
-                           fast_paths=not args.no_fast_path)
+        return build_copula(node, _quad_config(args),
+                            fast_paths=not args.no_fast_path), 0
     except (ParseError, SemanticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return None, 1
     except (CopulaError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return None, 2
+
+
+def _cmd_eval(args) -> int:
+    cop, rc = _build(args)
+    if rc:
+        return rc
     try:
         val = cop.eval(args.u, args.v)
     except (CopulaError, OSError) as exc:
@@ -126,16 +134,10 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_grid(args) -> int:
-    try:
-        node = parse(args.expr)
-        cop = build_copula(node, _quad_config(args),
-                           fast_paths=not args.no_fast_path)
-    except (ParseError, SemanticError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (CopulaError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    cop, rc = _build(args)
+    if rc:
+        return rc
+    # checked after the build, so that a bad expression still exits 1
     if not 1 <= args.n <= 4096:
         print(f"error: grid order must be in [1, 4096], got {args.n}",
               file=sys.stderr)

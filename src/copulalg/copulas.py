@@ -166,6 +166,11 @@ class Copula:
     0 (+0.0 or -0.0) for every x, y in [0, 1]. The quadrature relies on
     it to skip the t-segments where a grouped conditional is 0.
 
+    Exchangeable copulas, C(u, v) = C(v, u) as M, W, Pi and FGM, have
+    dC/du (u, v) = dC/dv (v, u) exactly: they write ``_d2`` and
+    ``d2_breakpoints`` once, take ``_d1`` and ``d1_breakpoints`` from
+    them with the arguments swapped, and are their own transpose.
+
     Breakpoint contract: ``d2_breakpoints(u)`` takes a scalar or an
     array of coordinates u and returns one flat float array holding,
     for every given u, the t-values where t -> partial2(u, t) may jump
@@ -206,19 +211,17 @@ class Copula:
             + c(np.float64(rect.x1), np.float64(rect.y1))
         )
 
+    def _partial(self, kernel, u, v):
+        out = np.clip(kernel(_unit(u, "u"), _unit(v, "v")), 0.0, 1.0)
+        return _maybe_scalar(out, u, v)
+
     def partial1(self, u, v):
         """a.e. derivative of C in the first argument, clamped to [0, 1]."""
-        uu = _unit(u, "u")
-        vv = _unit(v, "v")
-        out = np.clip(self._d1(uu, vv), 0.0, 1.0)
-        return _maybe_scalar(out, u, v)
+        return self._partial(self._d1, u, v)
 
     def partial2(self, u, v):
         """a.e. derivative of C in the second argument, clamped to [0, 1]."""
-        uu = _unit(u, "u")
-        vv = _unit(v, "v")
-        out = np.clip(self._d2(uu, vv), 0.0, 1.0)
-        return _maybe_scalar(out, u, v)
+        return self._partial(self._d2, u, v)
 
     def transpose(self) -> "Copula":
         """The copula (u, v) -> C(v, u)."""
@@ -234,7 +237,20 @@ class Copula:
         return f"<{type(self).__name__}>"
 
 
-class FrechetM(Copula):
+class _Exchangeable(Copula):
+    """A copula with C(u, v) = C(v, u); see the ``Copula`` docstring."""
+
+    def _d1(self, u, v):
+        return self._d2(v, u)
+
+    def d1_breakpoints(self, v):
+        return self.d2_breakpoints(v)
+
+    def transpose(self):
+        return self
+
+
+class FrechetM(_Exchangeable):
     """Upper Frechet bound M(u, v) = min(u, v), the comonotone copula."""
 
     left_invertible = True
@@ -243,29 +259,18 @@ class FrechetM(Copula):
     def _cdf(self, u, v):
         return np.minimum(u, v)
 
-    def _d1(self, u, v):
-        # right-hand slope is 1 strictly below v; left-hand at u=1 needs
-        # u <= v, which there is v >= 1
-        u, v = np.asarray(u, float), np.asarray(v, float)
-        out = np.less(u, v, out=_result(u, v))
-        return np.greater_equal(v, 1.0, out=out, where=u == 1.0)
-
     def _d2(self, u, v):
+        # right-hand slope is 1 strictly below u; left-hand at v=1 needs
+        # v <= u, which there is u >= 1
         u, v = np.asarray(u, float), np.asarray(v, float)
         out = np.less(v, u, out=_result(u, v))
         return np.greater_equal(u, 1.0, out=out, where=v == 1.0)
 
-    def transpose(self):
-        return self
-
     def d2_breakpoints(self, u):
         return np.ravel(u).astype(float)
 
-    def d1_breakpoints(self, v):
-        return np.ravel(v).astype(float)
 
-
-class FrechetW(Copula):
+class FrechetW(_Exchangeable):
     """Lower Frechet bound W(u, v) = max(u + v - 1, 0), countermonotone."""
 
     left_invertible = True
@@ -274,48 +279,29 @@ class FrechetW(Copula):
     def _cdf(self, u, v):
         return np.maximum(u + v - 1.0, 0.0)
 
-    def _d1(self, u, v):
-        u, v = np.asarray(u, float), np.asarray(v, float)
-        # slope 1 on u > 1-v (right-hand includes equality), at u=1 needs v > 0
-        out = np.add(u, v, out=_result(u, v))
-        np.greater_equal(out, 1.0, out=out)
-        return np.greater(v, 0.0, out=out, where=u == 1.0)
-
     def _d2(self, u, v):
         u, v = np.asarray(u, float), np.asarray(v, float)
+        # slope 1 on v > 1-u (right-hand includes equality), at v=1 needs u > 0
         out = np.add(u, v, out=_result(u, v))
         np.greater_equal(out, 1.0, out=out)
         return np.greater(u, 0.0, out=out, where=v == 1.0)
 
-    def transpose(self):
-        return self
-
     def d2_breakpoints(self, u):
         return 1.0 - np.ravel(u)
 
-    def d1_breakpoints(self, v):
-        return 1.0 - np.ravel(v)
 
-
-class ProductPi(Copula):
+class ProductPi(_Exchangeable):
     """Independence copula Pi(u, v) = u v."""
 
     def _cdf(self, u, v):
         return u * v
 
-    def _d1(self, u, v):
-        u, v = np.asarray(u, float), np.asarray(v, float)
-        return np.broadcast_to(v, np.broadcast_shapes(u.shape, v.shape)).copy()
-
     def _d2(self, u, v):
         u, v = np.asarray(u, float), np.asarray(v, float)
         return np.broadcast_to(u, np.broadcast_shapes(u.shape, v.shape)).copy()
 
-    def transpose(self):
-        return self
 
-
-class FGMCopula(Copula):
+class FGMCopula(_Exchangeable):
     """Farlie-Gumbel-Morgenstern copula.
 
     C(u, v) = u v + theta u v (1 - u)(1 - v) with theta in [-1, 1].
@@ -333,21 +319,12 @@ class FGMCopula(Copula):
         return u * v * (1.0 + self.theta * (1.0 - u) * (1.0 - v))
 
     # the last product is the first of the broadcast shape; the sum with
-    # v (or u) is added into it
-    def _d1(self, u, v):
-        u, v = np.asarray(u, float), np.asarray(v, float)
-        out = self.theta * v * (1.0 - v) * (1.0 - 2.0 * u)
-        out += v
-        return out
-
+    # u is added into it
     def _d2(self, u, v):
         u, v = np.asarray(u, float), np.asarray(v, float)
         out = self.theta * u * (1.0 - u) * (1.0 - 2.0 * v)
         out += u
         return out
-
-    def transpose(self):
-        return self
 
     def __repr__(self):
         return f"<FGMCopula theta={self.theta}>"
@@ -459,10 +436,13 @@ class ShuffleOfM(Copula):
     def transpose(self):
         """Transpose of a shuffle is a shuffle (reflect the support)."""
         if self._transposed is None:
-            t = ShuffleOfM(self._tcuts, self._inv + 1, self._flip[self._inv])
+            t = self._transposed_copy()
             t._transposed = self
             self._transposed = t
         return self._transposed
+
+    def _transposed_copy(self):
+        return ShuffleOfM(self._tcuts, self._inv + 1, self._flip[self._inv])
 
     def support_segments(self):
         """Diagonal support segments, one per piece, left to right."""
@@ -508,7 +488,7 @@ class StraightShuffle(ShuffleOfM):
         else:
             super().__init__((0.0, 1.0 - alpha, 1.0), (2, 1), (False, False))
 
-    def transpose(self):
+    def _transposed_copy(self):
         return StraightShuffle(1.0 - self.alpha)
 
     def __repr__(self):
@@ -595,45 +575,38 @@ class GridCopula(Copula):
             + h[iu + 1, iv + 1] * fu * fv
         )
 
-    # steps of the cumulative mass, h[i + 1, j] - h[i, j] and
-    # h[i, j + 1] - h[i, j], made when a partial is first asked for
+    # steps of the cumulative mass, h[i + 1, j] - h[i, j] and, transposed
+    # so that both are indexed [fixed, free], h[i, j + 1] - h[i, j]; made
+    # when a partial is first asked for
     @cached_property
     def _steps_u(self):
         return self._h[1:] - self._h[:-1]
 
     @cached_property
     def _steps_v(self):
-        return self._h[:, 1:] - self._h[:, :-1]
+        return (self._h[:, 1:] - self._h[:, :-1]).T
 
-    # the bilinear cdf is linear in v on each cell, so d/dv is constant in
-    # v there and the cell index of v picks the right-hand slope at an
-    # interior edge j/n; d/du is the mirror image. Each is
-    # n (step_j (1 - f) + step_j+1 f), gathered and finished in place
-    def _d1(self, u, v):
-        u, v = np.asarray(u, float), np.asarray(v, float)
-        iu, _ = self._cell(u)
-        iv, fv = self._cell(v)
-        steps = self._steps_u
-        out = steps[iu, iv]
-        out *= 1 - fv
-        upper = steps[iu, iv + 1]
-        upper *= fv
+    # the bilinear cdf is linear in the differentiated variable on each
+    # cell, so the cell index of the fixed coordinate picks the right-hand
+    # slope at an interior edge; the slope is n (step_j (1 - f) +
+    # step_j+1 f) in the free coordinate, gathered and finished in place
+    def _slope(self, steps, fixed, x):
+        fixed, x = np.asarray(fixed, float), np.asarray(x, float)
+        i, _ = self._cell(fixed)
+        j, f = self._cell(x)
+        out = steps[i, j]
+        out *= 1 - f
+        upper = steps[i, j + 1]
+        upper *= f
         out += upper
         out *= self.n
         return out
+
+    def _d1(self, u, v):
+        return self._slope(self._steps_u, u, v)
 
     def _d2(self, u, v):
-        u, v = np.asarray(u, float), np.asarray(v, float)
-        iu, fu = self._cell(u)
-        iv, _ = self._cell(v)
-        steps = self._steps_v
-        out = steps[iu, iv]
-        out *= 1 - fu
-        upper = steps[iu + 1, iv]
-        upper *= fu
-        out += upper
-        out *= self.n
-        return out
+        return self._slope(self._steps_v, v, u)
 
     def transpose(self):
         return GridCopula(self.mass.T)
@@ -642,33 +615,32 @@ class GridCopula(Copula):
     def d2_breakpoints(self, u):
         return np.arange(1, self.n) / self.n
 
-    def d1_breakpoints(self, v):
-        return np.arange(1, self.n) / self.n
+    d1_breakpoints = d2_breakpoints
 
     def __repr__(self):
         return f"<GridCopula n={self.n}>"
 
 
-def fd_partial1(C: Copula, u, v, h: float = FD_STEP):
-    """Finite-difference d/du of C, one-sided within h of the boundary."""
-    u = np.asarray(u, float)
-    v = np.asarray(v, float)
-    lo = np.clip(u - h, 0.0, 1.0)
-    hi = np.clip(u + h, 0.0, 1.0)
+def _difference_quotient(cdf, x, h):
+    # central difference of the one-argument cdf at x
+    x = np.asarray(x, float)
+    lo = np.clip(x - h, 0.0, 1.0)
+    hi = np.clip(x + h, 0.0, 1.0)
     denom = hi - lo
     denom = np.where(denom == 0.0, 1.0, denom)
-    return (C._cdf(hi, v) - C._cdf(lo, v)) / denom
+    return (cdf(hi) - cdf(lo)) / denom
+
+
+def fd_partial1(C: Copula, u, v, h: float = FD_STEP):
+    """Finite-difference d/du of C, one-sided within h of the boundary."""
+    v = np.asarray(v, float)
+    return _difference_quotient(lambda x: C._cdf(x, v), u, h)
 
 
 def fd_partial2(C: Copula, u, v, h: float = FD_STEP):
     """Finite-difference d/dv of C, one-sided within h of the boundary."""
     u = np.asarray(u, float)
-    v = np.asarray(v, float)
-    lo = np.clip(v - h, 0.0, 1.0)
-    hi = np.clip(v + h, 0.0, 1.0)
-    denom = hi - lo
-    denom = np.where(denom == 0.0, 1.0, denom)
-    return (C._cdf(u, hi) - C._cdf(u, lo)) / denom
+    return _difference_quotient(lambda y: C._cdf(u, y), v, h)
 
 
 # module-level singletons for the parameterless copulas
@@ -710,8 +682,7 @@ def grid_from_copula(C: Copula, n: int) -> GridCopula:
     """Discretize C to an n x n checkerboard by exact cell volumes."""
     if not isinstance(n, int) or n < 1:
         raise ConstructionError(f"grid order must be a positive integer, got {n}")
-    g = np.arange(n + 1) / n
-    e = C._cdf(g[:, None], g[None, :])
+    e = _lattice_values(C, n)
     vols = e[1:, 1:] - e[1:, :-1] - e[:-1, 1:] + e[:-1, :-1]
     return GridCopula(vols)
 
@@ -723,13 +694,19 @@ def _lattice_values(C: Copula, n: int):
 
 def sup_distance(A: Copula, B: Copula, n: int = 32) -> float:
     """max |A - B| over the (n+1) x (n+1) uniform lattice."""
-    return float(np.abs(_lattice_values(A, n) - _lattice_values(B, n)).max())
+    return sup_distance_witness(A, B, n)[0]
 
 
 def sup_distance_witness(A: Copula, B: Copula, n: int = 32):
-    """(deviation, (x, y)) at the first row-major maximizer of |A - B|."""
+    """(deviation, (x, y)) at the first row-major maximizer of |A - B|,
+    taken from the exact difference of the coefficients when both are
+    polynomial copulas."""
+    from .poly import exact_gap  # poly imports this module
+
     g = np.arange(n + 1) / n
-    d = np.abs(_lattice_values(A, n) - _lattice_values(B, n))
+    d = exact_gap(A, B, g[:, None], g[None, :])
+    if d is None:
+        d = np.abs(_lattice_values(A, n) - _lattice_values(B, n))
     flat = int(np.argmax(d))
     i, j = divmod(flat, n + 1)
     return float(d[i, j]), (float(g[i]), float(g[j]))

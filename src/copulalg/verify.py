@@ -38,7 +38,6 @@ from .copulas import (
     ShuffleOfM,
     StraightShuffle,
     W,
-    _lattice_values,
     sup_distance_witness,
 )
 from .families import (
@@ -140,6 +139,8 @@ def check_identity(family: CopulaFamily, corpus=None, tol: float = 1e-5,
     qq = q if q is not None else QuadratureConfig()
     e = candidate if candidate is not None else M
     corpus = tuple(corpus) if corpus is not None else corpus_copulas()
+    if not corpus:
+        raise ConstructionError("need at least one corpus copula")
     worst = -1.0
     witness = None
     worst_case = ""
@@ -199,6 +200,9 @@ def check_zero_candidate(family: CopulaFamily, candidate,
     candidate for every alpha. Only Pi survives the sweep; any other
     candidate is eliminated by some shuffle.
     """
+    alphas = tuple(alphas)
+    if not alphas:
+        raise ConstructionError("need at least one shuffle parameter alpha")
     qq = q if q is not None else QuadratureConfig()
     worst = -1.0
     witness = None
@@ -239,6 +243,8 @@ def fgm_counterexample(theta: float = 1.0, points=None, tol: float = 1e-5,
     if not -1.0 <= theta <= 1.0:
         raise ConstructionError(f"theta must lie in [-1, 1], got {theta}")
     pts = tuple(points) if points is not None else DEFAULT_COUNTEREXAMPLE_POINTS
+    if not pts:
+        raise ConstructionError("need at least one evaluation point")
     for x, y in pts:
         if not (0.0 <= x <= 1.0 and 0.0 <= y <= 1.0):
             raise DomainError(f"point ({x}, {y}) outside the unit square")
@@ -281,22 +287,13 @@ def convergence_study(curve: FGMCurveFamily, A, B,
         raise ConstructionError("need at least two approximation levels")
     qq = q if q is not None else QuadratureConfig()
     target = star_c(A, curve, B, qq).copula
-    tvals = None
-    g = np.arange(lattice + 1) / lattice
     errs = []
     last_witness = None
     for n in pieces:
         approx = midpoint_fgm_approximation(curve, int(n))
         prod = star_c(A, approx, B, qq).copula
-        dev = exact_gap(prod, target, g[:, None], g[None, :])
-        if dev is None:
-            if tvals is None:
-                tvals = _lattice_values(target, lattice)
-            dev = np.abs(_lattice_values(prod, lattice) - tvals)
-        flat = int(np.argmax(dev))
-        i, j = divmod(flat, lattice + 1)
-        errs.append(float(dev[i, j]))
-        last_witness = (float(g[i]), float(g[j]))
+        dev, last_witness = sup_distance_witness(prod, target, lattice)
+        errs.append(dev)
     monotone = all(
         errs[k + 1] <= errs[k] * (1.0 + slack) for k in range(len(errs) - 1)
     )

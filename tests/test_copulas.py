@@ -179,6 +179,13 @@ def test_straight_shuffle_transpose_parameter():
     assert t.alpha == 0.7
 
 
+def test_shuffle_transpose_made_once(flip_shuffle):
+    # _d1 and d1_breakpoints go through the transpose on every call
+    for s in (StraightShuffle(0.3), flip_shuffle):
+        assert s.transpose() is s.transpose()
+        assert s.transpose().transpose() is s
+
+
 def test_transpose_involution(copula_corpus, flip_shuffle):
     g = np.arange(65) / 64
     for _, c in copula_corpus:
@@ -608,6 +615,18 @@ def test_sup_distance_pinned():
     dev, wit = sup_distance_witness(PI, FGMCopula(1.0), 64)
     assert dev == pytest.approx(0.0625, abs=1e-15)
     assert wit == (0.5, 0.5)
+
+
+def test_sup_distance_exact_for_polynomial_copulas():
+    # theta differs by 2^-53; the gap (2^-53 / 16 at the centre) is lost
+    # when the rounded values are subtracted, and kept when the
+    # coefficients are
+    a, b = FGMCopula(0.5), FGMCopula(np.nextafter(0.5, 1.0))
+    assert np.abs(a.eval(0.5, 0.5) - b.eval(0.5, 0.5)) == 0.0
+    dev, wit = sup_distance_witness(a, b, 64)
+    assert dev == 2.0 ** -57 and wit == (0.5, 0.5)
+    assert dev == pytest.approx(6.94e-18, rel=1e-3)
+    assert sup_distance(a, b, 64) == dev
 
 
 def test_validate_builtins_tight(copula_corpus):

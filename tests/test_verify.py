@@ -177,6 +177,24 @@ def test_fgm_counterexample_rejects_bad_theta():
         fgm_counterexample(1.5)
 
 
+# a check that evaluates nothing has no deviation to report
+
+
+def test_identity_rejects_empty_corpus():
+    with pytest.raises(ConstructionError):
+        check_identity(ConstantFamily(PI), corpus=(), **SMALL)
+
+
+def test_zero_candidate_rejects_empty_sweep():
+    with pytest.raises(ConstructionError):
+        check_zero_candidate(ConstantFamily(PI), PI, alphas=(), **SMALL)
+
+
+def test_fgm_counterexample_rejects_no_points():
+    with pytest.raises(ConstructionError):
+        fgm_counterexample(1.0, points=())
+
+
 def test_fgm_counterexample_custom_points():
     rep = fgm_counterexample(1.0, points=((0.25, 0.5), (0.1, 0.9)))
     assert rep.passed
