@@ -212,19 +212,82 @@ class FGMCurveFamily(CopulaFamily):
         return x * y * (1.0 + th * (1.0 - x) * (1.0 - y))
 
     def breakpoints(self):
-        """Roots of theta(t) -/+ 1 in (0, 1): where clipping kicks in."""
+        """Where the raw theta(t) crosses -1 or 1 in (0, 1): where
+        clipping kicks in. Found in float arithmetic (``_crossings``),
+        with no LAPACK call, so the cuts have the same bits on every
+        machine."""
         pts = set()
         for level in (-1.0, 1.0):
-            shifted = np.asarray(self.coeffs, float).copy()
+            shifted = list(self.coeffs)
             shifted[0] -= level
-            if np.any(shifted[1:] != 0.0):
-                for r in np.polynomial.polynomial.polyroots(shifted):
-                    if abs(r.imag) < 1e-12 and 0.0 < r.real < 1.0:
-                        pts.add(float(r.real))
+            pts.update(_crossings(shifted))
         return tuple(sorted(pts))
 
     def __repr__(self):
         return f"<FGMCurveFamily coeffs={self.coeffs}>"
+
+
+def _exact_value(c, t):
+    """The polynomial with coefficients c (increasing degree) at t,
+    exactly, as (numerator, denominator > 0): floats are dyadic
+    rationals, so Horner's rule runs in integers."""
+    n, d = t.as_integer_ratio()
+    num, den = 0, 1
+    for a in reversed(c):
+        an, ad = a.as_integer_ratio()
+        num, den = num * n * ad + an * den * d, den * d * ad
+    return num, den
+
+
+def _bisect(c, lo, hi):
+    """The float nearest the sign change of c between lo and hi, whose
+    values have strict opposite signs: bisected on exact signs until
+    the two are adjacent floats, then the one with the smaller exact
+    |c|, lo on a tie."""
+    negative = _exact_value(c, lo)[0] < 0
+    while True:
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            (p, q), (r, s) = _exact_value(c, lo), _exact_value(c, hi)
+            return lo if abs(p) * s <= abs(r) * q else hi
+        f = _exact_value(c, mid)[0]
+        if f == 0:
+            return mid
+        if (f < 0) == negative:
+            lo = mid
+        else:
+            hi = mid
+
+
+def _crossings(c):
+    """The t in (0, 1) where the polynomial with coefficients c
+    (increasing degree) changes sign, in increasing order.
+
+    Degree 1 is the quotient -c0/c1. Above, the crossings of the
+    derivative split [0, 1] into pieces on which c is monotone, and a
+    piece whose ends have strict opposite signs holds one crossing,
+    found by bisection (``_bisect``); an exact zero at a piece end
+    counts when the signs around it differ. Signs are exact, so the
+    result has the same bits everywhere, and it is the float nearest
+    the crossing. Touching roots, without a sign change, are left out.
+    """
+    c = list(c)
+    while c and c[-1] == 0.0:
+        c.pop()
+    if len(c) < 2:
+        return []
+    if len(c) == 2:
+        r = -c[0] / c[1]
+        return [r] if 0.0 < r < 1.0 else []
+    knots = [0.0] + _crossings([k * c[k] for k in range(1, len(c))]) + [1.0]
+    signs = [(v > 0) - (v < 0) for v, _ in (_exact_value(c, t) for t in knots)]
+    out = []
+    for i in range(len(knots) - 1):
+        if signs[i] == 0 and 0 < i and signs[i - 1] * signs[i + 1] < 0:
+            out.append(knots[i])
+        elif signs[i] * signs[i + 1] < 0:
+            out.append(_bisect(c, knots[i], knots[i + 1]))
+    return [t for t in out if 0.0 < t < 1.0]
 
 
 def measurability_class(F: CopulaFamily) -> str:

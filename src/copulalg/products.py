@@ -40,13 +40,18 @@ except where a structural fast path gives the result in closed form:
   degree would pass ``poly.MAX_DEGREE`` = 16 in either variable is
   left to quadrature.
 
-Quadrature integrates only where the grouped side's conditional is
-nonzero. Every member C_t is grounded, C_t(0, y) = C_t(x, 0) = 0, so a
-rule segment on which a grouped conditional is 0 at every node adds
-exactly +-0 and is skipped, with the same bits (see
-``_segment_values``). This is not a fast path: the family is still
-integrated wherever that conditional is nonzero, so forced quadrature,
-and the identity suite with it, still exercises the quadrature.
+Quadrature groups the points that share the coordinate of the factor
+with more breakpoints, and the groups with the same other coordinates,
+every group of a lattice, share one adaptive work list. It integrates
+only where a grouped conditional is nonzero: every member C_t is
+grounded, C_t(0, y) = C_t(x, 0) = 0, so a rule segment on which it is 0
+at every node adds exactly +-0 and is skipped. A segment that several
+groups share, with the same endpoints and the same grouped
+conditionals, is evaluated once. All of it keeps every bit (see
+``_segment_values``). None of it is a fast path: the family is still
+integrated wherever the grouped conditional is nonzero, so forced
+quadrature, and the identity suite with it, still exercises the
+quadrature.
 """
 
 from __future__ import annotations
@@ -71,6 +76,7 @@ from .copulas import (
     _maybe_scalar,
     _unit,
 )
+from .closedforms import ShuffleStarProduct, WRightProduct
 from .poly import poly_product
 
 __all__ = [
@@ -204,12 +210,102 @@ def _initial_edges(breakpoints, q: QuadratureConfig):
     return e
 
 
-def _segment_values(fbatch, segs, nodes, weights, chunk, width, support=None):
+@lru_cache(maxsize=8)
+def _key_weights(k: int):
+    """k odd 64-bit multipliers for ``_key_hash``."""
+    return np.asarray([(2 * j + 1) * 0x9E3779B97F4A7C15 % (1 << 64) for j in range(k)],
+                      dtype=np.uint64)
+
+
+def _key_hash(keys):
+    """A wrapping multiply-add hash of each row of a uint64 array."""
+    return (keys * _key_weights(keys.shape[1])).sum(axis=1)
+
+
+def _distinct_rows(keys, h=None):
+    """(first, inverse) with ``keys[first][inverse]`` equal to the uint64
+    array ``keys``, row for row, given the rows' ``_key_hash`` or not.
+    Rows are sorted by hash and compared bit for bit with their
+    predecessor, so unequal rows never share an entry; equal ones do
+    unless a hash collision falls between them."""
+    order = np.argsort(_key_hash(keys) if h is None else h, kind="stable")
+    new = np.zeros(len(order), dtype=bool)
+    new[:1] = True
+    # column by column, to hold no sorted copy of the keys
+    for col in keys.T:
+        c = col[order]
+        new[1:] |= c[1:] != c[:-1]
+    ids = np.cumsum(new) - 1
+    inverse = np.empty_like(ids)
+    inverse[order] = ids
+    return order[new], inverse
+
+
+def _nodes_of(segs, nodes):
+    """The rule nodes of each (a, b) row of ``segs`` and its half width."""
+    a, b = segs[:, :1], segs[:, 1:]
+    hw = 0.5 * (b - a)
+    return hw * nodes + 0.5 * (a + b), hw
+
+
+def _live_segments(support, segs, nodes, groups, step):
+    """(rows, index, cells): the segments to evaluate, the map of every
+    segment to 0 (dead) or 1 + the position in ``rows`` of the segment
+    whose values it takes, and the cell conditionals of ``rows`` as
+    (nodes, 1) columns.
+
+    ``support`` runs on slices of ``step`` segments, to bound its
+    temporaries. With ``groups``, ``rows`` holds one segment per
+    distinct key: its endpoints and cell conditionals, compared as
+    uint64 so that +-0 and NaN are never merged. Nothing else moves
+    the integrand, since the call shares the other coordinate's row.
+    """
+    n = len(nodes)
+    kept, keys, hashes, names = [], [], [], ()
+    for s in range(0, len(segs), step):
+        seg = segs[s : s + step]
+        live, cells = support(_nodes_of(seg, nodes)[0],
+                              None if groups is None else groups[s : s + step])
+        rows = np.flatnonzero(live.any(axis=1))
+        names = tuple(cells)
+        kept.append(rows + s)
+        keys.append(np.concatenate([seg[rows]] + [cells[k][rows] for k in names], axis=1))
+        if groups is not None:
+            hashes.append(_key_hash(keys[-1].view(np.uint64)))
+    kept = np.concatenate(kept)
+    keys = np.concatenate(keys)
+    index = np.zeros(len(segs), dtype=np.intp)
+    if groups is None:
+        index[kept] = np.arange(1, len(kept) + 1)
+    else:
+        first, inverse = _distinct_rows(keys.view(np.uint64), np.concatenate(hashes))
+        index[kept] = inverse + 1
+        kept, keys = kept[first], keys[first]
+    cells = {k: keys[:, 2 + i * n : 2 + (i + 1) * n].reshape(-1, 1)
+             for i, k in enumerate(names)}
+    return kept, index, cells
+
+
+def _weighted_sum(fv, weights, out):
+    """out[i] = sum over j of weights[j] * fv[i * n + j], j = 0 .. n-1 in
+    order, for the (k * n, width) integrand values of k segments; fv is
+    released before the next integrand call."""
+    fv = fv.reshape(len(out), len(weights), -1)
+    np.multiply(weights[0], fv[:, 0], out=out)
+    term = np.empty_like(out)
+    for j in range(1, len(weights)):
+        out += np.multiply(weights[j], fv[:, j], out=term)
+
+
+def _segment_values(fbatch, segs, nodes, weights, chunk, width, support=None,
+                    groups=None):
     """Gauss-Legendre value of fbatch over each (a, b) row of ``segs``.
 
-    Returns an array (len(segs), width). Segments are evaluated in order
-    but batched into single fbatch calls of at most ``chunk`` nodes,
-    rounded up to whole segments, to bound memory.
+    Returns (values, index): segment i has the (width,) values
+    ``values[index[i]]``, and ``values[0]`` is +0.0. Segments are
+    evaluated in order but batched into single fbatch calls of at most
+    ``chunk`` nodes, rounded up to whole segments, to bound memory;
+    with ``groups``, also at most the largest group's segments.
 
     The weighted sum runs node by node, j = 0 .. n-1, as elementwise
     array arithmetic: no BLAS and no SIMD reduction, whose summation
@@ -219,75 +315,83 @@ def _segment_values(fbatch, segs, nodes, weights, chunk, width, support=None):
     term is written into one scratch array per chunk, reused for every
     j, and added into the accumulator in place.
 
-    ``support``, when given, maps all the nodes of ``segs`` to a boolean
-    array, False where a grouped side's conditional is exactly 0, and a
-    dict of that side's conditionals, passed on to fbatch as keyword
-    arguments. Segments whose nodes are all dead lie outside the grouped
-    side's support and are skipped: every member C_t is grounded, so
-    the integrand is exactly +-0 on them. A skipped segment's value is
-    +0.0 and fbatch sees only the other segments' nodes, in the same
-    order. Adding +-0 never moves a nonzero sum, and the differences
-    taken for the error estimate have the same magnitudes, so every
-    value and estimate keeps its bits.
+    ``support``, when given, evaluates the cell sides once per rule
+    node: it maps the nodes, one row of n per segment, and the group of
+    each row to a boolean array, False where a cell conditional is
+    exactly 0, and a dict of the cell conditionals, which fbatch takes
+    as keyword arguments. Segments whose nodes are all dead lie outside
+    a cell side's support and are skipped: every member C_t is
+    grounded, so the integrand is exactly +-0 on them. Adding +-0 never
+    moves a nonzero sum, and the differences taken for the error
+    estimate have the same magnitudes, so every value and estimate
+    keeps its bits.
+
+    ``groups``, the group of each segment, is given when several groups
+    share the call. fbatch then runs only on the distinct live segments
+    (``_live_segments``), whose values every segment with the same key
+    takes: equal keys mean equal integrand values, node by node, so
+    each value has the bits it has when its group is integrated alone.
+    The segments of one group are disjoint, so one group needs no keys.
     """
     n = len(nodes)
-    a, b = segs[:, :1], segs[:, 1:]
-    hw = 0.5 * (b - a)
-    ts = hw * nodes + 0.5 * (a + b)
-    rows, cells = None, {}
-    if support is not None:
-        live, cells = support(ts.reshape(-1))
-        keep = live.reshape(-1, n).any(axis=1)
-        if not keep.all():
-            rows = np.flatnonzero(keep)
-            ts, hw = ts[rows], hw[rows]
-            cells = {k: c.reshape(-1, n)[rows].reshape(-1, 1) for k, c in cells.items()}
     step = -(-chunk // n)
-    parts = [np.empty((0, width))]
+    if groups is not None:
+        # no call takes more nodes than the largest group's share
+        step = min(step, np.bincount(groups).max())
+    rows, index, cells = None, None, {}
+    if support is not None:
+        rows, index, cells = _live_segments(support, segs, nodes, groups, step)
+        segs = segs[rows]
+    ts, hw = _nodes_of(segs, nodes)
+    vals = np.empty((len(ts) + 1, width))
+    vals[0] = 0.0
     for s in range(0, len(ts), step):
         given = {k: c[s * n : (s + step) * n] for k, c in cells.items()}
-        fv = fbatch(ts[s : s + step].reshape(-1), **given)
-        fv = fv.reshape(-1, n, fv.shape[-1])
-        acc = weights[0] * fv[:, 0]
-        term = np.empty_like(acc)
-        for j in range(1, n):
-            acc += np.multiply(weights[j], fv[:, j], out=term)
+        acc = vals[1 + s : 1 + s + step]
+        _weighted_sum(fbatch(ts[s : s + step].reshape(-1), **given), weights, acc)
         acc *= hw[s : s + step]
-        parts.append(acc)
-    vals = np.concatenate(parts)
-    if rows is None:
-        return vals
-    out = np.zeros((len(segs), width))
-    out[rows] = vals
-    return out
+    if index is None:
+        index = np.arange(1, len(ts) + 1)
+    return vals, index
 
 
 def _integrate_batch(fbatch, breakpoints, q: QuadratureConfig, width: int,
                      support=None):
-    """Integrate a vector-valued function over [0, 1].
+    """Integrate vector-valued functions over [0, 1], one per group.
 
-    fbatch maps a node array (k,) to values (k, width). Returns the
-    (width,) integral and a scalar error estimate valid for every
+    ``breakpoints`` holds one array of t-values per group. fbatch maps
+    nodes (k,) to values (k, width). Returns the (groups, width)
+    integrals and each group's error estimate, valid for every
     component (sum over pieces of the max-norm two-level defect).
-    ``support``, as ``_make_integrand`` returns it, lets each level skip
-    the segments outside a grouped side's support (``_segment_values``);
-    values and estimates have the bits they have without it.
+    ``support``, as ``_make_integrand`` returns it, evaluates the cell
+    sides, which tell the groups apart, and lets each level skip the
+    segments outside their support (``_segment_values``), with the
+    same bits. Several groups need it.
 
-    Each adaptive level is one array of segments, in increasing order.
-    A segment is accepted when the max-norm gap between its n-point
-    rule and the sum of its two halves is within its share of the
-    tolerance; the rest are bisected into the next level. Accepted
-    values are then added strictly left to right in the order of
-    their left ends.
+    This is the one adaptive loop. Its work list holds (group, piece)
+    pairs, and each level is one array of them, by group and then left
+    to right. Each group starts from its own edges with its own share
+    of the tolerance. A piece is accepted when the max-norm gap between
+    its n-point rule and the sum of its two halves is within its share
+    of its group's tolerance; the rest are bisected into the next
+    level. Pieces hold indices into their segments' values, and pieces
+    with the same three rows share one sum and one gap. Each group's
+    accepted values are added left to right in the order of their left
+    ends. So every group gets the bits it gets alone, and a failure
+    names the leftmost failing piece of the first failing group.
     """
     nodes, weights = _gl(q.nodes_per_subinterval)
-    edges = _initial_edges(breakpoints, q)
-    tol0 = q.adaptive_tol / (len(edges) - 1)
+    edges = [_initial_edges(bp, q) for bp in breakpoints]
+    pieces = np.asarray([len(e) - 1 for e in edges])
+    several = len(edges) > 1
+    tol0 = q.adaptive_tol / pieces
     chunk = max(3 * len(nodes), _CHUNK_ELEMENTS // max(width, 1))
-    a, b = edges[:-1], edges[1:]
-    coarse = None  # n-point rule on each [a, b], computed with level 0
-    starts, fines, errs = [], [], []
-    depth = 0
+    group = np.repeat(np.arange(len(edges)), pieces)
+    a = np.concatenate([e[:-1] for e in edges])
+    b = np.concatenate([e[1:] for e in edges])
+    coarse = None  # n-point rule on each [a, b] as (values, index), made with level 0
+    owners, starts, errs, refs, fines = [], [], [], [], []
+    made = depth = 0
     while a.size:
         mid = 0.5 * (a + b)
         if coarse is None:
@@ -295,34 +399,54 @@ def _integrate_batch(fbatch, breakpoints, q: QuadratureConfig, width: int,
         else:
             lo, hi = (a, mid), (mid, b)
         segs = np.stack((np.stack(lo, axis=1), np.stack(hi, axis=1)), axis=-1)
-        vals = _segment_values(
-            fbatch, segs.reshape(-1, 2), nodes, weights, chunk, width, support
+        vals, index = _segment_values(
+            fbatch, segs.reshape(-1, 2), nodes, weights, chunk, width, support,
+            np.repeat(group, len(lo)) if several else None,
         )
-        vals = vals.reshape(a.size, len(lo), -1)
+        index = index.reshape(a.size, len(lo))
         if coarse is None:
-            coarse = vals[:, 0]
-        left, right = vals[:, -2], vals[:, -1]
-        fine = left + right
-        err = np.max(np.abs(coarse - fine), axis=1)
+            coarse = vals, index[:, 0]
+        left, right = index[:, -2], index[:, -1]
+        if several:
+            trio = np.stack((coarse[1], left, right), axis=1)
+            first, inverse = _distinct_rows(trio.view(np.uint64))
+        else:
+            first = inverse = np.arange(a.size)
+        fine = vals[left[first]] + vals[right[first]]
+        err = np.max(np.abs(coarse[0][coarse[1][first]] - fine), axis=1)[inverse]
         # each bisection halves the budget so the total stays bounded
-        tol = tol0 / (1 << depth)
+        tol = tol0[group] / (1 << depth)
         ok = err <= tol
+        owners.append(group[ok])
         starts.append(a[ok])
-        fines.append(fine[ok])
         errs.append(err[ok])
+        refs.append(made + inverse[ok])
+        fines.append(fine)
+        made += len(fine)
         bad = ~ok
         if depth >= q.max_depth and bad.any():
             i = int(np.argmax(bad))
-            raise NonConvergenceError((float(a[i]), float(b[i])), float(err[i]), tol)
+            raise NonConvergenceError((float(a[i]), float(b[i])), float(err[i]),
+                                      float(tol[i]))
+        group = np.repeat(group[bad], 2)
         a = np.stack((a[bad], mid[bad]), axis=1).reshape(-1)
         b = np.stack((mid[bad], b[bad]), axis=1).reshape(-1)
-        coarse = np.stack((left[bad], right[bad]), axis=1).reshape(-1, vals.shape[-1])
+        coarse = vals, np.stack((left[bad], right[bad]), axis=1).reshape(-1)
         depth += 1
-    order = np.argsort(np.concatenate(starts), kind="stable")
-    # add.accumulate runs strictly in order; + 0.0 matches a sum from zero
-    total = np.add.accumulate(np.concatenate(fines)[order], axis=0)[-1] + 0.0
-    err_sum = np.add.accumulate(np.concatenate(errs)[order])[-1] + 0.0
-    return total, float(err_sum)
+    owners = np.concatenate(owners)
+    order = np.lexsort((np.concatenate(starts), owners))
+    refs = np.concatenate(refs)[order]
+    errs = np.concatenate(errs)[order]
+    fines = np.concatenate(fines)
+    bounds = np.searchsorted(owners[order], np.arange(len(edges) + 1))
+    totals = np.empty((len(edges), width))
+    err_sums = np.empty(len(edges))
+    for k in range(len(edges)):
+        run = slice(bounds[k], bounds[k + 1])
+        # add.accumulate runs strictly in order; + 0.0 matches a sum from zero
+        totals[k] = np.add.accumulate(fines[refs[run]], axis=0)[-1] + 0.0
+        err_sums[k] = np.add.accumulate(errs[run])[-1] + 0.0
+    return totals, err_sums
 
 
 def integrate(f, breakpoints=(), q: QuadratureConfig | None = None):
@@ -332,13 +456,17 @@ def integrate(f, breakpoints=(), q: QuadratureConfig | None = None):
     def fbatch(ts):
         return np.asarray([float(f(t)) for t in ts]).reshape(-1, 1)
 
-    total, err = _integrate_batch(fbatch, breakpoints, qq, 1)
-    return float(total[0]), err
+    totals, errs = _integrate_batch(fbatch, [breakpoints], qq, 1)
+    return float(totals[0, 0]), float(errs[0])
 
 
-def _row(zs):
-    """zs as a (1, k) row, or a (1, 1) cell when its values share their bits."""
+def _side(zs):
+    """A coordinate of the integrand: a (groups, 1) column of one value
+    per group as it is, a flat row as (1, k), or as a (1, 1) cell when
+    its values share their bits."""
     zs = np.asarray(zs, dtype=float)
+    if zs.ndim == 2:
+        return zs
     bits = zs.view(np.uint64)
     if bits.size and (bits == bits[0]).all():
         return zs[:1].reshape(1, 1)
@@ -346,29 +474,31 @@ def _row(zs):
 
 
 def _make_integrand(A: Copula, family, B: Copula, xs, ys):
-    """(fbatch, support) for a batch of points.
+    """(fbatch, support) for the points of one ``_integrate_batch`` call.
 
+    xs and ys broadcast to (groups, width): a flat array is a row that
+    every group shares, a (groups, 1) column the grouped coordinate.
     fbatch(ts, s=None, r=None) is the integrand at nodes ts, (k, width).
-    A coordinate that is constant over the batch, as in a group of
-    _product_points_eval, is a (1, 1) cell: its side's conditional is
-    then evaluated once per node and broadcast only in the result.
-    support(ts) evaluates the cell sides' clipped conditionals, s on
-    the left and r on the right, and returns them with the nodes where
-    none of them is 0 (NaN stays live); fbatch takes them back as s
-    and r instead of evaluating them again. Without a cell, support
-    is None. fbatch runs its kernels with numpy's ufunc buffers capped
-    by ``_integrand_bufsize``, so a call on few live nodes holds about
-    one (k, width) array, as a large one does; buffering changes no
-    arithmetic, so the values keep their bits.
+    A coordinate constant within a group, a column or a row whose values
+    share their bits, is a cell: its side's conditional is evaluated
+    once per node and broadcast only in the result. support(ts,
+    groups=None) takes nodes, flat or a row of n per segment, and each
+    row's group; it returns the cell sides' clipped conditionals, s on
+    the left and r on the right, in the shape of ts, with the nodes
+    where none is 0 (NaN stays live). fbatch takes them back as (k, 1)
+    columns instead of evaluating them again, which several groups
+    need. Without a cell, support is None. fbatch caps numpy's ufunc
+    buffers (``_integrand_bufsize``), so a call on few live nodes holds
+    about one (k, width) array; buffering changes no arithmetic.
     """
-    X, Y = _row(xs), _row(ys)
-    width = xs.size
+    width = np.broadcast_shapes(np.shape(xs), np.shape(ys))[-1]
+    X, Y = _side(xs), _side(ys)
 
-    def left(T):
+    def left(T, X=X):
         s = A._d2(X, T)
         return np.clip(s, 0.0, 1.0, out=s)
 
-    def right(T):
+    def right(T, Y=Y):
         r = B._d1(T, Y)
         return np.clip(r, 0.0, 1.0, out=r)
 
@@ -389,17 +519,19 @@ def _make_integrand(A: Copula, family, B: Copula, xs, ys):
             np.setbufsize(bufsize)
         return np.broadcast_to(out, full)
 
-    sides = {k: f for k, f, Z in (("s", left, X), ("r", right, Y)) if Z.size == 1}
+    sides = [(k, f, Z) for k, f, Z in (("s", left, X), ("r", right, Y)) if Z.shape[1] == 1]
     if not sides:
         return fbatch, None
 
-    def support(ts):
-        T = ts.reshape(-1, 1)
-        cells = {k: f(T) for k, f in sides.items()}
-        live = np.ones(ts.size, dtype=bool)
-        for c in cells.values():
-            live &= c.reshape(-1) != 0.0
-        return live, cells
+    def support(ts, groups=None):
+        T = ts.reshape(len(ts), -1)
+        cells = {}
+        live = np.ones(T.shape, dtype=bool)
+        for k, f, Z in sides:
+            c = f(T, Z if len(Z) == 1 else Z[groups])
+            live &= c != 0.0
+            cells[k] = c
+        return live.reshape(ts.shape), cells
 
     return fbatch, support
 
@@ -408,11 +540,14 @@ def _product_points_eval(A, family, B, xs, ys, q):
     """Quadrature values of the (generalized) product at flat points.
 
     Points sharing a coordinate on the side with the richer breakpoint
-    structure are integrated together so the subdivision is built once
-    per group; without breakpoints on either side all points form one
-    group. Each group is split at the family's breakpoints and at both
-    factors' breakpoints for the group's coordinates, the shared one
-    asked for once. Returns (values, worst per-point error estimate).
+    structure form a group, whose subdivision is built once; without
+    breakpoints on either side all points form one group. Each group is
+    split at the family's breakpoints and at both factors' breakpoints
+    for the group's coordinates, the shared one asked for once. The
+    groups whose other coordinates form the same row, bit for bit,
+    are integrated in one ``_integrate_batch`` call, in key order: on a
+    lattice that is every group. Returns (values, worst per-point
+    error estimate).
     """
     m = xs.size
     out = np.empty(m)
@@ -421,23 +556,33 @@ def _product_points_eval(A, family, B, xs, ys, q):
     fam_breaks = family.breakpoints() if family is not None else ()
     kA = len(A.d2_breakpoints(0.375))
     kB = len(B.d1_breakpoints(0.375))
-    if kA or kB:
-        keys = xs if kA >= kB else ys
-        groups = [keys == val for val in np.unique(keys)]
-    else:
-        keys, groups = None, [slice(None)]
+    if not (kA or kB):
+        breaks = np.concatenate(
+            (fam_breaks, A.d2_breakpoints(xs), B.d1_breakpoints(ys)), axis=None
+        )
+        fb, support = _make_integrand(A, family, B, xs, ys)
+        vals, errs = _integrate_batch(fb, [breaks], q, m, support)
+        return np.clip(vals[0], 0.0, 1.0), float(errs[0])
+    by_x = kA >= kB
+    keys, other = (xs, ys) if by_x else (ys, xs)
+    own, shared = ((A.d2_breakpoints, B.d1_breakpoints) if by_x
+                   else (B.d1_breakpoints, A.d2_breakpoints))
+    uniq, inv = np.unique(keys, return_inverse=True)
+    members = [np.flatnonzero(inv == g) for g in range(uniq.size)]
+    calls = {}
+    for g, idx in enumerate(members):
+        calls.setdefault(other[idx].tobytes(), []).append(g)
     worst = 0.0
-    for g in groups:
-        xs_g, ys_g = xs[g], ys[g]
-        breaks = np.concatenate((
-            fam_breaks,
-            A.d2_breakpoints(xs_g[:1] if keys is xs else xs_g),
-            B.d1_breakpoints(ys_g[:1] if keys is ys else ys_g),
-        ), axis=None)
-        fb, support = _make_integrand(A, family, B, xs_g, ys_g)
-        vals, err = _integrate_batch(fb, breaks, q, xs_g.size, support)
-        out[g] = vals
-        worst = max(worst, err)
+    for gs in calls.values():
+        row = other[members[gs[0]]]
+        col = uniq[gs].reshape(-1, 1)
+        row_breaks = shared(row)
+        breaks = [np.concatenate((fam_breaks, own(c), row_breaks), axis=None) for c in col]
+        fb, support = _make_integrand(A, family, B, *((col, row) if by_x else (row, col)))
+        vals, errs = _integrate_batch(fb, breaks, q, row.size, support)
+        for g, v in zip(gs, vals):
+            out[members[g]] = v
+        worst = max(worst, float(errs.max()))
     return np.clip(out, 0.0, 1.0), worst
 
 
@@ -477,56 +622,6 @@ class ComputedCopula(Copula):
     def __repr__(self):
         inner = "" if self.family is None else f" family={self.family!r}"
         return f"<ComputedCopula A={self.A!r} B={self.B!r}{inner}>"
-
-
-class ShuffleStarProduct(Copula):
-    """(S * C) for a shuffle S: a finite sum of C-increments.
-
-    The u-section of S carries slope 1 on finitely many t-intervals
-    (lo_i(u), hi_i(u)), so the product integral collapses to
-    sum_i C(hi_i, v) - C(lo_i, v).
-    """
-
-    def __init__(self, S: ShuffleOfM, C: Copula):
-        if not isinstance(S, ShuffleOfM):
-            raise ConstructionError(f"left factor must be a shuffle, got {S!r}")
-        self.S = S
-        self.C = C
-
-    def _cdf(self, u, v):
-        u, v = np.broadcast_arrays(np.asarray(u, float), np.asarray(v, float))
-        out = np.zeros_like(u, dtype=float)
-        S = self.S
-        inner = self.C._cdf
-        for i in range(S.n_pieces):
-            c = np.clip(u - S._s0[i], 0.0, S._w[i])
-            if S._flip[i]:
-                lo, hi = S._t1[i] - c, np.asarray(S._t1[i])
-            else:
-                lo, hi = np.asarray(S._t0[i]), S._t0[i] + c
-            out += inner(hi, v) - inner(lo, v)
-        return np.clip(out, 0.0, 1.0)
-
-    def __repr__(self):
-        return f"<ShuffleStarProduct S={self.S!r} C={self.C!r}>"
-
-
-class WRightProduct(Copula):
-    """(A * W)(u, v) = u - A(u, 1 - v); W reverses the second law.
-
-    Transposed around B^T it gives the left form, (W * B)(u, v) =
-    v - B(1 - u, v).
-    """
-
-    def __init__(self, A: Copula):
-        self.A = A
-
-    def _cdf(self, u, v):
-        u, v = np.broadcast_arrays(np.asarray(u, float), np.asarray(v, float))
-        return np.clip(u - self.A._cdf(u, 1.0 - v), 0.0, 1.0)
-
-    def __repr__(self):
-        return f"<WRightProduct A={self.A!r}>"
 
 
 def _markov_product(a, b):

@@ -81,13 +81,15 @@ def peak_alloc(monkeypatch):
 
     def tracing_make(A, family, B, xs, ys):
         fbatch, support = make_integrand(A, family, B, xs, ys)
+        # xs and ys broadcast to (groups, width)
+        width = np.broadcast_shapes(np.shape(xs), np.shape(ys))[-1]
 
         def inner(ts, *a, **kw):
             before = tracemalloc.get_traced_memory()[0]
             tracemalloc.reset_peak()
             out = fbatch(ts, *a, **kw)
             peak = tracemalloc.get_traced_memory()[1] - before
-            ratios.append(peak / (ts.size * xs.size * 8))
+            ratios.append(peak / (ts.size * width * 8))
             return out
 
         return inner, support

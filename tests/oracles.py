@@ -83,6 +83,12 @@ def d1_w(t, v):
     return 1.0 if t + v >= 1.0 else 0.0
 
 
+def d1_straight_star(alpha, d1c):
+    """d1 of (straight(alpha) * C)(t, v): the strip [0, 1 - alpha) is
+    moved up by alpha and the rest down by 1 - alpha."""
+    return lambda t, v: d1c(t + alpha, v) if t < 1.0 - alpha else d1c(t - (1.0 - alpha), v)
+
+
 def fgm_cdf(theta):
     return lambda x, y: x * y * (1.0 + theta * (1.0 - x) * (1.0 - y))
 

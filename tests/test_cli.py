@@ -64,6 +64,22 @@ def test_eval_product_expression(capsys):
     assert (rc, out) == (0, "0.270833333333\n")
 
 
+def test_eval_product_over_a_shuffle_product(capsys):
+    # the right factor is a shuffle product: the quadrature runs over its
+    # exact partials, split at the shuffle's cut, and agrees with the
+    # product regrouped around the shuffle
+    rc, out, err = run(capsys, "eval", "star(fgm(0.5), star(straight(0.3), fgm(0.5)))",
+                       "0.5", "0.5")
+    assert (rc, out, err) == (0, "0.248645833333\n", "")
+    rc, out, _ = run(capsys, "eval", "star(star(fgm(0.5), straight(0.3)), fgm(0.5))",
+                     "0.5", "0.5")
+    assert (rc, out) == (0, "0.248645833333\n")
+    rc, out, _ = run(capsys, "eval",
+                     "starc(fgm(1), const(fgm(0.5)), star(straight(0.3), fgm(0.5)))",
+                     "0.5", "0.5")
+    assert rc == 0
+
+
 def test_eval_no_fast_path_flag(capsys):
     rc, out, _ = run(capsys, "eval", "star(M, W)", "0.3", "0.8",
                      "--no-fast-path")

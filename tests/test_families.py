@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -19,6 +21,7 @@ from copulalg import (
     family_integral,
     measurability_class,
     midpoint_fgm_approximation,
+    star_c,
 )
 
 
@@ -83,6 +86,44 @@ def test_fgm_curve_clips_theta():
     assert np.allclose(sorted(f.breakpoints()), [0.5])
     two = FGMCurveFamily((-2.0, 4.0))  # enters at 1/4, leaves at 3/4
     assert np.allclose(sorted(two.breakpoints()), [0.25, 0.75])
+
+
+def test_curve_breakpoints_run_no_lapack(monkeypatch):
+    # the cuts feed quadrature edges and exact polynomial pieces, so
+    # they come from float arithmetic with exact signs, not from an
+    # eigenvalue solver whose bits depend on the LAPACK build
+    def refuse(*args, **kwargs):
+        raise AssertionError("eigvals reached")
+
+    monkeypatch.setattr(np.linalg, "eigvals", refuse)
+    curve = FGMCurveFamily((-1.5, 0.0, 4.0))  # -1.5 + 4 t^2
+    cuts = curve.breakpoints()
+    # it crosses -1 at sqrt(1/8) and 1 at sqrt(5/8): the nearest floats
+    assert [c.hex() for c in cuts] == ["0x1.6a09e667f3bcdp-2", "0x1.94c583ada5b53p-1"]
+    assert cuts == (math.sqrt(0.125), math.sqrt(0.625))
+    # exact pieces and quadrature edges take them
+    fgm = FGMCopula(0.5)
+    assert star_c(fgm, curve, fgm).fast_path == "poly-closed-form"
+    forced = star_c(M, curve, fgm, fast_paths=False).copula
+    assert 0.0 < forced.eval(0.5, 0.5) < 0.5
+
+
+def test_curve_breakpoints_are_sign_changes():
+    assert FGMCurveFamily((0.0, 0.0, 4.0)).breakpoints() == (0.5,)
+    # 4 t - 4 t^2 touches 1 at t = 1/2 without crossing: no cut
+    assert FGMCurveFamily((0.0, 4.0, -4.0)).breakpoints() == ()
+    # 1 + 4 (t - 1/2)^3 crosses 1 where its derivative touches 0
+    assert FGMCurveFamily((0.5, 3.0, -6.0, 4.0)).breakpoints() == (0.5,)
+    rng = np.random.default_rng(7)
+    for _ in range(50):
+        coeffs = tuple(rng.uniform(-6.0, 6.0, rng.integers(2, 5)))
+        want = []
+        for level in (-1.0, 1.0):
+            shifted = np.asarray(coeffs) - np.eye(len(coeffs))[0] * level
+            roots = np.polynomial.polynomial.polyroots(shifted)
+            want += [r.real for r in roots if abs(r.imag) < 1e-9 and 0.0 < r.real < 1.0]
+        got = FGMCurveFamily(coeffs).breakpoints()
+        assert np.allclose(got, sorted(want), rtol=0.0, atol=1e-12), coeffs
 
 
 # ---------------------------------------------------------------------------
