@@ -163,7 +163,7 @@ def _cmd_verify(args) -> int:
     if args.family is not None:
         try:
             families = [build_family(parse_family(args.family))]
-        except (ParseError, SemanticError) as exc:
+        except (CopulaError, OSError) as exc:
             print(f"error: bad --family: {exc}", file=sys.stderr)
             return 2
     thetas = None

@@ -80,10 +80,7 @@ class ShuffleStarProduct(Copula):
 
     def d2_breakpoints(self, u):
         # C's breakpoints at both ends of every piece the u-section reaches
-        S = self.S
-        c = np.clip(np.reshape(u, (-1, 1)) - S._s0, 0.0, S._w)
-        lo = np.where(S._flip, S._t1 - c, S._t0)
-        hi = np.where(S._flip, S._t1, S._t0 + c)
+        c, lo, hi = self.S._sections(u)
         reached = c > 0.0
         return self.C.d2_breakpoints(np.concatenate((lo[reached], hi[reached])))
 

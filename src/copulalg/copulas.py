@@ -456,11 +456,18 @@ class ShuffleOfM(Copula):
                 segs.append(Segment(float(s0), float(t0), float(s1), float(t1)))
         return tuple(segs)
 
-    def d2_breakpoints(self, u):
-        # each piece's conditional is 1 on a t-interval [lo, hi] per u
+    def _sections(self, u):
+        """(c, lo, hi), one row per u and one column per piece: c is the
+        width of the part of strip i left of u, and the u-section of
+        piece i has slope 1 on the t-interval [lo, hi]."""
         c = np.clip(np.reshape(u, (-1, 1)) - self._s0, 0.0, self._w)
         lo = np.where(self._flip, self._t1 - c, self._t0)
         hi = np.where(self._flip, self._t1, self._t0 + c)
+        return c, lo, hi
+
+    def d2_breakpoints(self, u):
+        # each piece's conditional is 1 on a t-interval [lo, hi] per u
+        _, lo, hi = self._sections(u)
         return np.concatenate((lo, hi), axis=None)
 
     def d1_breakpoints(self, v):

@@ -3,7 +3,7 @@
 Grammar (LL(1), whitespace insignificant):
 
     expr   := "M" | "W" | "Pi" | "fgm(" num ")" | "straight(" num ")"
-            | "shuffle(" numlist ";" intlist ";" intlist ")"
+            | "shuffle(" [numlist] ";" intlist ";" intlist ")"
             | "grid(" path ")" | "t(" expr ")"
             | "star(" expr "," expr ")" | "starc(" expr "," family "," expr ")"
     family := "const(" expr ")" | "pw(" [numlist] ":" exprlist ")"
@@ -13,10 +13,12 @@ Grammar (LL(1), whitespace insignificant):
 
 ``pw`` cuts may be given interior-only (one fewer than members, so a
 one-member family has an empty list) or with the 0 and 1 endpoints
-included. ``parse``/``parse_family`` produce an AST; ``to_text`` prints
-the canonical form (quoted paths, interior-only cuts, repr-exact
-numbers); ``build_copula``/``build_family`` construct the numerical
-objects, and ``expr_of`` maps an object back to the AST that builds it.
+included. ``shuffle`` cuts are interior-only, so a one-piece shuffle
+has an empty list, ``shuffle(; 1; 0)``. ``parse``/``parse_family``
+produce an AST; ``to_text`` prints the canonical form (quoted paths,
+interior-only cuts, repr-exact numbers); ``build_copula``/
+``build_family`` construct the numerical objects, and ``expr_of`` maps
+an object back to the AST that builds it.
 This module is the one place that spells the syntax: report labels
 are ``to_text(expr_of(x), num)`` with a shorter number format.
 
@@ -286,7 +288,7 @@ def _parse_expr(sc: _Scanner):
     elif head == "straight":
         node = Straight(sc.number())
     elif head == "shuffle":
-        cuts = _num_list(sc)
+        cuts = () if sc.peek_char() == ";" else _num_list(sc)
         sc.expect(";")
         sigma = _int_list(sc)
         sc.expect(";")

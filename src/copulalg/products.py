@@ -42,11 +42,12 @@ except where a structural fast path gives the result in closed form:
 
 Quadrature groups the points that share the coordinate of the factor
 with more breakpoints, and the groups with the same other coordinates,
-every group of a lattice, share one adaptive work list. It integrates
-only where a grouped conditional is nonzero: every member C_t is
-grounded, C_t(0, y) = C_t(x, 0) = 0, so a rule segment on which it is 0
-at every node adds exactly +-0 and is skipped. A segment that several
-groups share, with the same endpoints and the same grouped
+every group of a lattice, share one adaptive work list
+(``_integrate_batch``), which every call runs, one group included. It
+integrates only where a grouped conditional is nonzero: every member
+C_t is grounded, C_t(0, y) = C_t(x, 0) = 0, so a rule segment on which
+it is 0 at every node adds exactly +-0 and is skipped. A segment that
+several groups share, with the same endpoints and the same grouped
 conditionals, is evaluated once. All of it keeps every bit (see
 ``_segment_values``). None of it is a fast path: the family is still
 integrated wherever the grouped conditional is nonzero, so forced
@@ -212,27 +213,36 @@ def _initial_edges(breakpoints, q: QuadratureConfig):
 
 @lru_cache(maxsize=8)
 def _key_weights(k: int):
-    """k odd 64-bit multipliers for ``_key_hash``."""
+    """k odd 64-bit multipliers for the row hash of ``_distinct_rows``."""
     return np.asarray([(2 * j + 1) * 0x9E3779B97F4A7C15 % (1 << 64) for j in range(k)],
                       dtype=np.uint64)
 
 
-def _key_hash(keys):
-    """A wrapping multiply-add hash of each row of a uint64 array."""
-    return (keys * _key_weights(keys.shape[1])).sum(axis=1)
+def _distinct_rows(columns, groups):
+    """(first, inverse) such that row ``first[inverse[i]]`` equals row i,
+    for rows given as ``columns`` of 8-byte values, compared bit for bit.
 
-
-def _distinct_rows(keys, h=None):
-    """(first, inverse) with ``keys[first][inverse]`` equal to the uint64
-    array ``keys``, row for row, given the rows' ``_key_hash`` or not.
-    Rows are sorted by hash and compared bit for bit with their
-    predecessor, so unequal rows never share an entry; equal ones do
-    unless a hash collision falls between them."""
-    order = np.argsort(_key_hash(keys) if h is None else h, kind="stable")
-    new = np.zeros(len(order), dtype=bool)
+    ``groups`` holds each row's group, the rows in group order. The
+    rows of one group are disjoint segments or pieces, which never
+    repeat, so with one group this is the identity. Otherwise rows are
+    sorted by a wrapping multiply-add hash, added up column by column,
+    and compared with their predecessor, so rows whose bits differ never
+    share an entry (+0.0 and -0.0, or two NaN payloads, differ); equal
+    ones do unless a hash collision falls between them.
+    """
+    m = len(groups)
+    if not m or groups[0] == groups[-1]:
+        ident = np.arange(m)
+        return ident, ident
+    columns = [c.view(np.uint64) for c in columns]
+    h = np.zeros(m, dtype=np.uint64)
+    for w, col in zip(_key_weights(len(columns)), columns):
+        h += col * w
+    order = np.argsort(h, kind="stable")
+    new = np.zeros(m, dtype=bool)
     new[:1] = True
-    # column by column, to hold no sorted copy of the keys
-    for col in keys.T:
+    # column by column, to hold no sorted copy of the rows
+    for col in columns:
         c = col[order]
         new[1:] |= c[1:] != c[:-1]
     ids = np.cumsum(new) - 1
@@ -255,32 +265,26 @@ def _live_segments(support, segs, nodes, groups, step):
     (nodes, 1) columns.
 
     ``support`` runs on slices of ``step`` segments, to bound its
-    temporaries. With ``groups``, ``rows`` holds one segment per
-    distinct key: its endpoints and cell conditionals, compared as
-    uint64 so that +-0 and NaN are never merged. Nothing else moves
-    the integrand, since the call shares the other coordinate's row.
+    temporaries. ``rows`` holds one live segment per distinct key: its
+    endpoints and cell conditionals (``_distinct_rows``). Nothing else
+    moves the integrand, since the call shares the other coordinate's
+    row.
     """
     n = len(nodes)
-    kept, keys, hashes, names = [], [], [], ()
+    kept, keys, names = [], [], ()
     for s in range(0, len(segs), step):
         seg = segs[s : s + step]
-        live, cells = support(_nodes_of(seg, nodes)[0],
-                              None if groups is None else groups[s : s + step])
+        live, cells = support(_nodes_of(seg, nodes)[0], groups[s : s + step])
         rows = np.flatnonzero(live.any(axis=1))
         names = tuple(cells)
         kept.append(rows + s)
         keys.append(np.concatenate([seg[rows]] + [cells[k][rows] for k in names], axis=1))
-        if groups is not None:
-            hashes.append(_key_hash(keys[-1].view(np.uint64)))
     kept = np.concatenate(kept)
     keys = np.concatenate(keys)
+    first, inverse = _distinct_rows(keys.T, groups[kept])
     index = np.zeros(len(segs), dtype=np.intp)
-    if groups is None:
-        index[kept] = np.arange(1, len(kept) + 1)
-    else:
-        first, inverse = _distinct_rows(keys.view(np.uint64), np.concatenate(hashes))
-        index[kept] = inverse + 1
-        kept, keys = kept[first], keys[first]
+    index[kept] = inverse + 1
+    kept, keys = kept[first], keys[first]
     cells = {k: keys[:, 2 + i * n : 2 + (i + 1) * n].reshape(-1, 1)
              for i, k in enumerate(names)}
     return kept, index, cells
@@ -297,15 +301,14 @@ def _weighted_sum(fv, weights, out):
         out += np.multiply(weights[j], fv[:, j], out=term)
 
 
-def _segment_values(fbatch, segs, nodes, weights, chunk, width, support=None,
-                    groups=None):
+def _segment_values(fbatch, segs, nodes, weights, chunk, width, support, groups):
     """Gauss-Legendre value of fbatch over each (a, b) row of ``segs``.
 
     Returns (values, index): segment i has the (width,) values
     ``values[index[i]]``, and ``values[0]`` is +0.0. Segments are
     evaluated in order but batched into single fbatch calls of at most
-    ``chunk`` nodes, rounded up to whole segments, to bound memory;
-    with ``groups``, also at most the largest group's segments.
+    ``chunk`` nodes, rounded up to whole segments, and at most the
+    largest group's segments, to bound memory.
 
     The weighted sum runs node by node, j = 0 .. n-1, as elementwise
     array arithmetic: no BLAS and no SIMD reduction, whose summation
@@ -315,34 +318,26 @@ def _segment_values(fbatch, segs, nodes, weights, chunk, width, support=None,
     term is written into one scratch array per chunk, reused for every
     j, and added into the accumulator in place.
 
-    ``support``, when given, evaluates the cell sides once per rule
-    node: it maps the nodes, one row of n per segment, and the group of
-    each row to a boolean array, False where a cell conditional is
-    exactly 0, and a dict of the cell conditionals, which fbatch takes
-    as keyword arguments. Segments whose nodes are all dead lie outside
-    a cell side's support and are skipped: every member C_t is
-    grounded, so the integrand is exactly +-0 on them. Adding +-0 never
-    moves a nonzero sum, and the differences taken for the error
-    estimate have the same magnitudes, so every value and estimate
-    keeps its bits.
+    ``support`` evaluates the cell sides once per rule node: it maps the
+    nodes, one row of n per segment, and ``groups``, the group of each
+    row, to a boolean array, False where a cell conditional is exactly
+    0, and a dict of the cell conditionals, which fbatch takes as
+    keyword arguments. Segments whose nodes are all dead lie outside a
+    cell side's support and are skipped: every member C_t is grounded,
+    so the integrand is exactly +-0 on them. Adding +-0 never moves a
+    nonzero sum, and the differences taken for the error estimate have
+    the same magnitudes, so every value and estimate keeps its bits.
 
-    ``groups``, the group of each segment, is given when several groups
-    share the call. fbatch then runs only on the distinct live segments
+    fbatch runs only on the distinct live segments
     (``_live_segments``), whose values every segment with the same key
     takes: equal keys mean equal integrand values, node by node, so
     each value has the bits it has when its group is integrated alone.
-    The segments of one group are disjoint, so one group needs no keys.
     """
     n = len(nodes)
-    step = -(-chunk // n)
-    if groups is not None:
-        # no call takes more nodes than the largest group's share
-        step = min(step, np.bincount(groups).max())
-    rows, index, cells = None, None, {}
-    if support is not None:
-        rows, index, cells = _live_segments(support, segs, nodes, groups, step)
-        segs = segs[rows]
-    ts, hw = _nodes_of(segs, nodes)
+    # no call takes more nodes than the largest group's share
+    step = min(-(-chunk // n), np.bincount(groups).max())
+    rows, index, cells = _live_segments(support, segs, nodes, groups, step)
+    ts, hw = _nodes_of(segs[rows], nodes)
     vals = np.empty((len(ts) + 1, width))
     vals[0] = 0.0
     for s in range(0, len(ts), step):
@@ -350,13 +345,10 @@ def _segment_values(fbatch, segs, nodes, weights, chunk, width, support=None,
         acc = vals[1 + s : 1 + s + step]
         _weighted_sum(fbatch(ts[s : s + step].reshape(-1), **given), weights, acc)
         acc *= hw[s : s + step]
-    if index is None:
-        index = np.arange(1, len(ts) + 1)
     return vals, index
 
 
-def _integrate_batch(fbatch, breakpoints, q: QuadratureConfig, width: int,
-                     support=None):
+def _integrate_batch(fbatch, breakpoints, q: QuadratureConfig, width: int, support):
     """Integrate vector-valued functions over [0, 1], one per group.
 
     ``breakpoints`` holds one array of t-values per group. fbatch maps
@@ -366,7 +358,7 @@ def _integrate_batch(fbatch, breakpoints, q: QuadratureConfig, width: int,
     ``support``, as ``_make_integrand`` returns it, evaluates the cell
     sides, which tell the groups apart, and lets each level skip the
     segments outside their support (``_segment_values``), with the
-    same bits. Several groups need it.
+    same bits.
 
     This is the one adaptive loop. Its work list holds (group, piece)
     pairs, and each level is one array of them, by group and then left
@@ -383,7 +375,6 @@ def _integrate_batch(fbatch, breakpoints, q: QuadratureConfig, width: int,
     nodes, weights = _gl(q.nodes_per_subinterval)
     edges = [_initial_edges(bp, q) for bp in breakpoints]
     pieces = np.asarray([len(e) - 1 for e in edges])
-    several = len(edges) > 1
     tol0 = q.adaptive_tol / pieces
     chunk = max(3 * len(nodes), _CHUNK_ELEMENTS // max(width, 1))
     group = np.repeat(np.arange(len(edges)), pieces)
@@ -401,17 +392,13 @@ def _integrate_batch(fbatch, breakpoints, q: QuadratureConfig, width: int,
         segs = np.stack((np.stack(lo, axis=1), np.stack(hi, axis=1)), axis=-1)
         vals, index = _segment_values(
             fbatch, segs.reshape(-1, 2), nodes, weights, chunk, width, support,
-            np.repeat(group, len(lo)) if several else None,
+            np.repeat(group, len(lo)),
         )
         index = index.reshape(a.size, len(lo))
         if coarse is None:
             coarse = vals, index[:, 0]
         left, right = index[:, -2], index[:, -1]
-        if several:
-            trio = np.stack((coarse[1], left, right), axis=1)
-            first, inverse = _distinct_rows(trio.view(np.uint64))
-        else:
-            first = inverse = np.arange(a.size)
+        first, inverse = _distinct_rows((coarse[1], left, right), group)
         fine = vals[left[first]] + vals[right[first]]
         err = np.max(np.abs(coarse[0][coarse[1][first]] - fine), axis=1)[inverse]
         # each bisection halves the budget so the total stays bounded
@@ -456,7 +443,10 @@ def integrate(f, breakpoints=(), q: QuadratureConfig | None = None):
     def fbatch(ts):
         return np.asarray([float(f(t)) for t in ts]).reshape(-1, 1)
 
-    totals, errs = _integrate_batch(fbatch, [breakpoints], qq, 1)
+    def support(ts, groups):
+        return np.ones(ts.shape, dtype=bool), {}
+
+    totals, errs = _integrate_batch(fbatch, [breakpoints], qq, 1, support)
     return float(totals[0, 0]), float(errs[0])
 
 
@@ -481,13 +471,13 @@ def _make_integrand(A: Copula, family, B: Copula, xs, ys):
     fbatch(ts, s=None, r=None) is the integrand at nodes ts, (k, width).
     A coordinate constant within a group, a column or a row whose values
     share their bits, is a cell: its side's conditional is evaluated
-    once per node and broadcast only in the result. support(ts,
-    groups=None) takes nodes, flat or a row of n per segment, and each
-    row's group; it returns the cell sides' clipped conditionals, s on
-    the left and r on the right, in the shape of ts, with the nodes
-    where none is 0 (NaN stays live). fbatch takes them back as (k, 1)
-    columns instead of evaluating them again, which several groups
-    need. Without a cell, support is None. fbatch caps numpy's ufunc
+    once per node and broadcast only in the result. support(ts, groups)
+    takes nodes, flat or a row of n per segment, and each row's group;
+    it returns the nodes where no cell side's clipped conditional is 0
+    (NaN stays live), and those conditionals, s on the left and r on
+    the right, in the shape of ts; with no cell side, every node is
+    live and the dict is empty. fbatch takes them back as (k, 1)
+    columns instead of evaluating them again. fbatch caps numpy's ufunc
     buffers (``_integrand_bufsize``), so a call on few live nodes holds
     about one (k, width) array; buffering changes no arithmetic.
     """
@@ -520,14 +510,13 @@ def _make_integrand(A: Copula, family, B: Copula, xs, ys):
         return np.broadcast_to(out, full)
 
     sides = [(k, f, Z) for k, f, Z in (("s", left, X), ("r", right, Y)) if Z.shape[1] == 1]
-    if not sides:
-        return fbatch, None
 
-    def support(ts, groups=None):
+    def support(ts, groups):
         T = ts.reshape(len(ts), -1)
         cells = {}
         live = np.ones(T.shape, dtype=bool)
         for k, f, Z in sides:
+            # a side of one row holds every group's value, a column one per group
             c = f(T, Z if len(Z) == 1 else Z[groups])
             live &= c != 0.0
             cells[k] = c

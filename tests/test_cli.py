@@ -50,6 +50,10 @@ def test_eval_goldens(capsys):
     rc, out, _ = run(capsys, "eval", "fgm(1)", "0.5", "0.5")
     assert (rc, out) == (0, "0.312500000000\n")
 
+    # a one-piece shuffle, M, has an empty cut list
+    rc, out, _ = run(capsys, "eval", "shuffle(; 1; 0)", "0.3", "0.5")
+    assert (rc, out) == (0, "0.300000000000\n")
+
     rc, out, _ = run(capsys, "eval",
                      "starc(fgm(1), pw(0.5: fgm(1), fgm(-1)), Pi)",
                      "0.25", "0.5")
@@ -274,6 +278,15 @@ def test_verify_config_errors_exit_2(capsys, tmp_path):
     rc, _, err = run(capsys, "verify", "fgm",
                      "--out", str(tmp_path / "missing-dir"))
     assert rc == 2
+    # a grid member that is missing or malformed, as in eval
+    bad = tmp_path / "bad.csv"
+    bad.write_text("N=2\n0.5,oops\n0.25,0.25\n")
+    for path in (tmp_path / "missing.csv", bad):
+        rc, out, err = run(capsys, "verify", "identity", "--family",
+                           f'const(grid("{path}"))', "--out", str(tmp_path))
+        assert (rc, out) == (2, "")
+        assert err.startswith("error: bad --family: ")
+        assert "Traceback" not in err
 
 
 def test_verify_unknown_suite_rejected(capsys):

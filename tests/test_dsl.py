@@ -155,6 +155,7 @@ def test_to_text_parse_inverse():
         "fgm(0.5)",
         "straight(0.3)",
         "shuffle(0.2,0.7; 3,1,2; 0,1,0)",
+        "shuffle(; 1; 0)",
         'grid("g.csv")',
         "t(W)",
         "star(M, fgm(0.5))",
@@ -283,7 +284,9 @@ def test_expr_of_inverts_build_copula():
         star_c(FGMCopula(1.0), split_sign_family(1.0), PI,
                fast_paths=False).copula,
     )
-    for C in corpus_copulas() + forced:
+    # a one-piece shuffle has no interior cut: its text is shuffle(; 1; 0)
+    one_piece = ShuffleOfM((0.0, 1.0), (1,))
+    for C in corpus_copulas() + forced + (one_piece,):
         node = expr_of(C)
         assert parse(to_text(node)) == node
         rebuilt = build_copula(node, fast_paths=False)

@@ -583,7 +583,12 @@ def test_quadrature_bits_do_not_depend_on_batch(monkeypatch):
     assert value_in_batch([0.7], 0) == alone
 
 
-def _work_list_integrate(fbatch, breakpoints, q, width):
+def _all_live(ts, groups):
+    # the support of an integrand without cell sides: every node is live
+    return np.ones(ts.shape, dtype=bool), {}
+
+
+def _work_list_integrate(fbatch, breakpoints, q, width, support):
     # reference: the adaptive loop one segment at a time, as a work list
     nodes, weights = products._gl(q.nodes_per_subinterval)
     edges = products._initial_edges(breakpoints, q)
@@ -599,7 +604,8 @@ def _work_list_integrate(fbatch, breakpoints, q, width):
                 segs.append((a, b))
             segs += [(a, mid), (mid, b)]
         vals, index = products._segment_values(
-            fbatch, np.asarray(segs), nodes, weights, chunk, width
+            fbatch, np.asarray(segs), nodes, weights, chunk, width, support,
+            np.zeros(len(segs), dtype=np.intp),
         )
         vals = vals[index]
         pos, nxt = 0, []
@@ -639,17 +645,20 @@ def test_level_loop_matches_work_list_reference():
                           (QuadratureConfig(base_subintervals=3, max_depth=30), (0.5,)),
                           (QuadratureConfig(nodes_per_subinterval=5, adaptive_tol=1e-12,
                                             max_depth=40), ())):
-            want = _work_list_integrate(fbatch, breaks, q, kinks.size)
-            got = products._integrate_batch(fbatch, [breaks], q, kinks.size)
+            want = _work_list_integrate(fbatch, breaks, q, kinks.size, _all_live)
+            got = products._integrate_batch(fbatch, [breaks], q, kinks.size, _all_live)
             assert np.array_equal(got[0][0], want[0]) and got[1][0] == want[1]
     fgm = FGMCopula(0.6)
     xs, ys = np.repeat(GRID_33, 33), np.tile(GRID_33, 33)
     fb, support = products._make_integrand(fgm, FGMCurveFamily((-1.0, 3.0)), fgm, xs, ys)
-    assert support is None
+    # no coordinate is a cell: the support yields no cell conditionals
+    ts = np.linspace(0.0, 1.0, 5)
+    live, cells = support(ts, np.zeros(ts.size, dtype=np.intp))
+    assert cells == {} and live.all()
     q = QuadratureConfig()
     # theta is clipped from t = 2/3 on; without that breakpoint it refines
-    want = _work_list_integrate(fb, (), q, xs.size)
-    got = products._integrate_batch(fb, [()], q, xs.size)
+    want = _work_list_integrate(fb, (), q, xs.size, support)
+    got = products._integrate_batch(fb, [()], q, xs.size, support)
     assert np.array_equal(got[0][0], want[0]) and got[1][0] == want[1]
 
 
@@ -703,19 +712,15 @@ def test_constant_coordinate_evaluated_once_per_node(monkeypatch, quad_counter):
     assert quad_counter["nodes"] <= 0.55 * quad_counter["rule_nodes"]
 
 
-def _no_skip_segment_values(fbatch, segs, nodes, weights, chunk, width, support=None,
-                            groups=None):
+def _no_skip_segment_values(fbatch, segs, nodes, weights, chunk, width, support, groups):
     # reference: the weighted sum before segments outside a grouped
     # side's support were skipped and shared segments were evaluated
     # once; every node is evaluated, with its group's cell conditionals
-    # when several groups share the call
     n = len(nodes)
     a, b = segs[:, :1], segs[:, 1:]
     hw = 0.5 * (b - a)
     ts = hw * nodes + 0.5 * (a + b)
-    cells = {}
-    if groups is not None:
-        cells = {k: c.reshape(-1, 1) for k, c in support(ts, groups)[1].items()}
+    cells = {k: c.reshape(-1, 1) for k, c in support(ts, groups)[1].items()}
     step = -(-chunk // n)
     out = []
     for s in range(0, len(segs), step):
@@ -885,6 +890,44 @@ def test_several_groups_fail_as_the_first_alone(flip_shuffle):
     assert alone.value.interval[0] > got.value.interval[0]
 
 
+def test_distinct_rows_never_merge_unequal_rows(monkeypatch):
+    # every hash collides when the multipliers are 0: rows are then told
+    # apart by their bits alone, and only equal rows share an entry
+    monkeypatch.setattr(products, "_key_weights",
+                        lambda k: np.zeros(k, dtype=np.uint64))
+    a = np.asarray([0.5, 0.5, 0.25, 0.75, 0.75, 0.75])
+    b = np.asarray([1.0, 1.0, 2.0, 1.0, 1.0, 3.0])
+    rows = np.stack((a, b), axis=1)
+    first, inverse = products._distinct_rows((a, b), np.asarray([0, 1, 1, 2, 3, 3]))
+    assert rows[first][inverse].tobytes() == rows.tobytes()
+    # rows 4 and 5 share a but not b
+    assert inverse.tolist() == [0, 0, 1, 2, 2, 3]
+
+
+def test_distinct_rows_compare_bits(monkeypatch):
+    # +0.0 and -0.0 compare equal as floats, and NaNs unequal, but rows
+    # are compared as bits: signed zeros and NaN payloads stay apart and
+    # equal bits share an entry, here with every hash colliding
+    monkeypatch.setattr(products, "_key_weights",
+                        lambda k: np.zeros(k, dtype=np.uint64))
+    bits = np.asarray([0, 1 << 63, 1 << 63, 0x7FF8000000000000, 0x7FF8000000000001,
+                       0x7FF8000000000001], dtype=np.uint64)
+    col = bits.view(float)
+    first, inverse = products._distinct_rows((col,), np.arange(6))
+    assert inverse.tolist() == [0, 1, 1, 2, 3, 3]
+    assert col[first][inverse].tobytes() == col.tobytes()
+
+
+def test_distinct_rows_of_one_group_is_the_identity():
+    # the segments or pieces of one group are disjoint, so their rows
+    # are distinct; the helper returns at once, even for equal rows
+    col = np.asarray([0.5, 0.5, 0.25])
+    first, inverse = products._distinct_rows((col,), np.full(3, 7))
+    assert first.tolist() == inverse.tolist() == [0, 1, 2]
+    first, inverse = products._distinct_rows((col[:0],), np.zeros(0, dtype=np.intp))
+    assert len(first) == len(inverse) == 0
+
+
 def test_lattice_groups_share_one_run(quad_counter):
     # work-counter gate: a forced 33 x 33 product grouped by x is one
     # quadrature run, and its integrand is evaluated on at most 1/8 of
@@ -909,7 +952,7 @@ def test_nan_cell_conditional_stays_live():
     A, B = _NanBelowHalf(), FGMCopula(0.5)
     fb, support = products._make_integrand(A, None, B, np.asarray([0.3]), np.asarray([0.6]))
     ts = np.asarray([0.1, 0.4, 0.6, 0.9])
-    live, cells = support(ts)
+    live, cells = support(ts, np.zeros(ts.size, dtype=np.intp))
     assert live.tolist() == [True, True, False, False]
     assert sorted(cells) == ["r", "s"]
     with pytest.raises(NonConvergenceError):
