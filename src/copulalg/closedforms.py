@@ -39,20 +39,18 @@ class ShuffleStarProduct(Copula):
         self.S = S
         self.C = C
 
-    def _ends(self, u, i):
-        """(lo, hi) of piece i for the u-sections ``u``."""
-        S = self.S
-        c = np.clip(u - S._s0[i], 0.0, S._w[i])
-        if S._flip[i]:
-            return S._t1[i] - c, np.asarray(S._t1[i])
-        return np.asarray(S._t0[i]), S._t0[i] + c
+    def _ends(self, u):
+        """(lo, hi): piece i's t-interval for the u-sections ``u`` is
+        lo[i], hi[i], each in the shape of u (``ShuffleOfM._sections``)."""
+        _, lo, hi = self.S._sections(u)
+        shape = (-1, *np.shape(u))
+        return lo.T.reshape(shape), hi.T.reshape(shape)
 
     def _cdf(self, u, v):
         u, v = np.broadcast_arrays(np.asarray(u, float), np.asarray(v, float))
         out = np.zeros_like(u, dtype=float)
         inner = self.C._cdf
-        for i in range(self.S.n_pieces):
-            lo, hi = self._ends(u, i)
+        for lo, hi in zip(*self._ends(u)):
             out += inner(hi, v) - inner(lo, v)
         return np.clip(out, 0.0, 1.0)
 
@@ -60,8 +58,7 @@ class ShuffleStarProduct(Copula):
         u, v = np.asarray(u, float), np.asarray(v, float)
         out = np.zeros(np.broadcast_shapes(u.shape, v.shape))
         inner = self.C._d2
-        for i in range(self.S.n_pieces):
-            lo, hi = self._ends(u, i)
+        for lo, hi in zip(*self._ends(u)):
             out += inner(hi, v) - inner(lo, v)
         return out
 
@@ -70,11 +67,10 @@ class ShuffleStarProduct(Copula):
         S = self.S
         out = np.zeros(np.broadcast_shapes(u.shape, v.shape))
         at_one = u == 1.0
-        for i in range(S.n_pieces):
+        for i, (lo, hi) in enumerate(zip(*self._ends(u))):
             a = u - S._s0[i]
             w = S._w[i]
             inside = np.where(at_one, (a > 0.0) & (a <= w), (a >= 0.0) & (a < w))
-            lo, hi = self._ends(u, i)
             out += np.where(inside, self.C._d1(lo if S._flip[i] else hi, v), 0.0)
         return out
 

@@ -177,10 +177,20 @@ class Copula:
     or kink; ``d1_breakpoints(v)`` does the same for t -> partial1(t, v).
     Duplicates are allowed and the order is free: the quadrature sorts
     and merges them. An empty array means smooth conditionals.
+
+    Degree contract: ``conditional_degree`` is the degree in t of both
+    conditionals, t -> ``_d2(u, t)`` and t -> ``_d1(t, v)``, between
+    their hints, or None when it is not declared. 0 promises what the
+    float kernel does, not only the exact function: every t at which
+    the kernel's value changes lies within a few multiples of 2**-53
+    of a hint of that coordinate, so the kernel returns the same bits
+    at all t between two hints that are farther than that from both.
+    The quadrature then evaluates the conditional once per segment.
     """
 
     left_invertible = False
     right_invertible = False
+    conditional_degree = None
 
     def _cdf(self, u, v):
         raise NotImplementedError
@@ -255,6 +265,9 @@ class FrechetM(_Exchangeable):
 
     left_invertible = True
     right_invertible = True
+    # _d2 is the flag v < u, which changes exactly at the hint t = u, and
+    # takes its other branch only at v = 1, the end of the unit interval
+    conditional_degree = 0
 
     def _cdf(self, u, v):
         return np.minimum(u, v)
@@ -275,6 +288,10 @@ class FrechetW(_Exchangeable):
 
     left_invertible = True
     right_invertible = True
+    # _d2 is the flag fl(u + v) >= 1, which changes within 2**-53 of
+    # 1 - u, so within 2**-52 of the hint fl(1 - u), and takes its other
+    # branch only at v = 1
+    conditional_degree = 0
 
     def _cdf(self, u, v):
         return np.maximum(u + v - 1.0, 0.0)
@@ -292,6 +309,9 @@ class FrechetW(_Exchangeable):
 
 class ProductPi(_Exchangeable):
     """Independence copula Pi(u, v) = u v."""
+
+    # _d2 is a copy of u, whatever t is
+    conditional_degree = 0
 
     def _cdf(self, u, v):
         return u * v
@@ -346,6 +366,15 @@ class ShuffleOfM(Copula):
 
     left_invertible = True
     right_invertible = True
+    # each piece of _d2 adds a 0/1 flag, with c = a clipped into [0, w].
+    # Unflipped, of b = fl(t - t0): b >= 0 changes exactly at lo = t0 (a
+    # float difference has the sign of the exact one), b < w next to
+    # t1 = fl(t0 + w) and b < a next to hi = fl(t0 + c); b < a only counts
+    # for 0 <= b < w, so one of the two is the hint hi. Flipped, of
+    # d = fl(t1 - t): d > 0 changes exactly at hi = t1, d <= c next to
+    # lo = fl(t1 - c). The v = 1 branch is the end of the interval, and
+    # _d1 is the transpose's _d2, with the transpose's hints
+    conditional_degree = 0
 
     def __init__(self, cuts, sigma, flips=None):
         cuts = tuple(float(c) for c in cuts)
@@ -540,6 +569,10 @@ class GridCopula(Copula):
     1/N. Evaluation is the bilinear interpolant of the cumulative mass,
     which is exactly the checkerboard cdf.
     """
+
+    # both partials read t only through its cell index int(fl(t n)),
+    # which steps within an ulp of the hints fl(k / n)
+    conditional_degree = 0
 
     def __init__(self, mass):
         m = np.array(mass, dtype=float)
@@ -777,11 +810,11 @@ def _sinkhorn(m: np.ndarray, n: int) -> np.ndarray:
 
 def write_grid_csv(grid: GridCopula, path) -> None:
     """Serialize as 'N=<n>' followed by n comma-separated mass rows."""
-    lines = [f"N={grid.n}"]
-    for row in grid.mass:
-        lines.append(",".join(repr(float(x)) for x in row))
+    # one row of Python floats at a time, written as it is made
     with open(path, "w", encoding="ascii") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(f"N={grid.n}\n")
+        for row in grid.mass:
+            fh.write(",".join(map(repr, row.tolist())) + "\n")
 
 
 def read_grid_csv(path) -> GridCopula:
@@ -803,19 +836,18 @@ def read_grid_csv(path) -> GridCopula:
         raise FormatError(f"order must be positive, got {n}")
     if len(lines) - 1 != n:
         raise FormatError(f"expected {n} mass rows, found {len(lines) - 1}")
-    rows = []
-    for k, ln in enumerate(lines[1:], start=1):
+    m = np.empty((n, n))
+    for k, (ln, row) in enumerate(zip(lines[1:], m), start=1):
         parts = ln.split(",")
         if len(parts) != n:
             raise FormatError(f"row {k} has {len(parts)} entries, expected {n}")
         try:
-            vals = [float(p) for p in parts]
+            row[:] = list(map(float, parts))
         except ValueError:
             raise FormatError(f"row {k} contains a non-numeric entry") from None
-        if any(math.isnan(x) or x < 0.0 for x in vals):
+        # NaN fails the comparison too
+        if not (row >= 0.0).all():
             raise FormatError(f"row {k} contains a negative or NaN mass")
-        rows.append(vals)
-    m = np.array(rows)
     target = 1.0 / n
     err = max(
         np.abs(m.sum(axis=1) - target).max(),

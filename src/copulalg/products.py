@@ -48,11 +48,17 @@ integrates only where a grouped conditional is nonzero: every member
 C_t is grounded, C_t(0, y) = C_t(x, 0) = 0, so a rule segment on which
 it is 0 at every node adds exactly +-0 and is skipped. A segment that
 several groups share, with the same endpoints and the same grouped
-conditionals, is evaluated once. All of it keeps every bit (see
-``_segment_values``). None of it is a fast path: the family is still
-integrated wherever the grouped conditional is nonzero, so forced
-quadrature, and the identity suite with it, still exercises the
-quadrature.
+conditionals, is evaluated once. A grouped conditional that is a step
+function of t (``Copula.conditional_degree`` 0: M, W, Pi, shuffles and
+grids) is evaluated at one node per segment, in one call per level:
+its jumps lie next to hints, which are the group's edges, so it is
+constant on every segment but those of a piece where a chain of merges
+dropped a hint and those too narrow to keep their nodes off their
+ends, which are evaluated at every node. All of it keeps every bit (see
+``_segment_values``). None of it is a fast path: the
+family is still integrated wherever the grouped conditional is
+nonzero, so forced quadrature, and the identity suite with it, still
+exercises the quadrature.
 """
 
 from __future__ import annotations
@@ -106,6 +112,11 @@ FAST_PATHS = (
 
 # memory cap for one integrand evaluation batch (elements, not bytes)
 _CHUNK_ELEMENTS = 1 << 21
+
+# how far from a segment's ends its rule nodes must lie for a step-function
+# conditional to be evaluated once on it: far above the few multiples of
+# 2**-53 by which a degree-0 kernel's jumps may miss its hints
+_SLACK = 2.0 ** -45
 
 # numpy gives every broadcast operand of a ufunc call a scratch buffer
 # of its buffer size (8192 elements by default) or of the whole call if
@@ -198,17 +209,58 @@ def _gl(n: int):
 
 
 def _initial_edges(breakpoints, q: QuadratureConfig):
+    """(edges, owner, merged) of the groups whose breakpoints are given,
+    one array per group.
+
+    ``edges`` holds every group's initial edges, by group and then
+    increasing, and ``owner`` the group of each edge. A group's edges
+    are the ``base_subintervals`` uniform points, the extra breakpoints
+    and its own that lie in (0, 1) (NaN and the infinities do not),
+    each value once, less every value within 1e-14 of the distinct
+    value before it, so that no piece degenerates; its first and last
+    edges are then set to 0 and 1. ``merged[i]`` is True when the piece
+    that starts at edge i holds a value dropped that way more than
+    ``_SLACK`` / 2 above the last edge kept before it, which only a
+    chain of merges can do; a value closer than that to an edge is as
+    good as the edge to ``_segment_values``.
+
+    All groups are sorted in one pass; each group's edges have the bits
+    of the same steps run on that group alone.
+    """
     base = np.arange(q.base_subintervals + 1) / q.base_subintervals
-    extra = np.concatenate((q.extra_breakpoints, breakpoints), axis=None)
+    extra = np.asarray(q.extra_breakpoints, dtype=float)
+    own = np.concatenate(breakpoints, axis=None, dtype=float)
+    sizes = [np.size(bp) for bp in breakpoints]
+    k = len(sizes)
+    shared = np.concatenate((base, extra[(0.0 < extra) & (extra < 1.0)]))
     # NaN and the infinities fail both comparisons
-    extra = extra[(0.0 < extra) & (extra < 1.0)]
-    e = np.unique(np.concatenate((base, extra)))
-    # merge nearly coincident cut points so no subinterval degenerates
-    keep = np.concatenate(([True], np.diff(e) > 1e-14))
-    e = e[keep]
-    e[0] = 0.0
-    e[-1] = 1.0
-    return e
+    inside = (0.0 < own) & (own < 1.0)
+    values = np.concatenate((np.tile(shared, k), own[inside]))
+    owner = np.concatenate((np.repeat(np.arange(k), shared.size),
+                            np.repeat(np.arange(k), sizes)[inside]))
+    order = np.lexsort((values, owner))
+    values, owner = values[order], owner[order]
+    first = np.ones(values.size, dtype=bool)
+    first[1:] = owner[1:] != owner[:-1]
+    gap = np.diff(values, prepend=values[:1])
+    # an equal value has gap 0, so the next one is measured against the
+    # distinct value before it
+    keep = first | (gap > 1e-14)
+    edges, owner = values[keep], owner[keep]
+    # each value's edge: the last one kept at or before it
+    kept = np.cumsum(keep) - 1
+    above = values - edges[kept]
+    last = np.ones(edges.size, dtype=bool)
+    last[:-1] = owner[1:] != owner[:-1]
+    edges[first[keep]] = 0.0
+    edges[last] = 1.0
+    # a value dropped far above its edge lies in the piece from that
+    # edge, or in the last piece when that edge was reset to 1
+    at = kept[above > 0.5 * _SLACK]
+    at -= last[at]
+    merged = np.zeros(edges.size, dtype=bool)
+    merged[at] = True
+    return edges, owner, merged
 
 
 @lru_cache(maxsize=8)
@@ -258,35 +310,50 @@ def _nodes_of(segs, nodes):
     return hw * nodes + 0.5 * (a + b), hw
 
 
-def _live_segments(support, segs, nodes, groups, step):
+def _live_segments(support, segs, nodes, groups, whole):
     """(rows, index, cells): the segments to evaluate, the map of every
     segment to 0 (dead) or 1 + the position in ``rows`` of the segment
     whose values it takes, and the cell conditionals of ``rows`` as
     (nodes, 1) columns.
 
-    ``support`` runs on slices of ``step`` segments, to bound its
-    temporaries. ``rows`` holds one live segment per distinct key: its
-    endpoints and cell conditionals (``_distinct_rows``). Nothing else
+    ``support`` runs on slices of up to ``_CHUNK_ELEMENTS`` nodes, one
+    per level as a rule, since its arrays have no width axis. It may
+    evaluate a step-function side once on a segment that lies in no
+    ``whole`` piece and whose outermost nodes, (1 + nodes[0]) / 2 of its
+    width from its ends, are more than ``_SLACK`` from them. ``rows``
+    holds one live segment per distinct key: its endpoints and cell
+    conditionals (``_distinct_rows``), a side given once per segment by
+    that one value, as its equal node values would key it. Nothing else
     moves the integrand, since the call shares the other coordinate's
     row.
     """
     n = len(nodes)
-    kept, keys, names = [], [], ()
+    step = -(-_CHUNK_ELEMENTS // n)
+    once = ~whole & ((segs[:, 1] - segs[:, 0]) * (0.5 + 0.5 * nodes[0]) > _SLACK)
+    # a side is keyed by one column, its value, only when every segment
+    # of the level is evaluated once, so that all slices agree
+    wide = not once.all()
+    kept, keys, widths = [], [], {}
     for s in range(0, len(segs), step):
         seg = segs[s : s + step]
-        live, cells = support(_nodes_of(seg, nodes)[0], groups[s : s + step])
+        live, cells = support(seg, nodes, groups[s : s + step], once[s : s + step])
+        if wide:
+            cells = {k: np.broadcast_to(c, (len(seg), n)) for k, c in cells.items()}
         rows = np.flatnonzero(live.any(axis=1))
-        names = tuple(cells)
+        widths = {k: c.shape[1] for k, c in cells.items()}
         kept.append(rows + s)
-        keys.append(np.concatenate([seg[rows]] + [cells[k][rows] for k in names], axis=1))
+        keys.append(np.concatenate([seg[rows]] + [c[rows] for c in cells.values()], axis=1))
     kept = np.concatenate(kept)
     keys = np.concatenate(keys)
     first, inverse = _distinct_rows(keys.T, groups[kept])
     index = np.zeros(len(segs), dtype=np.intp)
     index[kept] = inverse + 1
     kept, keys = kept[first], keys[first]
-    cells = {k: keys[:, 2 + i * n : 2 + (i + 1) * n].reshape(-1, 1)
-             for i, k in enumerate(names)}
+    cells, at = {}, 2
+    for k, w in widths.items():
+        # a new array: the integrand may multiply into it
+        cells[k] = np.repeat(keys[:, at : at + w], n // w, axis=1).reshape(-1, 1)
+        at += w
     return kept, index, cells
 
 
@@ -301,14 +368,15 @@ def _weighted_sum(fv, weights, out):
         out += np.multiply(weights[j], fv[:, j], out=term)
 
 
-def _segment_values(fbatch, segs, nodes, weights, chunk, width, support, groups):
+def _segment_values(fbatch, segs, nodes, weights, chunk, width, support, groups, whole):
     """Gauss-Legendre value of fbatch over each (a, b) row of ``segs``.
 
     Returns (values, index): segment i has the (width,) values
     ``values[index[i]]``, and ``values[0]`` is +0.0. Segments are
     evaluated in order but batched into single fbatch calls of at most
     ``chunk`` nodes, rounded up to whole segments, and at most the
-    largest group's segments, to bound memory.
+    largest group's segments, to bound memory. ``whole`` marks the
+    segments of pieces that hold a merged cut (``_initial_edges``).
 
     The weighted sum runs node by node, j = 0 .. n-1, as elementwise
     array arithmetic: no BLAS and no SIMD reduction, whose summation
@@ -318,15 +386,34 @@ def _segment_values(fbatch, segs, nodes, weights, chunk, width, support, groups)
     term is written into one scratch array per chunk, reused for every
     j, and added into the accumulator in place.
 
-    ``support`` evaluates the cell sides once per rule node: it maps the
-    nodes, one row of n per segment, and ``groups``, the group of each
-    row, to a boolean array, False where a cell conditional is exactly
-    0, and a dict of the cell conditionals, which fbatch takes as
-    keyword arguments. Segments whose nodes are all dead lie outside a
-    cell side's support and are skipped: every member C_t is grounded,
-    so the integrand is exactly +-0 on them. Adding +-0 never moves a
-    nonzero sum, and the differences taken for the error estimate have
-    the same magnitudes, so every value and estimate keeps its bits.
+    ``support`` evaluates the cell sides once per rule node, or once
+    per segment for a step-function side (``_make_integrand``): it
+    maps the segments, their ``groups`` and which of them may be
+    evaluated once to a boolean array, False where a cell conditional
+    is exactly 0, and a dict of the cell conditionals, which fbatch
+    takes as keyword arguments. Segments whose nodes are all dead lie
+    outside a cell side's support and are skipped: every member C_t is
+    grounded, so the integrand is exactly +-0 on them. Adding +-0 never
+    moves a nonzero sum, and the differences taken for the error
+    estimate have the same magnitudes, so every value and estimate
+    keeps its bits.
+
+    A step-function side evaluated once on a segment has the bits it
+    has at every node. Its kernel's value changes only within a few
+    multiples of 2**-53 of a hint (the degree contract in
+    ``copulas.Copula``). Every cell side's hints are among its group's
+    breakpoints, in both branches of ``_product_points_eval``, so each
+    is an initial edge of the group, or the 1e-14 merge dropped it
+    inside a piece. A node lies (1 + nodes[0]) / 2 of its segment's
+    width or more from the segment's ends, and a segment too narrow for
+    that to exceed ``_SLACK`` is evaluated at every node. A jump next
+    to an edge, or next to a hint dropped within ``_SLACK`` / 2 of the
+    edge it merged into, lies within ``_SLACK`` of the end of any
+    segment that holds it, so before or after all of its nodes. A
+    chain of merges can drop a hint farther from its edge; that piece,
+    and every piece bisected from it, is ``whole`` and evaluated at
+    every node. So no jump lies between two nodes of a segment
+    evaluated once.
 
     fbatch runs only on the distinct live segments
     (``_live_segments``), whose values every segment with the same key
@@ -336,7 +423,7 @@ def _segment_values(fbatch, segs, nodes, weights, chunk, width, support, groups)
     n = len(nodes)
     # no call takes more nodes than the largest group's share
     step = min(-(-chunk // n), np.bincount(groups).max())
-    rows, index, cells = _live_segments(support, segs, nodes, groups, step)
+    rows, index, cells = _live_segments(support, segs, nodes, groups, whole)
     ts, hw = _nodes_of(segs[rows], nodes)
     vals = np.empty((len(ts) + 1, width))
     vals[0] = 0.0
@@ -363,23 +450,25 @@ def _integrate_batch(fbatch, breakpoints, q: QuadratureConfig, width: int, suppo
     This is the one adaptive loop. Its work list holds (group, piece)
     pairs, and each level is one array of them, by group and then left
     to right. Each group starts from its own edges with its own share
-    of the tolerance. A piece is accepted when the max-norm gap between
-    its n-point rule and the sum of its two halves is within its share
-    of its group's tolerance; the rest are bisected into the next
-    level. Pieces hold indices into their segments' values, and pieces
-    with the same three rows share one sum and one gap. Each group's
-    accepted values are added left to right in the order of their left
-    ends. So every group gets the bits it gets alone, and a failure
-    names the leftmost failing piece of the first failing group.
+    of the tolerance, and each piece passes its group and whether it
+    holds a merged cut (``whole``) on to its halves. A piece is
+    accepted when the max-norm gap between its n-point rule and the sum
+    of its two halves is within its share of its group's tolerance; the
+    rest are bisected into the next level. Pieces hold indices into
+    their segments' values, and pieces with the same three rows share
+    one sum and one gap. Each group's accepted values are added left to
+    right in the order of their left ends. So every group gets the bits
+    it gets alone, and a failure names the leftmost failing piece of
+    the first failing group.
     """
     nodes, weights = _gl(q.nodes_per_subinterval)
-    edges = [_initial_edges(bp, q) for bp in breakpoints]
-    pieces = np.asarray([len(e) - 1 for e in edges])
-    tol0 = q.adaptive_tol / pieces
+    k = len(breakpoints)
+    edges, owner, merged = _initial_edges(breakpoints, q)
+    inner = owner[1:] == owner[:-1]
+    a, b = edges[:-1][inner], edges[1:][inner]
+    group, whole = owner[:-1][inner], merged[:-1][inner]
+    tol0 = q.adaptive_tol / np.bincount(group, minlength=k)
     chunk = max(3 * len(nodes), _CHUNK_ELEMENTS // max(width, 1))
-    group = np.repeat(np.arange(len(edges)), pieces)
-    a = np.concatenate([e[:-1] for e in edges])
-    b = np.concatenate([e[1:] for e in edges])
     coarse = None  # n-point rule on each [a, b] as (values, index), made with level 0
     owners, starts, errs, refs, fines = [], [], [], [], []
     made = depth = 0
@@ -392,7 +481,7 @@ def _integrate_batch(fbatch, breakpoints, q: QuadratureConfig, width: int, suppo
         segs = np.stack((np.stack(lo, axis=1), np.stack(hi, axis=1)), axis=-1)
         vals, index = _segment_values(
             fbatch, segs.reshape(-1, 2), nodes, weights, chunk, width, support,
-            np.repeat(group, len(lo)),
+            np.repeat(group, len(lo)), np.repeat(whole, len(lo)),
         )
         index = index.reshape(a.size, len(lo))
         if coarse is None:
@@ -416,6 +505,7 @@ def _integrate_batch(fbatch, breakpoints, q: QuadratureConfig, width: int, suppo
             raise NonConvergenceError((float(a[i]), float(b[i])), float(err[i]),
                                       float(tol[i]))
         group = np.repeat(group[bad], 2)
+        whole = np.repeat(whole[bad], 2)
         a = np.stack((a[bad], mid[bad]), axis=1).reshape(-1)
         b = np.stack((mid[bad], b[bad]), axis=1).reshape(-1)
         coarse = vals, np.stack((left[bad], right[bad]), axis=1).reshape(-1)
@@ -425,14 +515,14 @@ def _integrate_batch(fbatch, breakpoints, q: QuadratureConfig, width: int, suppo
     refs = np.concatenate(refs)[order]
     errs = np.concatenate(errs)[order]
     fines = np.concatenate(fines)
-    bounds = np.searchsorted(owners[order], np.arange(len(edges) + 1))
-    totals = np.empty((len(edges), width))
-    err_sums = np.empty(len(edges))
-    for k in range(len(edges)):
-        run = slice(bounds[k], bounds[k + 1])
+    bounds = np.searchsorted(owners[order], np.arange(k + 1))
+    totals = np.empty((k, width))
+    err_sums = np.empty(k)
+    for g in range(k):
+        run = slice(bounds[g], bounds[g + 1])
         # add.accumulate runs strictly in order; + 0.0 matches a sum from zero
-        totals[k] = np.add.accumulate(fines[refs[run]], axis=0)[-1] + 0.0
-        err_sums[k] = np.add.accumulate(errs[run])[-1] + 0.0
+        totals[g] = np.add.accumulate(fines[refs[run]], axis=0)[-1] + 0.0
+        err_sums[g] = np.add.accumulate(errs[run])[-1] + 0.0
     return totals, err_sums
 
 
@@ -443,8 +533,8 @@ def integrate(f, breakpoints=(), q: QuadratureConfig | None = None):
     def fbatch(ts):
         return np.asarray([float(f(t)) for t in ts]).reshape(-1, 1)
 
-    def support(ts, groups):
-        return np.ones(ts.shape, dtype=bool), {}
+    def support(segs, nodes, groups, once):
+        return np.ones((len(segs), 1), dtype=bool), {}
 
     totals, errs = _integrate_batch(fbatch, [breakpoints], qq, 1, support)
     return float(totals[0, 0]), float(errs[0])
@@ -471,15 +561,22 @@ def _make_integrand(A: Copula, family, B: Copula, xs, ys):
     fbatch(ts, s=None, r=None) is the integrand at nodes ts, (k, width).
     A coordinate constant within a group, a column or a row whose values
     share their bits, is a cell: its side's conditional is evaluated
-    once per node and broadcast only in the result. support(ts, groups)
-    takes nodes, flat or a row of n per segment, and each row's group;
-    it returns the nodes where no cell side's clipped conditional is 0
-    (NaN stays live), and those conditionals, s on the left and r on
-    the right, in the shape of ts; with no cell side, every node is
-    live and the dict is empty. fbatch takes them back as (k, 1)
-    columns instead of evaluating them again. fbatch caps numpy's ufunc
-    buffers (``_integrand_bufsize``), so a call on few live nodes holds
-    about one (k, width) array; buffering changes no arithmetic.
+    once per node, or once per segment, and broadcast only in the
+    result. support(segs, nodes, groups, once) takes (m, 2) segments,
+    the rule nodes on [-1, 1], each segment's group and whether it may
+    be evaluated once. It returns where no cell side's clipped
+    conditional is 0 (NaN stays live), and those conditionals, s on the
+    left and r on the right, as (m, n) arrays, one column per node;
+    with no cell side, every node is live and the dict is empty. A side
+    whose factor declares ``conditional_degree`` 0 is a step function
+    of t: its kernel runs at the first node of every segment, in one
+    call, and again at every node of the segments not ``once``, with
+    the same clip; when there are none, its array, and the live mask,
+    is (m, 1) (``_segment_values`` states why this keeps the bits).
+    fbatch takes the conditionals back as (k, 1) columns instead of
+    evaluating them again. fbatch caps numpy's ufunc buffers
+    (``_integrand_bufsize``), so a call on few live nodes holds about
+    one (k, width) array; buffering changes no arithmetic.
     """
     width = np.broadcast_shapes(np.shape(xs), np.shape(ys))[-1]
     X, Y = _side(xs), _side(ys)
@@ -509,18 +606,26 @@ def _make_integrand(A: Copula, family, B: Copula, xs, ys):
             np.setbufsize(bufsize)
         return np.broadcast_to(out, full)
 
-    sides = [(k, f, Z) for k, f, Z in (("s", left, X), ("r", right, Y)) if Z.shape[1] == 1]
+    sides = [(k, f, Z, C.conditional_degree == 0)
+             for k, f, Z, C in (("s", left, X, A), ("r", right, Y, B)) if Z.shape[1] == 1]
 
-    def support(ts, groups):
-        T = ts.reshape(len(ts), -1)
-        cells = {}
-        live = np.ones(T.shape, dtype=bool)
-        for k, f, Z in sides:
+    def support(segs, nodes, groups, once):
+        live, cells, ts = np.ones((len(segs), 1), dtype=bool), {}, None
+        for k, f, Z, steps in sides:
             # a side of one row holds every group's value, a column one per group
-            c = f(T, Z if len(Z) == 1 else Z[groups])
-            live &= c != 0.0
+            Z = Z if len(Z) == 1 else Z[groups]
+            if steps:
+                c = f(_nodes_of(segs, nodes[:1])[0], Z)
+                rest = ~once
+                if rest.any():
+                    c = np.repeat(c, len(nodes), axis=1)
+                    c[rest] = f(_nodes_of(segs[rest], nodes)[0], Z if len(Z) == 1 else Z[rest])
+            else:
+                ts = _nodes_of(segs, nodes)[0] if ts is None else ts
+                c = f(ts, Z)
+            live = live & (c != 0.0)
             cells[k] = c
-        return live.reshape(ts.shape), cells
+        return live, cells
 
     return fbatch, support
 
@@ -535,8 +640,10 @@ def _product_points_eval(A, family, B, xs, ys, q):
     for the group's coordinates, the shared one asked for once. The
     groups whose other coordinates form the same row, bit for bit,
     are integrated in one ``_integrate_batch`` call, in key order: on a
-    lattice that is every group. Returns (values, worst per-point
-    error estimate).
+    lattice that is every group. Either way a group's breakpoints hold
+    the hints of both sides at every coordinate they take in the group,
+    so every cell side's hints are among them, as ``_segment_values``
+    requires. Returns (values, worst per-point error estimate).
     """
     m = xs.size
     out = np.empty(m)

@@ -223,8 +223,9 @@ def test_breakpoints_are_flat_arrays_over_coordinates():
 
 
 def test_initial_edges_match_tuple_path():
-    # the edges of one group from array hints are bit-identical to the
-    # edges from the concatenated per-point tuples
+    # the edges of each group from array hints, all groups of a factor
+    # pair in one call, are bit-identical to the edges from the
+    # concatenated per-point tuples of that group alone
     corpus = _hint_corpus()
     ys = np.arange(9) / 8
     fam_breaks = (0.25, 0.5)
@@ -232,16 +233,79 @@ def test_initial_edges_match_tuple_path():
                                                    extra_breakpoints=(0.3, 0.9))):
         for A in corpus:
             for B in corpus[::3]:
+                arrays, tuples = [], []
                 for x in (0.2, 0.5):
                     xs = np.full(ys.size, x)
-                    arrays = np.concatenate(
+                    arrays.append(np.concatenate(
                         (fam_breaks, A.d2_breakpoints(xs), B.d1_breakpoints(ys))
-                    )
-                    tuples = fam_breaks + _point_breakpoints(A, 2, x)
+                    ))
+                    t = fam_breaks + _point_breakpoints(A, 2, x)
                     for y in ys:
-                        tuples += _point_breakpoints(B, 1, float(y))
-                    got = products._initial_edges(arrays, q)
-                    assert got.tobytes() == _tuple_path_edges(tuples, q).tobytes()
+                        t += _point_breakpoints(B, 1, float(y))
+                    tuples.append(t)
+                edges, owner, _ = products._initial_edges(arrays, q)
+                for g, t in enumerate(tuples):
+                    got = edges[owner == g]
+                    assert got.tobytes() == _tuple_path_edges(t, q).tobytes()
+
+
+def _one_group_edges(breakpoints, q):
+    """Reference: one group's initial edges, as they were built group
+    by group, and for each piece whether one of the group's cut points
+    was dropped into it more than _SLACK / 2 above the last edge before
+    it, as it was before the first and last edges were reset."""
+    base = np.arange(q.base_subintervals + 1) / q.base_subintervals
+    extra = np.concatenate((q.extra_breakpoints, breakpoints), axis=None)
+    extra = extra[(0.0 < extra) & (extra < 1.0)]
+    cuts = np.concatenate((base, extra))
+    e = np.unique(cuts)
+    e = e[np.concatenate(([True], np.diff(e) > 1e-14))]
+    held = [False] * (len(e) - 1)
+    for c in cuts:
+        k = int(np.searchsorted(e, c, side="right")) - 1
+        if c - e[k] > products._SLACK / 2:
+            held[min(k, len(e) - 2)] = True
+    e[0] = 0.0
+    e[-1] = 1.0
+    return e, held
+
+
+def test_batched_edges_match_the_per_group_reference():
+    # all groups sorted in one pass give each group the edges it gets
+    # alone, bit for bit, and flag exactly the pieces that hold a value
+    # the 1e-14 merge dropped more than _SLACK / 2 above its edge: chains,
+    # values next to 0, 1 and base cuts, duplicates, NaN, the infinities
+    # and values outside (0, 1)
+    tiny = 0.9e-14
+    groups = [
+        (),
+        (0.25 + tiny, 0.25 + 2 * tiny, 0.25 + 3 * tiny, 0.7, 0.7, 0.7 + 5e-15),
+        (np.nan, np.inf, -np.inf, -0.5, 1.5, 0.0, 1.0, -0.0, 0.3),
+        (3e-15, 1.0 - 3e-15, 0.5 - 5e-15, 0.5 + 2e-14, 0.5 + 2.5e-14),
+        np.asarray([0.1 + 0.2, 0.3, 0.3, 0.6 - 1e-15, 0.6 + 1e-15, 0.6]),
+        (0.125 - tiny, 0.125, 0.125 + tiny, 0.125 + 2 * tiny),
+        (1.0 - 1e-15, 1.0 - 2e-15),
+        (1.0 - 3 * tiny, 1.0 - 2 * tiny, 1.0 - tiny),
+        np.random.default_rng(3).uniform(size=200),
+    ]
+    for q in (QuadratureConfig(), QuadratureConfig(base_subintervals=1),
+              QuadratureConfig(base_subintervals=5,
+                               extra_breakpoints=(0.2 + 5e-15, np.nan, 0.9, 2.0))):
+        edges, owner, merged = products._initial_edges(groups, q)
+        assert edges.dtype == np.float64
+        assert np.array_equal(owner, np.sort(owner, kind="stable"))
+        flagged = 0
+        for g, bp in enumerate(groups):
+            want, held = _one_group_edges(bp, q)
+            mine = owner == g
+            assert edges[mine].tobytes() == want.tobytes(), (q, g)
+            assert merged[mine].tolist() == held + [False], (q, g)
+            flagged += sum(held)
+        assert flagged >= 3
+    # one group alone gives its part of the batch
+    for g, bp in enumerate(groups):
+        edges, _, _ = products._initial_edges([bp], QuadratureConfig())
+        assert edges.tobytes() == _one_group_edges(bp, QuadratureConfig())[0].tobytes()
 
 
 def test_group_hints_its_shared_coordinate_once(monkeypatch):
@@ -264,8 +328,8 @@ def test_group_hints_its_shared_coordinate_once(monkeypatch):
     assert hints.size == S.d2_breakpoints(0.3).size == 2 * S.n_pieces
     every_point = np.concatenate((S.d2_breakpoints(xs), B.d1_breakpoints(GRID_33)))
     assert every_point.size == 33 * hints.size
-    want = products._initial_edges(every_point, q)
-    assert products._initial_edges(hints, q).tobytes() == want.tobytes()
+    want = products._initial_edges([every_point], q)[0]
+    assert products._initial_edges([hints], q)[0].tobytes() == want.tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -583,15 +647,15 @@ def test_quadrature_bits_do_not_depend_on_batch(monkeypatch):
     assert value_in_batch([0.7], 0) == alone
 
 
-def _all_live(ts, groups):
+def _all_live(segs, nodes, groups, once):
     # the support of an integrand without cell sides: every node is live
-    return np.ones(ts.shape, dtype=bool), {}
+    return np.ones((len(segs), 1), dtype=bool), {}
 
 
 def _work_list_integrate(fbatch, breakpoints, q, width, support):
     # reference: the adaptive loop one segment at a time, as a work list
     nodes, weights = products._gl(q.nodes_per_subinterval)
-    edges = products._initial_edges(breakpoints, q)
+    edges = products._initial_edges([breakpoints], q)[0]
     tol0 = q.adaptive_tol / (len(edges) - 1)
     chunk = max(3 * len(nodes), products._CHUNK_ELEMENTS // max(width, 1))
     work = [(float(a), float(b), 0, None) for a, b in zip(edges[:-1], edges[1:])]
@@ -605,7 +669,7 @@ def _work_list_integrate(fbatch, breakpoints, q, width, support):
             segs += [(a, mid), (mid, b)]
         vals, index = products._segment_values(
             fbatch, np.asarray(segs), nodes, weights, chunk, width, support,
-            np.zeros(len(segs), dtype=np.intp),
+            np.zeros(len(segs), dtype=np.intp), np.ones(len(segs), dtype=bool),
         )
         vals = vals[index]
         pos, nxt = 0, []
@@ -652,8 +716,9 @@ def test_level_loop_matches_work_list_reference():
     xs, ys = np.repeat(GRID_33, 33), np.tile(GRID_33, 33)
     fb, support = products._make_integrand(fgm, FGMCurveFamily((-1.0, 3.0)), fgm, xs, ys)
     # no coordinate is a cell: the support yields no cell conditionals
-    ts = np.linspace(0.0, 1.0, 5)
-    live, cells = support(ts, np.zeros(ts.size, dtype=np.intp))
+    segs = np.asarray([[0.0, 0.5], [0.5, 1.0]])
+    live, cells = support(segs, products._gl(16)[0], np.zeros(2, dtype=np.intp),
+                          np.ones(2, dtype=bool))
     assert cells == {} and live.all()
     q = QuadratureConfig()
     # theta is clipped from t = 2/3 on; without that breakpoint it refines
@@ -688,8 +753,9 @@ def test_grouped_points_bits_match_alone(flip_shuffle):
 
 def test_constant_coordinate_evaluated_once_per_node(monkeypatch, quad_counter):
     # work-counter gates: the lattice's x-groups share one quadrature
-    # call; the left conditional is evaluated once per node the rule
-    # places, not once per node and point, and the integrand does not
+    # call; the left conditional, a step function of t, is evaluated once
+    # per segment the rule places, not once per node and point (no hint
+    # merges and no segment is narrow here), and the integrand does not
     # evaluate it again; M's conditional is 0 for t >= x, so about half
     # of the nodes lie on skipped segments, and the groups share most of
     # the others
@@ -708,19 +774,22 @@ def test_constant_coordinate_evaluated_once_per_node(monkeypatch, quad_counter):
     assert quad_counter["calls"] == 1
     assert quad_counter["nodes"] > 0
     assert quad_counter["elements"] == 33 * quad_counter["nodes"]
-    assert d2_elements == quad_counter["rule_nodes"]
+    assert d2_elements * 16 == quad_counter["rule_nodes"]
     assert quad_counter["nodes"] <= 0.55 * quad_counter["rule_nodes"]
 
 
-def _no_skip_segment_values(fbatch, segs, nodes, weights, chunk, width, support, groups):
+def _no_skip_segment_values(fbatch, segs, nodes, weights, chunk, width, support, groups,
+                            whole):
     # reference: the weighted sum before segments outside a grouped
-    # side's support were skipped and shared segments were evaluated
-    # once; every node is evaluated, with its group's cell conditionals
+    # side's support were skipped, shared segments were evaluated once
+    # and step-function sides once per segment; every node is evaluated,
+    # with its group's cell conditionals at that node
     n = len(nodes)
     a, b = segs[:, :1], segs[:, 1:]
     hw = 0.5 * (b - a)
     ts = hw * nodes + 0.5 * (a + b)
-    cells = {k: c.reshape(-1, 1) for k, c in support(ts, groups)[1].items()}
+    every = np.zeros(len(segs), dtype=bool)
+    cells = {k: c.reshape(-1, 1) for k, c in support(segs, nodes, groups, every)[1].items()}
     step = -(-chunk // n)
     out = []
     for s in range(0, len(segs), step):
@@ -784,6 +853,112 @@ def test_skipping_dead_segments_keeps_the_bits(monkeypatch, flip_shuffle):
                 assert got == want, (F, A, B, np.size(u))
                 runs += len(got[1])
     assert runs == 7 * 4 * (1 + 1 + 1)
+
+
+def _step_side_products(flip_shuffle):
+    """Forced products whose grouped side is a step function of t, each
+    with a grouped coordinate x whose hint h ends a chain of cuts 0.9e-14
+    apart, which the 1e-14 merge drops inside a piece 1e-11 wide, or
+    lies between pieces 1e-12 and 1.05e-14 wide."""
+    tiny = 0.9e-14
+    fgm = FGMCopula(0.7)
+    g8 = grid_from_copula(FGMCopula(0.6), 8)
+    # (side, x, the base cut e that starts its chain): M's hint is x, W's
+    # fl(1 - x), a shuffle's hi = fl(t0 + x - s0), a grid's i / 8
+    sides = ((M, 0.25 + 9 * tiny, 0.25), (M, 0.75 + 3e-15, 0.75),
+             (W, 0.75 - 9 * tiny, 0.25), (W, 0.1 + 0.2, 0.6875),
+             (flip_shuffle, 0.7 + 0.03125 + 9 * tiny, 0.53125),
+             (flip_shuffle, 0.3, 0.375), (StraightShuffle(0.3), 0.5 + 9 * tiny, 0.5),
+             (g8, 0.4, 0.375))
+    cases = []
+    for C, x, e in sides:
+        h = C.d2_breakpoints(x)
+        h = h[np.argmin(np.abs(h - e))]
+        chain = tuple(e + k * tiny for k in range(1, 9)) + (e + 1e-11,)
+        narrow = (h - 1e-12, h - 1.05e-14, h + 1.05e-14, h + 1e-12)
+        xs = np.asarray([x, np.nextafter(x, 0.0), np.nextafter(x, 1.0), 0.5,
+                         0.125 + 3e-15, 0.625 + 3e-15])
+        ys = np.linspace(0.0, 1.0, 5)
+        for cuts in (chain, narrow):
+            q = QuadratureConfig(extra_breakpoints=cuts)
+            for F in (None, ConstantFamily(FGMCopula(-1.0))):
+                for A, B, u, v in ((C, fgm, xs[:, None], ys[None, :]),
+                                   (fgm, C.transpose(), ys[:, None], xs[None, :])):
+                    prod = (star(A, B, q, fast_paths=False) if F is None
+                            else star_c(A, F, B, q, fast_paths=False)).copula
+                    cases.append((prod, u, v))
+                    # one point
+                    cases.append((prod, u.reshape(-1)[:1], v.reshape(-1)[:1]))
+    return cases
+
+
+def test_step_sides_once_per_segment_keep_the_bits(monkeypatch, flip_shuffle):
+    # a grouped step-function side is evaluated once per segment where
+    # that is exact, and at every node in pieces that hold a merged hint
+    # and in segments too narrow to keep their nodes off a hint: values
+    # and error sums have the bits of evaluating it at every node, on
+    # merged hint chains, narrow pieces and rounding-sensitive W hints
+    # (test_skipping_dead_segments_keeps_the_bits compares the
+    # dead-segment corpus with the same reference); some segments of
+    # these runs take each path
+    live_segments = products._live_segments
+    paths = {"once": 0, "every node": 0}
+
+    def recording(support, segs, nodes, groups, whole):
+        def seen(seg, nodes, groups, once):
+            paths["once"] += int(once.sum())
+            paths["every node"] += int((~once).sum())
+            return support(seg, nodes, groups, once)
+        return live_segments(seen, segs, nodes, groups, whole)
+
+    monkeypatch.setattr(products, "_live_segments", recording)
+    cases = _step_side_products(flip_shuffle)
+    # also in support slices of 7 segments, which key a side alike
+    # whether or not a slice holds a segment evaluated at every node
+    for chunk, batch in ((products._CHUNK_ELEMENTS, cases), (16 * 7, cases[::6])):
+        monkeypatch.setattr(products, "_CHUNK_ELEMENTS", chunk)
+        for prod, u, v in batch:
+            want = _raw_integrations(monkeypatch, prod, u, v, _no_skip_segment_values)
+            got = _raw_integrations(monkeypatch, prod, u, v, products._segment_values)
+            assert got == want, (prod, np.size(u), np.size(v), chunk)
+    assert paths["once"] > 0 and paths["every node"] > 0
+
+
+def test_step_side_costs_one_kernel_element_per_segment(monkeypatch, flip_shuffle):
+    # work-counter gate: on the forced shuffle * fgm 33 x 33 lattice the
+    # support evaluates the shuffle's conditional at one node of each
+    # segment, and at every node of the few segments that must be
+    # evaluated whole: one support call per level, at most 1/8 of the
+    # rule's nodes in all
+    S = ShuffleOfM(flip_shuffle.cuts, flip_shuffle.sigma, flip_shuffle.flips)
+    elements = []
+    d2 = S._d2
+
+    def counting_d2(u, v):
+        elements.append(np.broadcast(u, v).size)
+        return d2(u, v)
+
+    monkeypatch.setattr(S, "_d2", counting_d2)
+    live_segments = products._live_segments
+    counts = {"levels": 0, "support calls": 0, "segments": 0, "whole": 0, "rule_nodes": 0}
+
+    def recording(support, segs, nodes, groups, whole):
+        def seen(seg, nodes, groups, once):
+            counts["support calls"] += 1
+            counts["segments"] += len(seg)
+            counts["whole"] += int((~once).sum())
+            counts["rule_nodes"] += len(seg) * len(nodes)
+            return support(seg, nodes, groups, once)
+        counts["levels"] += 1
+        return live_segments(seen, segs, nodes, groups, whole)
+
+    monkeypatch.setattr(products, "_live_segments", recording)
+    star(S, FGMCopula(0.5), fast_paths=False).copula.eval(GRID_33[:, None], GRID_33[None, :])
+    n = QuadratureConfig().nodes_per_subinterval
+    assert counts["support calls"] == counts["levels"]
+    assert counts["whole"] < counts["segments"] / 8
+    assert sum(elements) <= counts["segments"] + n * counts["whole"]
+    assert sum(elements) <= counts["rule_nodes"] / 8
 
 
 def test_group_outside_the_support_makes_no_integrand_call(quad_counter):
@@ -951,9 +1126,10 @@ def test_nan_cell_conditional_stays_live():
     # makes the quadrature fail instead of reading as +0.0
     A, B = _NanBelowHalf(), FGMCopula(0.5)
     fb, support = products._make_integrand(A, None, B, np.asarray([0.3]), np.asarray([0.6]))
-    ts = np.asarray([0.1, 0.4, 0.6, 0.9])
-    live, cells = support(ts, np.zeros(ts.size, dtype=np.intp))
-    assert live.tolist() == [True, True, False, False]
+    # one segment on [0, 1] whose nodes are 0.1, 0.4, 0.6 and 0.9
+    live, cells = support(np.asarray([[0.0, 1.0]]), np.asarray([-0.8, -0.2, 0.2, 0.8]),
+                          np.zeros(1, dtype=np.intp), np.ones(1, dtype=bool))
+    assert live.tolist() == [[True, True, False, False]]
     assert sorted(cells) == ["r", "s"]
     with pytest.raises(NonConvergenceError):
         star(A, B, fast_paths=False).copula.eval(0.3, 0.6)
