@@ -40,17 +40,16 @@ class ShuffleStarProduct(Copula):
         self.C = C
 
     def _ends(self, u):
-        """(lo, hi): piece i's t-interval for the u-sections ``u`` is
-        lo[i], hi[i], each in the shape of u (``ShuffleOfM._sections``)."""
-        _, lo, hi = self.S._sections(u)
-        shape = (-1, *np.shape(u))
-        return lo.T.reshape(shape), hi.T.reshape(shape)
+        """(lo, hi) of each piece in turn, for the u-sections ``u``
+        (``ShuffleOfM._section``): one piece's arrays at a time."""
+        for i in range(self.S.n_pieces):
+            yield self.S._section(u, i)[1:]
 
     def _cdf(self, u, v):
         u, v = np.broadcast_arrays(np.asarray(u, float), np.asarray(v, float))
         out = np.zeros_like(u, dtype=float)
         inner = self.C._cdf
-        for lo, hi in zip(*self._ends(u)):
+        for lo, hi in self._ends(u):
             out += inner(hi, v) - inner(lo, v)
         return np.clip(out, 0.0, 1.0)
 
@@ -58,7 +57,7 @@ class ShuffleStarProduct(Copula):
         u, v = np.asarray(u, float), np.asarray(v, float)
         out = np.zeros(np.broadcast_shapes(u.shape, v.shape))
         inner = self.C._d2
-        for lo, hi in zip(*self._ends(u)):
+        for lo, hi in self._ends(u):
             out += inner(hi, v) - inner(lo, v)
         return out
 
@@ -67,7 +66,7 @@ class ShuffleStarProduct(Copula):
         S = self.S
         out = np.zeros(np.broadcast_shapes(u.shape, v.shape))
         at_one = u == 1.0
-        for i, (lo, hi) in enumerate(zip(*self._ends(u))):
+        for i, (lo, hi) in enumerate(self._ends(u)):
             a = u - S._s0[i]
             w = S._w[i]
             inside = np.where(at_one, (a > 0.0) & (a <= w), (a >= 0.0) & (a < w))

@@ -485,14 +485,20 @@ class ShuffleOfM(Copula):
                 segs.append(Segment(float(s0), float(t0), float(s1), float(t1)))
         return tuple(segs)
 
-    def _sections(self, u):
-        """(c, lo, hi), one row per u and one column per piece: c is the
-        width of the part of strip i left of u, and the u-section of
-        piece i has slope 1 on the t-interval [lo, hi]."""
-        c = np.clip(np.reshape(u, (-1, 1)) - self._s0, 0.0, self._w)
-        lo = np.where(self._flip, self._t1 - c, self._t0)
-        hi = np.where(self._flip, self._t1, self._t0 + c)
+    def _section(self, u, i):
+        """(c, lo, hi) of piece i, or of the pieces a slice i selects,
+        broadcast against u: c is the width of the part of strip i left
+        of u, and the u-section of piece i has slope 1 on the t-interval
+        [lo, hi]."""
+        c = np.clip(u - self._s0[i], 0.0, self._w[i])
+        lo = np.where(self._flip[i], self._t1[i] - c, self._t0[i])
+        hi = np.where(self._flip[i], self._t1[i], self._t0[i] + c)
         return c, lo, hi
+
+    def _sections(self, u):
+        """(c, lo, hi) of every piece, one row per u and one column per
+        piece (``_section``)."""
+        return self._section(np.reshape(u, (-1, 1)), slice(None))
 
     def d2_breakpoints(self, u):
         # each piece's conditional is 1 on a t-interval [lo, hi] per u

@@ -209,58 +209,37 @@ def _gl(n: int):
 
 
 def _initial_edges(breakpoints, q: QuadratureConfig):
-    """(edges, owner, merged) of the groups whose breakpoints are given,
-    one array per group.
+    """(edges, merged) of one group with the given breakpoints.
 
-    ``edges`` holds every group's initial edges, by group and then
-    increasing, and ``owner`` the group of each edge. A group's edges
-    are the ``base_subintervals`` uniform points, the extra breakpoints
-    and its own that lie in (0, 1) (NaN and the infinities do not),
-    each value once, less every value within 1e-14 of the distinct
-    value before it, so that no piece degenerates; its first and last
-    edges are then set to 0 and 1. ``merged[i]`` is True when the piece
-    that starts at edge i holds a value dropped that way more than
-    ``_SLACK`` / 2 above the last edge kept before it, which only a
-    chain of merges can do; a value closer than that to an edge is as
-    good as the edge to ``_segment_values``.
-
-    All groups are sorted in one pass; each group's edges have the bits
-    of the same steps run on that group alone.
+    The edges are the ``base_subintervals`` uniform points, the extra
+    breakpoints and the group's own that lie in (0, 1) (NaN and the
+    infinities do not), each value once, less every value within 1e-14
+    of the distinct value before it, so that no piece degenerates; the
+    first and last edges are then set to 0 and 1. ``merged[i]`` is True
+    when piece i holds a value dropped that way more than ``_SLACK`` / 2
+    above the last edge kept before it, which only a chain of merges can
+    do; a value closer than that to an edge is as good as the edge to
+    ``_segment_values``.
     """
     base = np.arange(q.base_subintervals + 1) / q.base_subintervals
-    extra = np.asarray(q.extra_breakpoints, dtype=float)
-    own = np.concatenate(breakpoints, axis=None, dtype=float)
-    sizes = [np.size(bp) for bp in breakpoints]
-    k = len(sizes)
-    shared = np.concatenate((base, extra[(0.0 < extra) & (extra < 1.0)]))
+    extra = np.concatenate((q.extra_breakpoints, breakpoints), axis=None)
     # NaN and the infinities fail both comparisons
-    inside = (0.0 < own) & (own < 1.0)
-    values = np.concatenate((np.tile(shared, k), own[inside]))
-    owner = np.concatenate((np.repeat(np.arange(k), shared.size),
-                            np.repeat(np.arange(k), sizes)[inside]))
-    order = np.lexsort((values, owner))
-    values, owner = values[order], owner[order]
-    first = np.ones(values.size, dtype=bool)
-    first[1:] = owner[1:] != owner[:-1]
-    gap = np.diff(values, prepend=values[:1])
-    # an equal value has gap 0, so the next one is measured against the
-    # distinct value before it
-    keep = first | (gap > 1e-14)
-    edges, owner = values[keep], owner[keep]
-    # each value's edge: the last one kept at or before it
-    kept = np.cumsum(keep) - 1
-    above = values - edges[kept]
-    last = np.ones(edges.size, dtype=bool)
-    last[:-1] = owner[1:] != owner[:-1]
-    edges[first[keep]] = 0.0
-    edges[last] = 1.0
-    # a value dropped far above its edge lies in the piece from that
-    # edge, or in the last piece when that edge was reset to 1
-    at = kept[above > 0.5 * _SLACK]
-    at -= last[at]
-    merged = np.zeros(edges.size, dtype=bool)
-    merged[at] = True
-    return edges, owner, merged
+    extra = extra[(0.0 < extra) & (extra < 1.0)]
+    e = np.unique(np.concatenate((base, extra)))
+    # merge nearly coincident cut points so no subinterval degenerates
+    keep = np.concatenate(([True], np.diff(e) > 1e-14))
+    e, dropped = e[keep], e[~keep]
+    merged = np.zeros(len(e) - 1, dtype=bool)
+    if dropped.size:
+        # each dropped value's edge: the last one kept below it; a value
+        # dropped far above it lies in the piece from it, or in the last
+        # piece from the last edge
+        at = np.searchsorted(e, dropped) - 1
+        far = at[dropped - e[at] > 0.5 * _SLACK]
+        merged[np.minimum(far, len(e) - 2)] = True
+    e[0] = 0.0
+    e[-1] = 1.0
+    return e, merged
 
 
 @lru_cache(maxsize=8)
@@ -322,38 +301,34 @@ def _live_segments(support, segs, nodes, groups, whole):
     ``whole`` piece and whose outermost nodes, (1 + nodes[0]) / 2 of its
     width from its ends, are more than ``_SLACK`` from them. ``rows``
     holds one live segment per distinct key: its endpoints and cell
-    conditionals (``_distinct_rows``), a side given once per segment by
-    that one value, as its equal node values would key it. Nothing else
-    moves the integrand, since the call shares the other coordinate's
-    row.
+    conditionals (``_distinct_rows``), a side given once per segment
+    broadcast to its n nodes, as its equal node values would key it.
+    Nothing else moves the integrand, since the call shares the other
+    coordinate's row.
     """
     n = len(nodes)
     step = -(-_CHUNK_ELEMENTS // n)
     once = ~whole & ((segs[:, 1] - segs[:, 0]) * (0.5 + 0.5 * nodes[0]) > _SLACK)
-    # a side is keyed by one column, its value, only when every segment
-    # of the level is evaluated once, so that all slices agree
-    wide = not once.all()
-    kept, keys, widths = [], [], {}
+    kept, keys, names = [], [], ()
     for s in range(0, len(segs), step):
         seg = segs[s : s + step]
         live, cells = support(seg, nodes, groups[s : s + step], once[s : s + step])
-        if wide:
-            cells = {k: np.broadcast_to(c, (len(seg), n)) for k, c in cells.items()}
         rows = np.flatnonzero(live.any(axis=1))
-        widths = {k: c.shape[1] for k, c in cells.items()}
+        names = tuple(cells)
         kept.append(rows + s)
-        keys.append(np.concatenate([seg[rows]] + [c[rows] for c in cells.values()], axis=1))
+        key = np.empty((rows.size, 2 + n * len(names)))
+        key[:, :2] = seg[rows]
+        for i, k in enumerate(names):
+            key[:, 2 + i * n : 2 + (i + 1) * n] = cells[k][rows]
+        keys.append(key)
     kept = np.concatenate(kept)
     keys = np.concatenate(keys)
     first, inverse = _distinct_rows(keys.T, groups[kept])
     index = np.zeros(len(segs), dtype=np.intp)
     index[kept] = inverse + 1
     kept, keys = kept[first], keys[first]
-    cells, at = {}, 2
-    for k, w in widths.items():
-        # a new array: the integrand may multiply into it
-        cells[k] = np.repeat(keys[:, at : at + w], n // w, axis=1).reshape(-1, 1)
-        at += w
+    cells = {k: keys[:, 2 + i * n : 2 + (i + 1) * n].reshape(-1, 1)
+             for i, k in enumerate(names)}
     return kept, index, cells
 
 
@@ -462,13 +437,14 @@ def _integrate_batch(fbatch, breakpoints, q: QuadratureConfig, width: int, suppo
     the first failing group.
     """
     nodes, weights = _gl(q.nodes_per_subinterval)
-    k = len(breakpoints)
-    edges, owner, merged = _initial_edges(breakpoints, q)
-    inner = owner[1:] == owner[:-1]
-    a, b = edges[:-1][inner], edges[1:][inner]
-    group, whole = owner[:-1][inner], merged[:-1][inner]
-    tol0 = q.adaptive_tol / np.bincount(group, minlength=k)
+    edges = [_initial_edges(bp, q) for bp in breakpoints]
+    pieces = np.asarray([len(e) - 1 for e, _ in edges])
+    tol0 = q.adaptive_tol / pieces
     chunk = max(3 * len(nodes), _CHUNK_ELEMENTS // max(width, 1))
+    group = np.repeat(np.arange(len(edges)), pieces)
+    a = np.concatenate([e[:-1] for e, _ in edges])
+    b = np.concatenate([e[1:] for e, _ in edges])
+    whole = np.concatenate([m for _, m in edges])
     coarse = None  # n-point rule on each [a, b] as (values, index), made with level 0
     owners, starts, errs, refs, fines = [], [], [], [], []
     made = depth = 0
@@ -515,14 +491,14 @@ def _integrate_batch(fbatch, breakpoints, q: QuadratureConfig, width: int, suppo
     refs = np.concatenate(refs)[order]
     errs = np.concatenate(errs)[order]
     fines = np.concatenate(fines)
-    bounds = np.searchsorted(owners[order], np.arange(k + 1))
-    totals = np.empty((k, width))
-    err_sums = np.empty(k)
-    for g in range(k):
-        run = slice(bounds[g], bounds[g + 1])
+    bounds = np.searchsorted(owners[order], np.arange(len(edges) + 1))
+    totals = np.empty((len(edges), width))
+    err_sums = np.empty(len(edges))
+    for k in range(len(edges)):
+        run = slice(bounds[k], bounds[k + 1])
         # add.accumulate runs strictly in order; + 0.0 matches a sum from zero
-        totals[g] = np.add.accumulate(fines[refs[run]], axis=0)[-1] + 0.0
-        err_sums[g] = np.add.accumulate(errs[run])[-1] + 0.0
+        totals[k] = np.add.accumulate(fines[refs[run]], axis=0)[-1] + 0.0
+        err_sums[k] = np.add.accumulate(errs[run])[-1] + 0.0
     return totals, err_sums
 
 
@@ -570,9 +546,10 @@ def _make_integrand(A: Copula, family, B: Copula, xs, ys):
     with no cell side, every node is live and the dict is empty. A side
     whose factor declares ``conditional_degree`` 0 is a step function
     of t: its kernel runs at the first node of every segment, in one
-    call, and again at every node of the segments not ``once``, with
-    the same clip; when there are none, its array, and the live mask,
-    is (m, 1) (``_segment_values`` states why this keeps the bits).
+    call, and that value stands for each of the segment's nodes; the
+    segments not ``once`` are evaluated again at every node, with the
+    same clip. When there are none, its array, and the live mask, is
+    (m, 1) (``_segment_values`` states why this keeps the bits).
     fbatch takes the conditionals back as (k, 1) columns instead of
     evaluating them again. fbatch caps numpy's ufunc buffers
     (``_integrand_bufsize``), so a call on few live nodes holds about

@@ -1,6 +1,7 @@
 import ast
 import inspect
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -223,9 +224,8 @@ def test_breakpoints_are_flat_arrays_over_coordinates():
 
 
 def test_initial_edges_match_tuple_path():
-    # the edges of each group from array hints, all groups of a factor
-    # pair in one call, are bit-identical to the edges from the
-    # concatenated per-point tuples of that group alone
+    # the edges of one group from array hints are bit-identical to the
+    # edges from the concatenated per-point tuples
     corpus = _hint_corpus()
     ys = np.arange(9) / 8
     fam_breaks = (0.25, 0.5)
@@ -233,27 +233,23 @@ def test_initial_edges_match_tuple_path():
                                                    extra_breakpoints=(0.3, 0.9))):
         for A in corpus:
             for B in corpus[::3]:
-                arrays, tuples = [], []
                 for x in (0.2, 0.5):
                     xs = np.full(ys.size, x)
-                    arrays.append(np.concatenate(
+                    arrays = np.concatenate(
                         (fam_breaks, A.d2_breakpoints(xs), B.d1_breakpoints(ys))
-                    ))
-                    t = fam_breaks + _point_breakpoints(A, 2, x)
+                    )
+                    tuples = fam_breaks + _point_breakpoints(A, 2, x)
                     for y in ys:
-                        t += _point_breakpoints(B, 1, float(y))
-                    tuples.append(t)
-                edges, owner, _ = products._initial_edges(arrays, q)
-                for g, t in enumerate(tuples):
-                    got = edges[owner == g]
-                    assert got.tobytes() == _tuple_path_edges(t, q).tobytes()
+                        tuples += _point_breakpoints(B, 1, float(y))
+                    got = products._initial_edges(arrays, q)[0]
+                    assert got.tobytes() == _tuple_path_edges(tuples, q).tobytes()
 
 
 def _one_group_edges(breakpoints, q):
-    """Reference: one group's initial edges, as they were built group
-    by group, and for each piece whether one of the group's cut points
-    was dropped into it more than _SLACK / 2 above the last edge before
-    it, as it was before the first and last edges were reset."""
+    """Reference: one group's initial edges, and for each piece whether
+    one of the group's cut points was dropped into it, one at a time,
+    more than _SLACK / 2 above the last edge before it, as it was before
+    the first and last edges were reset."""
     base = np.arange(q.base_subintervals + 1) / q.base_subintervals
     extra = np.concatenate((q.extra_breakpoints, breakpoints), axis=None)
     extra = extra[(0.0 < extra) & (extra < 1.0)]
@@ -270,12 +266,11 @@ def _one_group_edges(breakpoints, q):
     return e, held
 
 
-def test_batched_edges_match_the_per_group_reference():
-    # all groups sorted in one pass give each group the edges it gets
-    # alone, bit for bit, and flag exactly the pieces that hold a value
-    # the 1e-14 merge dropped more than _SLACK / 2 above its edge: chains,
-    # values next to 0, 1 and base cuts, duplicates, NaN, the infinities
-    # and values outside (0, 1)
+def test_initial_edges_flag_the_pieces_holding_a_far_merged_cut():
+    # exactly the pieces that hold a value the 1e-14 merge dropped more
+    # than _SLACK / 2 above its edge are flagged, and the edges keep
+    # their bits: chains, values next to 0, 1 and base cuts, duplicates,
+    # NaN, the infinities and values outside (0, 1)
     tiny = 0.9e-14
     groups = [
         (),
@@ -291,21 +286,14 @@ def test_batched_edges_match_the_per_group_reference():
     for q in (QuadratureConfig(), QuadratureConfig(base_subintervals=1),
               QuadratureConfig(base_subintervals=5,
                                extra_breakpoints=(0.2 + 5e-15, np.nan, 0.9, 2.0))):
-        edges, owner, merged = products._initial_edges(groups, q)
-        assert edges.dtype == np.float64
-        assert np.array_equal(owner, np.sort(owner, kind="stable"))
         flagged = 0
         for g, bp in enumerate(groups):
+            edges, merged = products._initial_edges(bp, q)
             want, held = _one_group_edges(bp, q)
-            mine = owner == g
-            assert edges[mine].tobytes() == want.tobytes(), (q, g)
-            assert merged[mine].tolist() == held + [False], (q, g)
+            assert edges.tobytes() == want.tobytes(), (q, g)
+            assert merged.tolist() == held, (q, g)
             flagged += sum(held)
         assert flagged >= 3
-    # one group alone gives its part of the batch
-    for g, bp in enumerate(groups):
-        edges, _, _ = products._initial_edges([bp], QuadratureConfig())
-        assert edges.tobytes() == _one_group_edges(bp, QuadratureConfig())[0].tobytes()
 
 
 def test_group_hints_its_shared_coordinate_once(monkeypatch):
@@ -328,8 +316,8 @@ def test_group_hints_its_shared_coordinate_once(monkeypatch):
     assert hints.size == S.d2_breakpoints(0.3).size == 2 * S.n_pieces
     every_point = np.concatenate((S.d2_breakpoints(xs), B.d1_breakpoints(GRID_33)))
     assert every_point.size == 33 * hints.size
-    want = products._initial_edges([every_point], q)[0]
-    assert products._initial_edges([hints], q)[0].tobytes() == want.tobytes()
+    want = products._initial_edges(every_point, q)[0]
+    assert products._initial_edges(hints, q)[0].tobytes() == want.tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -462,6 +450,27 @@ def test_straight_shuffle_star_closed_form():
         else:
             want = v - C.eval(alpha, v) + C.eval(u - (1 - alpha), v)
         assert P.eval(u, v) == pytest.approx(want, abs=1e-15)
+
+
+def test_many_piece_shuffle_star_holds_a_few_lattice_arrays():
+    # memory gate: the closed form takes one piece's t-interval at a
+    # time, so its cdf and partials on a 65 x 65 lattice hold a few
+    # lattice-sized arrays, not one per piece of a 1024-piece shuffle
+    S = shuffle_from_grid(grid_from_copula(FGMCopula(0.5), 32))
+    P = star(S, FGMCopula(0.3)).copula
+    assert isinstance(P, ShuffleStarProduct) and S.n_pieces == 1024
+    g = np.linspace(0.0, 1.0, 65)
+    u, v = g[:, None], g[None, :]
+    tracemalloc.start()
+    try:
+        for f in (P.eval, P._d1, P._d2):
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            f(u, v)
+            peak = tracemalloc.get_traced_memory()[1] - before
+            assert peak <= 12 * g.size ** 2 * 8, f
+    finally:
+        tracemalloc.stop()
 
 
 def test_m_as_one_piece_shuffle_acts_as_identity():
@@ -655,7 +664,7 @@ def _all_live(segs, nodes, groups, once):
 def _work_list_integrate(fbatch, breakpoints, q, width, support):
     # reference: the adaptive loop one segment at a time, as a work list
     nodes, weights = products._gl(q.nodes_per_subinterval)
-    edges = products._initial_edges([breakpoints], q)[0]
+    edges = products._initial_edges(breakpoints, q)[0]
     tol0 = q.adaptive_tol / (len(edges) - 1)
     chunk = max(3 * len(nodes), products._CHUNK_ELEMENTS // max(width, 1))
     work = [(float(a), float(b), 0, None) for a, b in zip(edges[:-1], edges[1:])]
