@@ -176,7 +176,7 @@ class Copula:
     for every given u, the t-values where t -> partial2(u, t) may jump
     or kink; ``d1_breakpoints(v)`` does the same for t -> partial1(t, v).
     Duplicates are allowed and the order is free: the quadrature sorts
-    and merges them. An empty array means smooth conditionals.
+    them and keeps each value once. An empty array means smooth conditionals.
 
     Degree contract: ``conditional_degree`` is the degree in t of both
     conditionals, t -> ``_d2(u, t)`` and t -> ``_d1(t, v)``, between
@@ -823,37 +823,53 @@ def write_grid_csv(grid: GridCopula, path) -> None:
             fh.write(",".join(map(repr, row.tolist())) + "\n")
 
 
+def _grid_lines(fh):
+    """The non-blank lines of an open grid file, stripped, one at a time."""
+    for text in fh:
+        # the line breaks of str.splitlines, not only the file's newlines
+        for ln in text.splitlines():
+            ln = ln.strip()
+            if ln:
+                yield ln
+
+
 def read_grid_csv(path) -> GridCopula:
     """Parse a grid file, verify marginals to 1e-6, renormalize exactly.
 
     Raises FormatError on malformed input, negative mass, or marginals
-    off by more than 1e-6 per band.
+    off by more than 1e-6 per band. The file is read line by line, once
+    to count the rows and once to parse them, so no more than one line
+    of text is held at a time.
     """
     with open(path, "r", encoding="ascii") as fh:
-        raw = fh.read()
-    lines = [ln.strip() for ln in raw.splitlines() if ln.strip()]
-    if not lines or not lines[0].startswith("N="):
-        raise FormatError("first line must be 'N=<order>'")
-    try:
-        n = int(lines[0][2:])
-    except ValueError:
-        raise FormatError(f"bad order {lines[0][2:]!r}") from None
-    if n < 1:
-        raise FormatError(f"order must be positive, got {n}")
-    if len(lines) - 1 != n:
-        raise FormatError(f"expected {n} mass rows, found {len(lines) - 1}")
-    m = np.empty((n, n))
-    for k, (ln, row) in enumerate(zip(lines[1:], m), start=1):
-        parts = ln.split(",")
-        if len(parts) != n:
-            raise FormatError(f"row {k} has {len(parts)} entries, expected {n}")
+        lines = _grid_lines(fh)
+        head = next(lines, "")
+        if not head.startswith("N="):
+            raise FormatError("first line must be 'N=<order>'")
         try:
-            row[:] = list(map(float, parts))
+            n = int(head[2:])
         except ValueError:
-            raise FormatError(f"row {k} contains a non-numeric entry") from None
-        # NaN fails the comparison too
-        if not (row >= 0.0).all():
-            raise FormatError(f"row {k} contains a negative or NaN mass")
+            raise FormatError(f"bad order {head[2:]!r}") from None
+        if n < 1:
+            raise FormatError(f"order must be positive, got {n}")
+        rows = sum(1 for _ in lines)
+        if rows != n:
+            raise FormatError(f"expected {n} mass rows, found {rows}")
+        fh.seek(0)
+        lines = _grid_lines(fh)
+        next(lines)
+        m = np.empty((n, n))
+        for k, (ln, row) in enumerate(zip(lines, m), start=1):
+            parts = ln.split(",")
+            if len(parts) != n:
+                raise FormatError(f"row {k} has {len(parts)} entries, expected {n}")
+            try:
+                row[:] = list(map(float, parts))
+            except ValueError:
+                raise FormatError(f"row {k} contains a non-numeric entry") from None
+            # NaN fails the comparison too
+            if not (row >= 0.0).all():
+                raise FormatError(f"row {k} contains a negative or NaN mass")
     target = 1.0 / n
     err = max(
         np.abs(m.sum(axis=1) - target).max(),

@@ -52,10 +52,9 @@ conditionals, is evaluated once. A grouped conditional that is a step
 function of t (``Copula.conditional_degree`` 0: M, W, Pi, shuffles and
 grids) is evaluated at one node per segment, in one call per level:
 its jumps lie next to hints, which are the group's edges, so it is
-constant on every segment but those of a piece where a chain of merges
-dropped a hint and those too narrow to keep their nodes off their
-ends, which are evaluated at every node. All of it keeps every bit (see
-``_segment_values``). None of it is a fast path: the
+constant on every segment but those too narrow to keep their nodes off
+their ends, which are evaluated at every node. All of it keeps every
+bit (see ``_segment_values``). None of it is a fast path: the
 family is still integrated wherever the grouped conditional is
 nonzero, so forced quadrature, and the identity suite with it, still
 exercises the quadrature.
@@ -209,44 +208,17 @@ def _gl(n: int):
 
 
 def _initial_edges(breakpoints, q: QuadratureConfig):
-    """(edges, merged) of one group with the given breakpoints.
-
-    The edges are the ``base_subintervals`` uniform points, the extra
-    breakpoints and the group's own that lie in (0, 1) (NaN and the
-    infinities do not), each value once, less every value within 1e-14
-    of the distinct value before it, so that no piece degenerates; the
-    first and last edges are then set to 0 and 1. ``merged[i]`` is True
-    when piece i holds a value dropped that way more than ``_SLACK`` / 2
-    above the last edge kept before it, which only a chain of merges can
-    do; a value closer than that to an edge is as good as the edge to
-    ``_segment_values``.
+    """The initial edges of one group with the given breakpoints: the
+    ``base_subintervals`` uniform points, the extra breakpoints and the
+    group's own that lie in (0, 1) (NaN and the infinities do not), in
+    increasing order, each value once. So every hint in (0, 1) is an
+    edge, bit for bit, and a piece may be one ulp wide.
     """
     base = np.arange(q.base_subintervals + 1) / q.base_subintervals
     extra = np.concatenate((q.extra_breakpoints, breakpoints), axis=None)
     # NaN and the infinities fail both comparisons
     extra = extra[(0.0 < extra) & (extra < 1.0)]
-    e = np.unique(np.concatenate((base, extra)))
-    # merge nearly coincident cut points so no subinterval degenerates
-    keep = np.concatenate(([True], np.diff(e) > 1e-14))
-    e, dropped = e[keep], e[~keep]
-    merged = np.zeros(len(e) - 1, dtype=bool)
-    if dropped.size:
-        # each dropped value's edge: the last one kept below it; a value
-        # dropped far above it lies in the piece from it, or in the last
-        # piece from the last edge
-        at = np.searchsorted(e, dropped) - 1
-        far = at[dropped - e[at] > 0.5 * _SLACK]
-        merged[np.minimum(far, len(e) - 2)] = True
-    e[0] = 0.0
-    e[-1] = 1.0
-    return e, merged
-
-
-@lru_cache(maxsize=8)
-def _key_weights(k: int):
-    """k odd 64-bit multipliers for the row hash of ``_distinct_rows``."""
-    return np.asarray([(2 * j + 1) * 0x9E3779B97F4A7C15 % (1 << 64) for j in range(k)],
-                      dtype=np.uint64)
+    return np.unique(np.concatenate((base, extra)))
 
 
 def _distinct_rows(columns, groups):
@@ -256,20 +228,17 @@ def _distinct_rows(columns, groups):
     ``groups`` holds each row's group, the rows in group order. The
     rows of one group are disjoint segments or pieces, which never
     repeat, so with one group this is the identity. Otherwise rows are
-    sorted by a wrapping multiply-add hash, added up column by column,
-    and compared with their predecessor, so rows whose bits differ never
-    share an entry (+0.0 and -0.0, or two NaN payloads, differ); equal
-    ones do unless a hash collision falls between them.
+    sorted by their bits (``np.lexsort`` of the columns as uint64) and
+    compared with their predecessor, so two rows share an entry exactly
+    when their bits are the same (+0.0 and -0.0, or two NaN payloads,
+    differ).
     """
     m = len(groups)
     if not m or groups[0] == groups[-1]:
         ident = np.arange(m)
         return ident, ident
     columns = [c.view(np.uint64) for c in columns]
-    h = np.zeros(m, dtype=np.uint64)
-    for w, col in zip(_key_weights(len(columns)), columns):
-        h += col * w
-    order = np.argsort(h, kind="stable")
+    order = np.lexsort(columns)
     new = np.zeros(m, dtype=bool)
     new[:1] = True
     # column by column, to hold no sorted copy of the rows
@@ -289,7 +258,7 @@ def _nodes_of(segs, nodes):
     return hw * nodes + 0.5 * (a + b), hw
 
 
-def _live_segments(support, segs, nodes, groups, whole):
+def _live_segments(support, segs, nodes, groups):
     """(rows, index, cells): the segments to evaluate, the map of every
     segment to 0 (dead) or 1 + the position in ``rows`` of the segment
     whose values it takes, and the cell conditionals of ``rows`` as
@@ -297,18 +266,18 @@ def _live_segments(support, segs, nodes, groups, whole):
 
     ``support`` runs on slices of up to ``_CHUNK_ELEMENTS`` nodes, one
     per level as a rule, since its arrays have no width axis. It may
-    evaluate a step-function side once on a segment that lies in no
-    ``whole`` piece and whose outermost nodes, (1 + nodes[0]) / 2 of its
-    width from its ends, are more than ``_SLACK`` from them. ``rows``
-    holds one live segment per distinct key: its endpoints and cell
-    conditionals (``_distinct_rows``), a side given once per segment
-    broadcast to its n nodes, as its equal node values would key it.
+    evaluate a step-function side once on a segment whose outermost
+    nodes, (1 + nodes[0]) / 2 of its width from its ends, are more than
+    ``_SLACK`` from them. ``rows`` holds one live segment per distinct
+    key: its endpoints and cell conditionals (``_distinct_rows``), a
+    side given once per segment broadcast to its n nodes, as its equal
+    node values would key it.
     Nothing else moves the integrand, since the call shares the other
     coordinate's row.
     """
     n = len(nodes)
     step = -(-_CHUNK_ELEMENTS // n)
-    once = ~whole & ((segs[:, 1] - segs[:, 0]) * (0.5 + 0.5 * nodes[0]) > _SLACK)
+    once = (segs[:, 1] - segs[:, 0]) * (0.5 + 0.5 * nodes[0]) > _SLACK
     kept, keys, names = [], [], ()
     for s in range(0, len(segs), step):
         seg = segs[s : s + step]
@@ -343,15 +312,14 @@ def _weighted_sum(fv, weights, out):
         out += np.multiply(weights[j], fv[:, j], out=term)
 
 
-def _segment_values(fbatch, segs, nodes, weights, chunk, width, support, groups, whole):
+def _segment_values(fbatch, segs, nodes, weights, chunk, width, support, groups):
     """Gauss-Legendre value of fbatch over each (a, b) row of ``segs``.
 
     Returns (values, index): segment i has the (width,) values
     ``values[index[i]]``, and ``values[0]`` is +0.0. Segments are
     evaluated in order but batched into single fbatch calls of at most
     ``chunk`` nodes, rounded up to whole segments, and at most the
-    largest group's segments, to bound memory. ``whole`` marks the
-    segments of pieces that hold a merged cut (``_initial_edges``).
+    largest group's segments, to bound memory.
 
     The weighted sum runs node by node, j = 0 .. n-1, as elementwise
     array arithmetic: no BLAS and no SIMD reduction, whose summation
@@ -377,18 +345,14 @@ def _segment_values(fbatch, segs, nodes, weights, chunk, width, support, groups,
     has at every node. Its kernel's value changes only within a few
     multiples of 2**-53 of a hint (the degree contract in
     ``copulas.Copula``). Every cell side's hints are among its group's
-    breakpoints, in both branches of ``_product_points_eval``, so each
-    is an initial edge of the group, or the 1e-14 merge dropped it
-    inside a piece. A node lies (1 + nodes[0]) / 2 of its segment's
-    width or more from the segment's ends, and a segment too narrow for
-    that to exceed ``_SLACK`` is evaluated at every node. A jump next
-    to an edge, or next to a hint dropped within ``_SLACK`` / 2 of the
-    edge it merged into, lies within ``_SLACK`` of the end of any
-    segment that holds it, so before or after all of its nodes. A
-    chain of merges can drop a hint farther from its edge; that piece,
-    and every piece bisected from it, is ``whole`` and evaluated at
-    every node. So no jump lies between two nodes of a segment
-    evaluated once.
+    breakpoints, in both branches of ``_product_points_eval``, and
+    every one in (0, 1) is an initial edge of the group
+    (``_initial_edges``), so no hint lies inside a piece or a segment
+    bisected from one, and a jump lies within ``_SLACK`` of the end of
+    any segment that holds it. A node lies (1 + nodes[0]) / 2 of its
+    segment's width or more from the segment's ends, and a segment too
+    narrow for that to exceed ``_SLACK`` is evaluated at every node. So
+    no jump lies between two nodes of a segment evaluated once.
 
     fbatch runs only on the distinct live segments
     (``_live_segments``), whose values every segment with the same key
@@ -398,7 +362,7 @@ def _segment_values(fbatch, segs, nodes, weights, chunk, width, support, groups,
     n = len(nodes)
     # no call takes more nodes than the largest group's share
     step = min(-(-chunk // n), np.bincount(groups).max())
-    rows, index, cells = _live_segments(support, segs, nodes, groups, whole)
+    rows, index, cells = _live_segments(support, segs, nodes, groups)
     ts, hw = _nodes_of(segs[rows], nodes)
     vals = np.empty((len(ts) + 1, width))
     vals[0] = 0.0
@@ -425,26 +389,24 @@ def _integrate_batch(fbatch, breakpoints, q: QuadratureConfig, width: int, suppo
     This is the one adaptive loop. Its work list holds (group, piece)
     pairs, and each level is one array of them, by group and then left
     to right. Each group starts from its own edges with its own share
-    of the tolerance, and each piece passes its group and whether it
-    holds a merged cut (``whole``) on to its halves. A piece is
-    accepted when the max-norm gap between its n-point rule and the sum
-    of its two halves is within its share of its group's tolerance; the
-    rest are bisected into the next level. Pieces hold indices into
-    their segments' values, and pieces with the same three rows share
-    one sum and one gap. Each group's accepted values are added left to
-    right in the order of their left ends. So every group gets the bits
-    it gets alone, and a failure names the leftmost failing piece of
-    the first failing group.
+    of the tolerance, and each piece passes its group on to its halves.
+    A piece is accepted when the max-norm gap between its n-point rule
+    and the sum of its two halves is within its share of its group's
+    tolerance; the rest are bisected into the next level. Pieces hold
+    indices into their segments' values, and pieces with the same three
+    rows share one sum and one gap. Each group's accepted values are
+    added left to right in the order of their left ends. So every group
+    gets the bits it gets alone, and a failure names the leftmost
+    failing piece of the first failing group.
     """
     nodes, weights = _gl(q.nodes_per_subinterval)
     edges = [_initial_edges(bp, q) for bp in breakpoints]
-    pieces = np.asarray([len(e) - 1 for e, _ in edges])
+    pieces = np.asarray([len(e) - 1 for e in edges])
     tol0 = q.adaptive_tol / pieces
     chunk = max(3 * len(nodes), _CHUNK_ELEMENTS // max(width, 1))
     group = np.repeat(np.arange(len(edges)), pieces)
-    a = np.concatenate([e[:-1] for e, _ in edges])
-    b = np.concatenate([e[1:] for e, _ in edges])
-    whole = np.concatenate([m for _, m in edges])
+    a = np.concatenate([e[:-1] for e in edges])
+    b = np.concatenate([e[1:] for e in edges])
     coarse = None  # n-point rule on each [a, b] as (values, index), made with level 0
     owners, starts, errs, refs, fines = [], [], [], [], []
     made = depth = 0
@@ -457,7 +419,7 @@ def _integrate_batch(fbatch, breakpoints, q: QuadratureConfig, width: int, suppo
         segs = np.stack((np.stack(lo, axis=1), np.stack(hi, axis=1)), axis=-1)
         vals, index = _segment_values(
             fbatch, segs.reshape(-1, 2), nodes, weights, chunk, width, support,
-            np.repeat(group, len(lo)), np.repeat(whole, len(lo)),
+            np.repeat(group, len(lo)),
         )
         index = index.reshape(a.size, len(lo))
         if coarse is None:
@@ -481,7 +443,6 @@ def _integrate_batch(fbatch, breakpoints, q: QuadratureConfig, width: int, suppo
             raise NonConvergenceError((float(a[i]), float(b[i])), float(err[i]),
                                       float(tol[i]))
         group = np.repeat(group[bad], 2)
-        whole = np.repeat(whole[bad], 2)
         a = np.stack((a[bad], mid[bad]), axis=1).reshape(-1)
         b = np.stack((mid[bad], b[bad]), axis=1).reshape(-1)
         coarse = vals, np.stack((left[bad], right[bad]), axis=1).reshape(-1)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -534,19 +535,39 @@ def test_grid_csv_renormalizes_small_drift(tmp_path):
 
 
 def test_grid_csv_rejects(tmp_path):
+    # the row count is checked before any row's content
     cases = {
-        "no-header.csv": "0.5,0.5\n0.5,0.5\n",
-        "bad-count.csv": "N=3\n" + "0.25,0.25\n" * 2,
-        "bad-width.csv": "N=2\n0.25,0.25,0.25\n0.25,0.25\n",
-        "negative.csv": "N=2\n0.5,-0.25\n0.0,0.75\n",
-        "non-numeric.csv": "N=2\n0.25,x\n0.25,0.25\n",
-        "off-marginals.csv": "N=2\n0.45,0.1\n0.1,0.35\n",
+        "no-header.csv": ("0.5,0.5\n0.5,0.5\n", "first line must be 'N=<order>'"),
+        "bad-count.csv": ("N=3\n" + "0.25,0.25\n" * 2, "expected 3 mass rows, found 2"),
+        "bad-width.csv": ("N=2\n0.25,0.25,0.25\n0.25,0.25\n",
+                          "row 1 has 3 entries, expected 2"),
+        "negative.csv": ("N=2\n0.5,-0.25\n0.0,0.75\n", "row 1 contains a negative or NaN mass"),
+        "non-numeric.csv": ("N=2\n0.25,x\n0.25,0.25\n", "row 1 contains a non-numeric entry"),
+        "off-marginals.csv": ("N=2\n0.45,0.1\n0.1,0.35\n", "marginals deviate from 1/2"),
+        "count-and-bad-row.csv": ("N=3\n0.25,x\n0.25,0.25\n", "expected 3 mass rows, found 2"),
     }
-    for name, body in cases.items():
+    for name, (body, message) in cases.items():
         p = tmp_path / name
         p.write_text(body)
-        with pytest.raises(FormatError):
+        with pytest.raises(FormatError) as err:
             read_grid_csv(p)
+        assert str(err.value).startswith(message), name
+
+
+def test_grid_csv_read_holds_little_more_than_the_grid(tmp_path):
+    # the file is read line by line: reading a 512 x 512 export peaks
+    # below 6 times its mass array (GridCopula alone takes about 4)
+    g = grid_from_copula(FGMCopula(0.7), 512)
+    p = tmp_path / "big.csv"
+    write_grid_csv(g, p)
+    tracemalloc.start()
+    try:
+        got = read_grid_csv(p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(got.mass, g.mass)
+    assert peak <= 6 * got.mass.nbytes
 
 
 def test_shuffle_from_grid_approximates():

@@ -187,12 +187,7 @@ def _tuple_path_edges(breakpoints, q):
     ]
     if extra:
         pts.append(np.asarray(extra, dtype=float))
-    e = np.unique(np.concatenate(pts))
-    keep = np.concatenate(([True], np.diff(e) > 1e-14))
-    e = e[keep]
-    e[0] = 0.0
-    e[-1] = 1.0
-    return e
+    return np.unique(np.concatenate(pts))
 
 
 def _hint_corpus():
@@ -225,12 +220,33 @@ def test_breakpoints_are_flat_arrays_over_coordinates():
 
 def test_initial_edges_match_tuple_path():
     # the edges of one group from array hints are bit-identical to the
-    # edges from the concatenated per-point tuples
+    # edges from the concatenated per-point tuples: every value in
+    # (0, 1) once, however close to another; first for groups of chains
+    # of cuts 0.9e-14 apart, values next to 0, 1 and base cuts,
+    # duplicates, NaN, the infinities and values outside (0, 1)
+    tiny = 0.9e-14
+    groups = [
+        (),
+        (0.25 + tiny, 0.25 + 2 * tiny, 0.25 + 3 * tiny, 0.7, 0.7, 0.7 + 5e-15),
+        (np.nan, np.inf, -np.inf, -0.5, 1.5, 0.0, 1.0, -0.0, 0.3),
+        (3e-15, 1.0 - 3e-15, 0.5 - 5e-15, 0.5 + 2e-14, 0.5 + 2.5e-14),
+        np.asarray([0.1 + 0.2, 0.3, 0.3, 0.6 - 1e-15, 0.6 + 1e-15, 0.6]),
+        (0.125 - tiny, 0.125, 0.125 + tiny, 0.125 + 2 * tiny),
+        (1.0 - 1e-15, 1.0 - 2e-15, 5e-324, np.nextafter(1.0, 0.0)),
+        (1.0 - 3 * tiny, 1.0 - 2 * tiny, 1.0 - tiny),
+        np.random.default_rng(3).uniform(size=200),
+    ]
     corpus = _hint_corpus()
     ys = np.arange(9) / 8
     fam_breaks = (0.25, 0.5)
-    for q in (QuadratureConfig(), QuadratureConfig(base_subintervals=5,
-                                                   extra_breakpoints=(0.3, 0.9))):
+    configs = (QuadratureConfig(), QuadratureConfig(base_subintervals=1),
+               QuadratureConfig(base_subintervals=5,
+                                extra_breakpoints=(0.2 + 5e-15, np.nan, 0.9, 2.0)))
+    for q in configs:
+        for bp in groups:
+            got = products._initial_edges(bp, q)
+            assert got.tobytes() == _tuple_path_edges(tuple(bp), q).tobytes(), (q, bp)
+            assert got[0] == 0.0 and got[-1] == 1.0 and (np.diff(got) > 0.0).all()
         for A in corpus:
             for B in corpus[::3]:
                 for x in (0.2, 0.5):
@@ -241,59 +257,8 @@ def test_initial_edges_match_tuple_path():
                     tuples = fam_breaks + _point_breakpoints(A, 2, x)
                     for y in ys:
                         tuples += _point_breakpoints(B, 1, float(y))
-                    got = products._initial_edges(arrays, q)[0]
+                    got = products._initial_edges(arrays, q)
                     assert got.tobytes() == _tuple_path_edges(tuples, q).tobytes()
-
-
-def _one_group_edges(breakpoints, q):
-    """Reference: one group's initial edges, and for each piece whether
-    one of the group's cut points was dropped into it, one at a time,
-    more than _SLACK / 2 above the last edge before it, as it was before
-    the first and last edges were reset."""
-    base = np.arange(q.base_subintervals + 1) / q.base_subintervals
-    extra = np.concatenate((q.extra_breakpoints, breakpoints), axis=None)
-    extra = extra[(0.0 < extra) & (extra < 1.0)]
-    cuts = np.concatenate((base, extra))
-    e = np.unique(cuts)
-    e = e[np.concatenate(([True], np.diff(e) > 1e-14))]
-    held = [False] * (len(e) - 1)
-    for c in cuts:
-        k = int(np.searchsorted(e, c, side="right")) - 1
-        if c - e[k] > products._SLACK / 2:
-            held[min(k, len(e) - 2)] = True
-    e[0] = 0.0
-    e[-1] = 1.0
-    return e, held
-
-
-def test_initial_edges_flag_the_pieces_holding_a_far_merged_cut():
-    # exactly the pieces that hold a value the 1e-14 merge dropped more
-    # than _SLACK / 2 above its edge are flagged, and the edges keep
-    # their bits: chains, values next to 0, 1 and base cuts, duplicates,
-    # NaN, the infinities and values outside (0, 1)
-    tiny = 0.9e-14
-    groups = [
-        (),
-        (0.25 + tiny, 0.25 + 2 * tiny, 0.25 + 3 * tiny, 0.7, 0.7, 0.7 + 5e-15),
-        (np.nan, np.inf, -np.inf, -0.5, 1.5, 0.0, 1.0, -0.0, 0.3),
-        (3e-15, 1.0 - 3e-15, 0.5 - 5e-15, 0.5 + 2e-14, 0.5 + 2.5e-14),
-        np.asarray([0.1 + 0.2, 0.3, 0.3, 0.6 - 1e-15, 0.6 + 1e-15, 0.6]),
-        (0.125 - tiny, 0.125, 0.125 + tiny, 0.125 + 2 * tiny),
-        (1.0 - 1e-15, 1.0 - 2e-15),
-        (1.0 - 3 * tiny, 1.0 - 2 * tiny, 1.0 - tiny),
-        np.random.default_rng(3).uniform(size=200),
-    ]
-    for q in (QuadratureConfig(), QuadratureConfig(base_subintervals=1),
-              QuadratureConfig(base_subintervals=5,
-                               extra_breakpoints=(0.2 + 5e-15, np.nan, 0.9, 2.0))):
-        flagged = 0
-        for g, bp in enumerate(groups):
-            edges, merged = products._initial_edges(bp, q)
-            want, held = _one_group_edges(bp, q)
-            assert edges.tobytes() == want.tobytes(), (q, g)
-            assert merged.tolist() == held, (q, g)
-            flagged += sum(held)
-        assert flagged >= 3
 
 
 def test_group_hints_its_shared_coordinate_once(monkeypatch):
@@ -316,8 +281,8 @@ def test_group_hints_its_shared_coordinate_once(monkeypatch):
     assert hints.size == S.d2_breakpoints(0.3).size == 2 * S.n_pieces
     every_point = np.concatenate((S.d2_breakpoints(xs), B.d1_breakpoints(GRID_33)))
     assert every_point.size == 33 * hints.size
-    want = products._initial_edges(every_point, q)[0]
-    assert products._initial_edges(hints, q)[0].tobytes() == want.tobytes()
+    want = products._initial_edges(every_point, q)
+    assert products._initial_edges(hints, q).tobytes() == want.tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -664,7 +629,7 @@ def _all_live(segs, nodes, groups, once):
 def _work_list_integrate(fbatch, breakpoints, q, width, support):
     # reference: the adaptive loop one segment at a time, as a work list
     nodes, weights = products._gl(q.nodes_per_subinterval)
-    edges = products._initial_edges(breakpoints, q)[0]
+    edges = products._initial_edges(breakpoints, q)
     tol0 = q.adaptive_tol / (len(edges) - 1)
     chunk = max(3 * len(nodes), products._CHUNK_ELEMENTS // max(width, 1))
     work = [(float(a), float(b), 0, None) for a, b in zip(edges[:-1], edges[1:])]
@@ -678,7 +643,7 @@ def _work_list_integrate(fbatch, breakpoints, q, width, support):
             segs += [(a, mid), (mid, b)]
         vals, index = products._segment_values(
             fbatch, np.asarray(segs), nodes, weights, chunk, width, support,
-            np.zeros(len(segs), dtype=np.intp), np.ones(len(segs), dtype=bool),
+            np.zeros(len(segs), dtype=np.intp),
         )
         vals = vals[index]
         pos, nxt = 0, []
@@ -763,8 +728,8 @@ def test_grouped_points_bits_match_alone(flip_shuffle):
 def test_constant_coordinate_evaluated_once_per_node(monkeypatch, quad_counter):
     # work-counter gates: the lattice's x-groups share one quadrature
     # call; the left conditional, a step function of t, is evaluated once
-    # per segment the rule places, not once per node and point (no hint
-    # merges and no segment is narrow here), and the integrand does not
+    # per segment the rule places, not once per node and point (no
+    # segment is narrow here), and the integrand does not
     # evaluate it again; M's conditional is 0 for t >= x, so about half
     # of the nodes lie on skipped segments, and the groups share most of
     # the others
@@ -787,8 +752,7 @@ def test_constant_coordinate_evaluated_once_per_node(monkeypatch, quad_counter):
     assert quad_counter["nodes"] <= 0.55 * quad_counter["rule_nodes"]
 
 
-def _no_skip_segment_values(fbatch, segs, nodes, weights, chunk, width, support, groups,
-                            whole):
+def _no_skip_segment_values(fbatch, segs, nodes, weights, chunk, width, support, groups):
     # reference: the weighted sum before segments outside a grouped
     # side's support were skipped, shared segments were evaluated once
     # and step-function sides once per segment; every node is evaluated,
@@ -866,9 +830,10 @@ def test_skipping_dead_segments_keeps_the_bits(monkeypatch, flip_shuffle):
 
 def _step_side_products(flip_shuffle):
     """Forced products whose grouped side is a step function of t, each
-    with a grouped coordinate x whose hint h ends a chain of cuts 0.9e-14
-    apart, which the 1e-14 merge drops inside a piece 1e-11 wide, or
-    lies between pieces 1e-12 and 1.05e-14 wide."""
+    with a grouped coordinate x whose hint h ends a chain of pieces
+    0.9e-14 wide, before a piece of about 1e-11, or lies between pieces
+    1e-12 and 1.05e-14 wide: narrow pieces, next to h, whose segments
+    are evaluated at every node."""
     tiny = 0.9e-14
     fgm = FGMCopula(0.7)
     g8 = grid_from_copula(FGMCopula(0.6), 8)
@@ -903,22 +868,22 @@ def _step_side_products(flip_shuffle):
 
 def test_step_sides_once_per_segment_keep_the_bits(monkeypatch, flip_shuffle):
     # a grouped step-function side is evaluated once per segment where
-    # that is exact, and at every node in pieces that hold a merged hint
-    # and in segments too narrow to keep their nodes off a hint: values
-    # and error sums have the bits of evaluating it at every node, on
-    # merged hint chains, narrow pieces and rounding-sensitive W hints
+    # that is exact, and at every node in segments too narrow to keep
+    # their nodes off a hint: values and error sums have the bits of
+    # evaluating it at every node, on hint chains, narrow pieces and
+    # rounding-sensitive W hints
     # (test_skipping_dead_segments_keeps_the_bits compares the
     # dead-segment corpus with the same reference); some segments of
     # these runs take each path
     live_segments = products._live_segments
     paths = {"once": 0, "every node": 0}
 
-    def recording(support, segs, nodes, groups, whole):
+    def recording(support, segs, nodes, groups):
         def seen(seg, nodes, groups, once):
             paths["once"] += int(once.sum())
             paths["every node"] += int((~once).sum())
             return support(seg, nodes, groups, once)
-        return live_segments(seen, segs, nodes, groups, whole)
+        return live_segments(seen, segs, nodes, groups)
 
     monkeypatch.setattr(products, "_live_segments", recording)
     cases = _step_side_products(flip_shuffle)
@@ -936,9 +901,9 @@ def test_step_sides_once_per_segment_keep_the_bits(monkeypatch, flip_shuffle):
 def test_step_side_costs_one_kernel_element_per_segment(monkeypatch, flip_shuffle):
     # work-counter gate: on the forced shuffle * fgm 33 x 33 lattice the
     # support evaluates the shuffle's conditional at one node of each
-    # segment, and at every node of the few segments that must be
-    # evaluated whole: one support call per level, at most 1/8 of the
-    # rule's nodes in all
+    # segment, and at every node of the few segments too narrow for
+    # that: one support call per level, at most 1/8 of the rule's nodes
+    # in all
     S = ShuffleOfM(flip_shuffle.cuts, flip_shuffle.sigma, flip_shuffle.flips)
     elements = []
     d2 = S._d2
@@ -949,25 +914,76 @@ def test_step_side_costs_one_kernel_element_per_segment(monkeypatch, flip_shuffl
 
     monkeypatch.setattr(S, "_d2", counting_d2)
     live_segments = products._live_segments
-    counts = {"levels": 0, "support calls": 0, "segments": 0, "whole": 0, "rule_nodes": 0}
+    counts = {"levels": 0, "support calls": 0, "segments": 0, "every node": 0,
+              "rule_nodes": 0}
 
-    def recording(support, segs, nodes, groups, whole):
+    def recording(support, segs, nodes, groups):
         def seen(seg, nodes, groups, once):
             counts["support calls"] += 1
             counts["segments"] += len(seg)
-            counts["whole"] += int((~once).sum())
+            counts["every node"] += int((~once).sum())
             counts["rule_nodes"] += len(seg) * len(nodes)
             return support(seg, nodes, groups, once)
         counts["levels"] += 1
-        return live_segments(seen, segs, nodes, groups, whole)
+        return live_segments(seen, segs, nodes, groups)
 
     monkeypatch.setattr(products, "_live_segments", recording)
     star(S, FGMCopula(0.5), fast_paths=False).copula.eval(GRID_33[:, None], GRID_33[None, :])
     n = QuadratureConfig().nodes_per_subinterval
     assert counts["support calls"] == counts["levels"]
-    assert counts["whole"] < counts["segments"] / 8
-    assert sum(elements) <= counts["segments"] + n * counts["whole"]
+    assert counts["every node"] < counts["segments"] / 8
+    assert sum(elements) <= counts["segments"] + n * counts["every node"]
     assert sum(elements) <= counts["rule_nodes"] / 8
+
+
+def test_cell_side_hints_are_initial_edges(monkeypatch, flip_shuffle):
+    # the invariant that evaluating a step-function side once per
+    # segment rests on (_segment_values): in every group a product
+    # integrates, each cell side's hints in (0, 1) are among the group's
+    # initial edges, bit for bit; the edges are read off the pieces of
+    # each run's first level, as (a, b), (a, mid), (mid, b) per piece
+    runs = []
+    make_integrand = products._make_integrand
+    segment_values = products._segment_values
+
+    def recording_make(A, family, B, xs, ys):
+        sides = [(A.d2_breakpoints, products._side(xs)), (B.d1_breakpoints, products._side(ys))]
+        runs.append(([(f, Z) for f, Z in sides if Z.shape[1] == 1], []))
+        return make_integrand(A, family, B, xs, ys)
+
+    def recording_values(fbatch, segs, nodes, weights, chunk, width, support, groups, *rest):
+        cells, edges = runs[-1]
+        if not edges:
+            pieces, owner = segs[::3], groups[::3]
+            for g in range(owner.max() + 1):
+                mine = pieces[owner == g]
+                edges.append(np.append(mine[:, 0], mine[-1, 1]))
+        return segment_values(fbatch, segs, nodes, weights, chunk, width, support, groups,
+                              *rest)
+
+    monkeypatch.setattr(products, "_make_integrand", recording_make)
+    monkeypatch.setattr(products, "_segment_values", recording_values)
+    fgm = FGMCopula(0.7)
+    families = (None, PiecewiseConstantFamily((0.3, 0.6), (FGMCopula(0.5), PI, W)))
+    g9 = np.arange(9) / 8
+    for C in _hint_corpus():
+        for F in families:
+            for A, B in ((C, fgm), (fgm, C)):
+                prod = (star(A, B, fast_paths=False) if F is None
+                        else star_c(A, F, B, fast_paths=False)).copula
+                prod.eval(g9[:, None], g9[None, :])
+                prod.eval(0.3, 0.6)
+    for prod, u, v in _step_side_products(flip_shuffle):
+        prod.eval(u, v)
+    checked = 0
+    for cells, edges in runs:
+        for hints_of, Z in cells:
+            for g, e in enumerate(edges):
+                h = hints_of(Z[g if len(Z) > 1 else 0, 0])
+                h = h[(0.0 < h) & (h < 1.0)]
+                assert np.isin(h.view(np.uint64), e.view(np.uint64)).all(), (g, h, e)
+                checked += h.size
+    assert checked > 0
 
 
 def test_group_outside_the_support_makes_no_integrand_call(quad_counter):
@@ -1059,7 +1075,7 @@ def test_several_groups_fail_as_the_first_alone(flip_shuffle):
     q = QuadratureConfig(base_subintervals=2, nodes_per_subinterval=3,
                          adaptive_tol=1e-17, max_depth=1)
     prod = star(flip_shuffle, FGMCopula(0.5), q, fast_paths=False).copula
-    xs, ys = np.asarray([0.8, 0.3]), np.asarray([0.6, 0.6])
+    xs, ys = np.asarray([0.65, 0.3]), np.asarray([0.6, 0.6])
     with pytest.raises(NonConvergenceError) as want:
         _per_group_points_eval(flip_shuffle, None, FGMCopula(0.5), xs, ys, q)
     with pytest.raises(NonConvergenceError) as got:
@@ -1067,39 +1083,50 @@ def test_several_groups_fail_as_the_first_alone(flip_shuffle):
     for e in (want.value, got.value):
         assert [x.hex() for x in e.interval] == ["0x1.cccccccccccccp-2", "0x1.fffffffffffffp-2"]
         assert e.err.hex() == "0x1.0000000000000p-58"
-        assert e.tol.hex() == "0x1.70ef54646d497p-60"
-    # the group at x = 0.8 fails on its own too, further right
+        assert e.tol.hex() == "0x1.2725dd1d243acp-60"
+    # the group at x = 0.65 fails on its own too, further left, so the
+    # error is not the leftmost failing segment of the call
     with pytest.raises(NonConvergenceError) as alone:
-        prod.eval(0.8, 0.6)
-    assert alone.value.interval[0] > got.value.interval[0]
+        prod.eval(0.65, 0.6)
+    assert alone.value.interval[0] < got.value.interval[0]
 
 
-def test_distinct_rows_never_merge_unequal_rows(monkeypatch):
-    # every hash collides when the multipliers are 0: rows are then told
-    # apart by their bits alone, and only equal rows share an entry
-    monkeypatch.setattr(products, "_key_weights",
-                        lambda k: np.zeros(k, dtype=np.uint64))
+def _assert_partition(columns, groups):
+    """(first, inverse) of ``_distinct_rows``, checked: two rows share
+    an entry exactly when their bits are the same, each entry is one of
+    its rows, and ``rows[first][inverse]`` gives the rows back."""
+    first, inverse = products._distinct_rows(columns, groups)
+    rows = np.stack([np.asarray(c).view(np.uint64) for c in columns], axis=1)
+    assert rows[first][inverse].tobytes() == rows.tobytes()
+    assert inverse[first].tolist() == list(range(len(first)))
+    for i, r in enumerate(rows):
+        same = (rows == r).all(axis=1)
+        assert (inverse == inverse[i]).tolist() == same.tolist(), i
+    return first, inverse
+
+
+def test_distinct_rows_never_merge_unequal_rows():
+    # only equal rows share an entry; rows 4 and 5 share a but not b
     a = np.asarray([0.5, 0.5, 0.25, 0.75, 0.75, 0.75])
     b = np.asarray([1.0, 1.0, 2.0, 1.0, 1.0, 3.0])
-    rows = np.stack((a, b), axis=1)
-    first, inverse = products._distinct_rows((a, b), np.asarray([0, 1, 1, 2, 3, 3]))
-    assert rows[first][inverse].tobytes() == rows.tobytes()
-    # rows 4 and 5 share a but not b
-    assert inverse.tolist() == [0, 0, 1, 2, 2, 3]
+    first, inverse = _assert_partition((a, b), np.asarray([0, 1, 1, 2, 3, 3]))
+    assert len(first) == 4
+    # (5, 0, 0) and (0, 0, 1) are unequal rows that a hash linear in odd
+    # multiples of one constant maps alike; sorted between the two equal
+    # rows, such a row must not split them
+    cols = (np.asarray([5, 0, 5]), np.zeros(3, dtype=np.intp), np.asarray([0, 1, 0]))
+    first, inverse = _assert_partition(cols, np.arange(3))
+    assert len(first) == 2
 
 
-def test_distinct_rows_compare_bits(monkeypatch):
+def test_distinct_rows_compare_bits():
     # +0.0 and -0.0 compare equal as floats, and NaNs unequal, but rows
     # are compared as bits: signed zeros and NaN payloads stay apart and
-    # equal bits share an entry, here with every hash colliding
-    monkeypatch.setattr(products, "_key_weights",
-                        lambda k: np.zeros(k, dtype=np.uint64))
+    # equal bits share an entry
     bits = np.asarray([0, 1 << 63, 1 << 63, 0x7FF8000000000000, 0x7FF8000000000001,
                        0x7FF8000000000001], dtype=np.uint64)
-    col = bits.view(float)
-    first, inverse = products._distinct_rows((col,), np.arange(6))
-    assert inverse.tolist() == [0, 1, 1, 2, 3, 3]
-    assert col[first][inverse].tobytes() == col.tobytes()
+    first, inverse = _assert_partition((bits.view(float),), np.arange(6))
+    assert len(first) == 4
 
 
 def test_distinct_rows_of_one_group_is_the_identity():
