@@ -23,6 +23,7 @@ import os
 import sys
 
 from .copulas import (
+    ConstructionError,
     CopulaError,
     DomainError,
     FormatError,
@@ -31,9 +32,13 @@ from .copulas import (
 )
 from .dsl import ParseError, SemanticError, build_copula, build_family, parse, parse_family
 from .products import NonConvergenceError, QuadratureConfig
-from .verify import SUITES, reports_to_json, reports_to_text, run_suite
+from .verify import DEFAULT_LATTICE, SUITES, reports_to_json, reports_to_text, run_suite
 
 __all__ = ["main", "format_value"]
+
+# the largest grid order, lattice side and quadrature count a flag may ask
+# for, so that a typo fails with a message instead of exhausting memory
+MAX_SIZE = 4096
 
 
 def format_value(x: float) -> str:
@@ -57,6 +62,9 @@ def _add_quadrature_flags(p: argparse.ArgumentParser):
 
 
 def _quad_config(args) -> QuadratureConfig:
+    for flag, value in (("--subintervals", args.subintervals), ("--nodes", args.nodes)):
+        if value > MAX_SIZE:
+            raise ConstructionError(f"{flag} must be at most {MAX_SIZE}, got {value}")
     return QuadratureConfig(
         base_subintervals=args.subintervals,
         nodes_per_subinterval=args.nodes,
@@ -79,7 +87,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     pg = sub.add_parser("grid", help="export an N x N checkerboard CSV")
     pg.add_argument("expr")
-    pg.add_argument("n", type=int, help="grid order, 1..4096")
+    pg.add_argument("n", type=int, help=f"grid order, 1..{MAX_SIZE}")
     pg.add_argument("out", help="output CSV path")
     _add_quadrature_flags(pg)
 
@@ -94,7 +102,7 @@ def _build_parser() -> argparse.ArgumentParser:
                     help="override the default family corpus, e.g. 'const(fgm(1))'")
     pv.add_argument("--theta", type=float, default=None,
                     help="parameter for the fgm suite")
-    pv.add_argument("--lattice", type=int, default=33,
+    pv.add_argument("--lattice", type=int, default=DEFAULT_LATTICE + 1,
                     help="points per axis for sup-distance lattices")
     pv.add_argument("--out", default=".",
                     help="directory receiving verify_<suite>.txt and .json")
@@ -138,8 +146,8 @@ def _cmd_grid(args) -> int:
     if rc:
         return rc
     # checked after the build, so that a bad expression still exits 1
-    if not 1 <= args.n <= 4096:
-        print(f"error: grid order must be in [1, 4096], got {args.n}",
+    if not 1 <= args.n <= MAX_SIZE:
+        print(f"error: grid order must be in [1, {MAX_SIZE}], got {args.n}",
               file=sys.stderr)
         return 2
     try:
@@ -156,8 +164,9 @@ def _cmd_grid(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    if args.lattice < 2:
-        print(f"error: lattice must be >= 2, got {args.lattice}", file=sys.stderr)
+    if not 2 <= args.lattice <= MAX_SIZE:
+        print(f"error: lattice must be in [2, {MAX_SIZE}], got {args.lattice}",
+              file=sys.stderr)
         return 2
     families = None
     if args.family is not None:

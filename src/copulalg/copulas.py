@@ -321,6 +321,12 @@ class ProductPi(_Exchangeable):
         return np.broadcast_to(u, np.broadcast_shapes(u.shape, v.shape)).copy()
 
 
+def _fgm_cdf(theta, u, v):
+    """The FGM cdf u v (1 + theta (1 - u)(1 - v)), in the one operation
+    order that the copula, a curve family's members and its mean share."""
+    return u * v * (1.0 + theta * (1.0 - u) * (1.0 - v))
+
+
 class FGMCopula(_Exchangeable):
     """Farlie-Gumbel-Morgenstern copula.
 
@@ -336,7 +342,7 @@ class FGMCopula(_Exchangeable):
         self.theta = theta
 
     def _cdf(self, u, v):
-        return u * v * (1.0 + self.theta * (1.0 - u) * (1.0 - v))
+        return _fgm_cdf(self.theta, u, v)
 
     # the last product is the first of the broadcast shape; the sum with
     # u is added into it
@@ -753,8 +759,13 @@ def sup_distance_witness(A: Copula, B: Copula, n: int = 32):
     d = exact_gap(A, B, g[:, None], g[None, :])
     if d is None:
         d = np.abs(_lattice_values(A, n) - _lattice_values(B, n))
-    flat = int(np.argmax(d))
-    i, j = divmod(flat, n + 1)
+    return _lattice_witness(d, g)
+
+
+def _lattice_witness(d, g):
+    """(d[i, j], (g[i], g[j])) at the first row-major maximizer of the
+    deviations d on the lattice g x g."""
+    i, j = divmod(int(np.argmax(d)), len(g))
     return float(d[i, j]), (float(g[i]), float(g[j]))
 
 

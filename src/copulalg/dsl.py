@@ -206,10 +206,9 @@ class _Scanner:
             return True
         return False
 
-    def expect(self, literal: str, what: str | None = None):
+    def expect(self, literal: str):
         if not self.take(literal):
-            raise ParseError(self.col(), (what or f"'{literal}'",),
-                             self.describe_here())
+            raise ParseError(self.col(), (f"'{literal}'",), self.describe_here())
 
     def ident(self):
         self._skip_ws()
@@ -455,7 +454,6 @@ def build_copula(node, q: QuadratureConfig | None = None,
     given quadrature settings. Value errors (parameter out of range,
     bad permutation, malformed grid file) surface as SemanticError.
     """
-    qq = q if q is not None else QuadratureConfig()
     try:
         if isinstance(node, Atom):
             return {"M": M, "W": W, "Pi": PI}[node.name]
@@ -472,19 +470,19 @@ def build_copula(node, q: QuadratureConfig | None = None,
         if isinstance(node, Grid):
             return read_grid_csv(node.path)
         if isinstance(node, Transpose):
-            return build_copula(node.child, qq, fast_paths).transpose()
+            return build_copula(node.child, q, fast_paths).transpose()
         if isinstance(node, Star):
             return star(
-                build_copula(node.left, qq, fast_paths),
-                build_copula(node.right, qq, fast_paths),
-                qq, fast_paths=fast_paths,
+                build_copula(node.left, q, fast_paths),
+                build_copula(node.right, q, fast_paths),
+                q, fast_paths=fast_paths,
             ).copula
         if isinstance(node, StarC):
             return star_c(
-                build_copula(node.left, qq, fast_paths),
-                build_family(node.family, qq, fast_paths),
-                build_copula(node.right, qq, fast_paths),
-                qq, fast_paths=fast_paths,
+                build_copula(node.left, q, fast_paths),
+                build_family(node.family, q, fast_paths),
+                build_copula(node.right, q, fast_paths),
+                q, fast_paths=fast_paths,
             ).copula
     except (ConstructionError, DomainError) as exc:
         raise SemanticError(str(exc)) from exc
@@ -494,13 +492,12 @@ def build_copula(node, q: QuadratureConfig | None = None,
 def build_family(node, q: QuadratureConfig | None = None,
                  fast_paths: bool = True):
     """Construct the copula family an expression denotes."""
-    qq = q if q is not None else QuadratureConfig()
     try:
         if isinstance(node, Const):
-            return ConstantFamily(build_copula(node.member, qq, fast_paths))
+            return ConstantFamily(build_copula(node.member, q, fast_paths))
         if isinstance(node, Pw):
             members = tuple(
-                build_copula(m, qq, fast_paths) for m in node.members
+                build_copula(m, q, fast_paths) for m in node.members
             )
             return PiecewiseConstantFamily(node.cuts, members)
         if isinstance(node, FgmCurve):

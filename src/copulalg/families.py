@@ -24,6 +24,7 @@ from .copulas import (
     Copula,
     DomainError,
     FGMCopula,
+    _fgm_cdf,
     _maybe_scalar,
     _unit,
 )
@@ -208,8 +209,7 @@ class FGMCurveFamily(CopulaFamily):
         return FGMCopula(float(self.theta(t)))
 
     def eval_grid(self, ts, x, y):
-        th = self.theta(np.asarray(ts)).reshape(-1, 1)
-        return x * y * (1.0 + th * (1.0 - x) * (1.0 - y))
+        return _fgm_cdf(self.theta(np.asarray(ts)).reshape(-1, 1), x, y)
 
     def breakpoints(self):
         """Where the raw theta(t) crosses -1 or 1 in (0, 1): where
@@ -349,9 +349,7 @@ def family_integral(F: CopulaFamily, x, y):
 
         mean, den = _moments(_fgm_curve_pieces(F), 1)
         # int / int is correctly rounded
-        mean_theta = int(mean[0]) / den
-        out = xx * yy * (1.0 + mean_theta * (1.0 - xx) * (1.0 - yy))
-        return _maybe_scalar(out, x, y)
+        return _maybe_scalar(_fgm_cdf(int(mean[0]) / den, xx, yy), x, y)
     raise ConstructionError(f"unsupported family {type(F).__name__}")
 
 

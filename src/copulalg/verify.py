@@ -38,6 +38,7 @@ from .copulas import (
     ShuffleOfM,
     StraightShuffle,
     W,
+    _lattice_witness,
     sup_distance_witness,
 )
 from .families import (
@@ -136,7 +137,6 @@ def check_identity(family: CopulaFamily, corpus=None, tol: float = 1e-5,
     Both product orders are computed by raw quadrature (fast paths off,
     so the law is actually exercised) against every corpus copula.
     """
-    qq = q if q is not None else QuadratureConfig()
     e = candidate if candidate is not None else M
     corpus = tuple(corpus) if corpus is not None else corpus_copulas()
     if not corpus:
@@ -145,8 +145,8 @@ def check_identity(family: CopulaFamily, corpus=None, tol: float = 1e-5,
     witness = None
     worst_case = ""
     for A in corpus:
-        left = star_c(e, family, A, qq, fast_paths=False)
-        right = star_c(A, family, e, qq, fast_paths=False)
+        left = star_c(e, family, A, q, fast_paths=False)
+        right = star_c(A, family, e, q, fast_paths=False)
         for side, prod in (("left", left), ("right", right)):
             dev, pt = sup_distance_witness(prod.copula, A, lattice)
             if dev > worst:
@@ -177,37 +177,34 @@ def check_zero_necessary(family: CopulaFamily, tol: float = 1e-12,
     """
     g = np.arange(lattice + 1) / lattice
     vals = family_integral(family, g[:, None], g[None, :])
-    dev = np.abs(vals - g[:, None] * g[None, :])
-    flat = int(np.argmax(dev))
-    i, j = divmod(flat, lattice + 1)
-    worst = float(dev[i, j])
+    worst, witness = _lattice_witness(np.abs(vals - g[:, None] * g[None, :]), g)
     return VerificationReport(
         name=f"zero-necessary[{family_label(family)}]",
         passed=worst <= tol,
         deviation=worst,
-        witness=(float(g[i]), float(g[j])),
+        witness=witness,
         params={"lattice": lattice, "note": "necessary-only", "tol": tol},
     )
 
 
 def check_zero_candidate(family: CopulaFamily, candidate,
                          alphas=DEFAULT_ALPHAS, tol: float = 1e-5,
-                         lattice: int = DEFAULT_LATTICE,
-                         q: QuadratureConfig | None = None) -> VerificationReport:
+                         lattice: int = DEFAULT_LATTICE) -> VerificationReport:
     """Can ``candidate`` absorb a sweep of straight shuffles?
 
     Passes iff straight(alpha) *_C candidate stays within tol of the
     candidate for every alpha. Only Pi survives the sweep; any other
-    candidate is eliminated by some shuffle.
+    candidate is eliminated by some shuffle. A straight shuffle is
+    left-invertible, so every product is a closed form and no
+    quadrature runs.
     """
     alphas = tuple(alphas)
     if not alphas:
         raise ConstructionError("need at least one shuffle parameter alpha")
-    qq = q if q is not None else QuadratureConfig()
     worst = -1.0
     witness = None
     for a in alphas:
-        prod = star_c(StraightShuffle(a), family, candidate, qq)
+        prod = star_c(StraightShuffle(a), family, candidate)
         dev, pt = sup_distance_witness(prod.copula, candidate, lattice)
         if dev > worst:
             worst = dev
@@ -226,8 +223,8 @@ def check_zero_candidate(family: CopulaFamily, candidate,
     )
 
 
-def fgm_counterexample(theta: float = 1.0, points=None, tol: float = 1e-5,
-                       q: QuadratureConfig | None = None) -> VerificationReport:
+def fgm_counterexample(theta: float = 1.0, points=None,
+                       tol: float = 1e-5) -> VerificationReport:
     """Average-to-Pi holds, yet Pi fails to be absorbing.
 
     Uses the family that is fgm(theta) on [0, 1/2) and fgm(-theta) on
@@ -248,10 +245,9 @@ def fgm_counterexample(theta: float = 1.0, points=None, tol: float = 1e-5,
     for x, y in pts:
         if not (0.0 <= x <= 1.0 and 0.0 <= y <= 1.0):
             raise DomainError(f"point ({x}, {y}) outside the unit square")
-    qq = q if q is not None else QuadratureConfig()
     family = PiecewiseConstantFamily((0.5,), (FGMCopula(theta), FGMCopula(-theta)))
     necessary = check_zero_necessary(family, tol=1e-9)
-    prod = star_c(FGMCopula(theta), family, PI, qq)
+    prod = star_c(FGMCopula(theta), family, PI)
     worst = -1.0
     witness = None
     params = {"theta": theta, "tol": tol, "necessary_dev": necessary.deviation}
@@ -285,13 +281,12 @@ def convergence_study(curve: FGMCurveFamily, A, B,
     """
     if len(pieces) < 2:
         raise ConstructionError("need at least two approximation levels")
-    qq = q if q is not None else QuadratureConfig()
-    target = star_c(A, curve, B, qq).copula
+    target = star_c(A, curve, B, q).copula
     errs = []
     last_witness = None
     for n in pieces:
         approx = midpoint_fgm_approximation(curve, int(n))
-        prod = star_c(A, approx, B, qq).copula
+        prod = star_c(A, approx, B, q).copula
         dev, last_witness = sup_distance_witness(prod, target, lattice)
         errs.append(dev)
     monotone = all(
@@ -318,23 +313,16 @@ def convergence_study(curve: FGMCurveFamily, A, B,
 
 
 # ---------------------------------------------------------------------------
-# suites
-
-SUITES = (
-    "identity",
-    "zero-necessary",
-    "zero-candidate",
-    "fgm",
-    "convergence",
-)
+# suites: each runner takes (q, lattice, thetas, families) and uses what
+# its checks need
 
 
-def _suite_identity(q, lattice, families=None):
+def _suite_identity(q, lattice, thetas, families):
     fams = tuple(families) if families is not None else corpus_families()
     return [check_identity(F, lattice=lattice, q=q) for F in fams]
 
 
-def _suite_zero_necessary(lattice, families=None):
+def _suite_zero_necessary(q, lattice, thetas, families):
     reports = []
     if families is not None:
         return [check_zero_necessary(F, lattice=lattice) for F in families]
@@ -362,13 +350,13 @@ def _suite_zero_necessary(lattice, families=None):
     return reports
 
 
-def _suite_zero_candidate(q, lattice, family=None):
-    fam = family if family is not None else PiecewiseConstantFamily(
+def _suite_zero_candidate(q, lattice, thetas, families):
+    fam = families[0] if families else PiecewiseConstantFamily(
         (0.5,), (FGMCopula(1.0), FGMCopula(-1.0))
     )
-    reports = [check_zero_candidate(fam, PI, lattice=lattice, q=q)]
+    reports = [check_zero_candidate(fam, PI, lattice=lattice)]
     for U in (M, W, FGMCopula(1.0)):
-        r = check_zero_candidate(fam, U, lattice=lattice, q=q)
+        r = check_zero_candidate(fam, U, lattice=lattice)
         reports.append(
             VerificationReport(
                 name=f"zero-eliminates[{copula_label(U)}]",
@@ -381,12 +369,12 @@ def _suite_zero_candidate(q, lattice, family=None):
     return reports
 
 
-def _suite_fgm(q, thetas=None):
+def _suite_fgm(q, lattice, thetas, families):
     ths = tuple(thetas) if thetas is not None else (0.1, 0.5, 1.0)
-    return [fgm_counterexample(th, q=q) for th in ths]
+    return [fgm_counterexample(th) for th in ths]
 
 
-def _suite_convergence(q, lattice):
+def _suite_convergence(q, lattice, thetas, families):
     curve = FGMCurveFamily((-1.0, 2.0))
     return [
         convergence_study(curve, FGMCopula(0.5), FGMCopula(0.5),
@@ -394,27 +382,27 @@ def _suite_convergence(q, lattice):
     ]
 
 
+_RUNNERS = {
+    "identity": _suite_identity,
+    "zero-necessary": _suite_zero_necessary,
+    "zero-candidate": _suite_zero_candidate,
+    "fgm": _suite_fgm,
+    "convergence": _suite_convergence,
+}
+SUITES = tuple(_RUNNERS)
+
+
 def run_suite(name: str, q: QuadratureConfig | None = None,
               lattice: int = DEFAULT_LATTICE, thetas=None, families=None):
     """Run one named suite (or 'all'); returns the report list."""
-    qq = q if q is not None else QuadratureConfig()
     if name == "all":
         out = []
         for s in SUITES:
-            out.extend(run_suite(s, qq, lattice, thetas=thetas, families=families))
+            out.extend(run_suite(s, q, lattice, thetas=thetas, families=families))
         return out
-    if name == "identity":
-        return _suite_identity(qq, lattice, families=families)
-    if name == "zero-necessary":
-        return _suite_zero_necessary(lattice, families=families)
-    if name == "zero-candidate":
-        fam = families[0] if families else None
-        return _suite_zero_candidate(qq, lattice, family=fam)
-    if name == "fgm":
-        return _suite_fgm(qq, thetas=thetas)
-    if name == "convergence":
-        return _suite_convergence(qq, lattice)
-    raise ConstructionError(f"unknown suite {name!r}; pick from {SUITES + ('all',)}")
+    if name not in _RUNNERS:
+        raise ConstructionError(f"unknown suite {name!r}; pick from {SUITES + ('all',)}")
+    return _RUNNERS[name](q, lattice, thetas, families)
 
 
 # ---------------------------------------------------------------------------

@@ -289,6 +289,46 @@ def test_verify_config_errors_exit_2(capsys, tmp_path):
         assert "Traceback" not in err
 
 
+# the size flags are capped at 4096 and checked before any quadrature
+# rule or lattice is built, so these tests allocate nothing of that size
+
+
+def _rejects_above_cap(capsys, tmp_path, flag):
+    for argv in (("eval", "star(fgm(0.5), fgm(-0.3))", "0.5", "0.5", "--no-fast-path"),
+                 ("grid", "M", "4", str(tmp_path / "g.csv")),
+                 ("verify", "identity", "--out", str(tmp_path))):
+        rc, out, err = run(capsys, *argv, flag, "4097")
+        assert (rc, out) == (2, ""), argv
+        assert err == f"error: {flag} must be at most 4096, got 4097\n"
+    assert list(tmp_path.iterdir()) == []
+    # a bad expression still exits 1 first
+    rc, _, err = run(capsys, "eval", "fgm(0.5", "0.5", "0.5", flag, "4097")
+    assert rc == 1 and err.startswith("error: column 8:")
+    # the cap itself is allowed; M takes no quadrature
+    rc, out, _ = run(capsys, "eval", "M", "0.5", "0.5", flag, "4096")
+    assert (rc, out) == (0, "0.500000000000\n")
+
+
+def test_nodes_flag_capped(capsys, tmp_path):
+    _rejects_above_cap(capsys, tmp_path, "--nodes")
+
+
+def test_subintervals_flag_capped(capsys, tmp_path):
+    _rejects_above_cap(capsys, tmp_path, "--subintervals")
+
+
+def test_lattice_flag_capped(capsys, tmp_path):
+    rc, out, err = run(capsys, "verify", "fgm", "--lattice", "4097",
+                       "--out", str(tmp_path))
+    assert (rc, out) == (2, "")
+    assert err == "error: lattice must be in [2, 4096], got 4097\n"
+    assert list(tmp_path.iterdir()) == []
+    # the fgm suite checks fixed points, so the cap itself costs nothing
+    rc, out, _ = run(capsys, "verify", "fgm", "--theta", "1", "--lattice", "4096",
+                     "--out", str(tmp_path))
+    assert rc == 0 and out.startswith("fgm-counterexample[theta=1] | pass")
+
+
 def test_verify_unknown_suite_rejected(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["verify", "everything"])

@@ -3,6 +3,7 @@ import os
 import pkgutil
 import subprocess
 import sys
+import warnings
 
 import pytest
 
@@ -32,3 +33,12 @@ def test_import_leaves_exact_arithmetic_unloaded():
     r = subprocess.run([sys.executable, "-c", code], env=env,
                        capture_output=True, text=True, check=True)
     assert r.stdout == "[]\n"
+
+
+@pytest.mark.parametrize("category", [DeprecationWarning, FutureWarning])
+def test_deprecation_from_copulalg_fails_the_run(category):
+    # pyproject's filterwarnings: a numpy API change met in a copulalg
+    # module raises instead of scrolling past in the summary
+    with pytest.raises(category):
+        warnings.warn_explicit("old API", category, "products.py", 1,
+                               module="copulalg.products")

@@ -1,4 +1,5 @@
 import json
+import pathlib
 
 import numpy as np
 import pytest
@@ -32,6 +33,7 @@ from copulalg import (
 from copulalg.verify import copula_label, family_label, report_lines
 
 SMALL = dict(lattice=16)
+GOLDEN = pathlib.Path(__file__).parent / "golden"
 
 
 def split_sign_family(theta):
@@ -273,6 +275,17 @@ def test_suite_names_frozen():
     )
 
 
+def test_only_the_identity_suite_integrates(quad_counter):
+    # zero-candidate's straight shuffles are left-invertible and fgm's
+    # split-sign product is polynomial, so their checks take no
+    # quadrature settings; identity forces quadrature on purpose
+    for name in ("zero-necessary", "zero-candidate", "fgm", "convergence"):
+        run_suite(name, lattice=8)
+        assert quad_counter["calls"] == 0, name
+    run_suite("identity", lattice=8)
+    assert quad_counter["calls"] > 0
+
+
 # ---------------------------------------------------------------------------
 # serialization
 
@@ -289,6 +302,16 @@ def test_report_lines_format():
         assert wit.startswith("witness=(") or wit == "witness=-"
         keys = [chunk.split("=", 1)[0] for chunk in params.split("; ")]
         assert keys == sorted(rep.params)
+
+
+def test_verify_all_reports_match_golden():
+    # the files `copulalg verify all` writes, bit for bit; their values
+    # rest on the 16-point rule that test_gauss_legendre_16_bits_pinned pins
+    reports = run_suite("all")
+    assert reports_to_text(reports).encode("ascii") == \
+        (GOLDEN / "verify_all.txt").read_bytes()
+    assert reports_to_json(reports).encode("ascii") == \
+        (GOLDEN / "verify_all.json").read_bytes()
 
 
 def test_serialization_deterministic():
