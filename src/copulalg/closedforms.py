@@ -74,19 +74,25 @@ class ShuffleStarProduct(Copula):
         return out
 
     def d2_breakpoints(self, u):
-        # C's breakpoints at both ends of every piece the u-section reaches
+        # C's breakpoints at both ends of every piece the u-section
+        # reaches, NaN at the ends of the others
         c, lo, hi = self.S._sections(u)
-        reached = c > 0.0
-        return self.C.d2_breakpoints(np.concatenate((lo[reached], hi[reached])))
+        ends = np.concatenate((lo, hi), axis=1)
+        reached = np.concatenate((c, c), axis=1).reshape(-1, 1) > 0.0
+        hints = np.where(reached, self.C.d2_breakpoints(ends), np.nan)
+        return hints.reshape(len(c), ends.shape[1] * hints.shape[1])
 
     def d1_breakpoints(self, v):
         # the strip edges, and C's breakpoints in its first argument
-        # carried back through every piece whose image holds them
+        # carried back through every piece whose image holds them, NaN
+        # through the others
         S = self.S
-        x = np.reshape(self.C.d1_breakpoints(v), (-1, 1))
+        x = self.C.d1_breakpoints(v)[..., None]
         t = np.where(S._flip, S._s0 + (S._t1 - x), S._s0 + (x - S._t0))
         held = (S._t0 <= x) & (x <= S._t1)
-        return np.concatenate((S._s0[1:], t[held]))
+        carried = np.where(held, t, np.nan).reshape(len(x), t.shape[1] * t.shape[2])
+        edges = np.broadcast_to(S._s0[1:], (len(x), S.n_pieces - 1))
+        return np.concatenate((edges, carried), axis=1)
 
     def __repr__(self):
         return f"<ShuffleStarProduct S={self.S!r} C={self.C!r}>"

@@ -172,11 +172,14 @@ class Copula:
     them with the arguments swapped, and are their own transpose.
 
     Breakpoint contract: ``d2_breakpoints(u)`` takes a scalar or an
-    array of coordinates u and returns one flat float array holding,
-    for every given u, the t-values where t -> partial2(u, t) may jump
-    or kink; ``d1_breakpoints(v)`` does the same for t -> partial1(t, v).
-    Duplicates are allowed and the order is free: the quadrature sorts
-    them and keeps each value once. An empty array means smooth conditionals.
+    array of coordinates u and returns a (u.size, k) float array, one
+    row per coordinate in flat order, holding the t-values where
+    t -> partial2(u, t) may jump or kink; ``d1_breakpoints(v)`` does
+    the same for t -> partial1(t, v). A row shorter than k is padded
+    with NaN, which is no hint. Duplicates are allowed and the order
+    within a row is free: the quadrature sorts each group's hints and
+    keeps each value once, so one call serves every group of a batch.
+    k = 0 means smooth conditionals.
 
     Degree contract: ``conditional_degree`` is the degree in t of both
     conditionals, t -> ``_d2(u, t)`` and t -> ``_d1(t, v)``, between
@@ -238,10 +241,15 @@ class Copula:
         return TransposedCopula(self)
 
     def d2_breakpoints(self, u):
-        return np.empty(0)
+        """(u.size, k) t-values where t -> partial2(u_i, t) may jump or
+        kink, one row per coordinate u_i, NaN-padded; one call serves
+        every group of a quadrature batch (see the class docstring)."""
+        return np.empty((np.size(u), 0))
 
     def d1_breakpoints(self, v):
-        return np.empty(0)
+        """(v.size, k) t-values where t -> partial1(t, v_i) may jump or
+        kink, one row per coordinate v_i, NaN-padded (``d2_breakpoints``)."""
+        return np.empty((np.size(v), 0))
 
     def __repr__(self):
         return f"<{type(self).__name__}>"
@@ -280,7 +288,7 @@ class FrechetM(_Exchangeable):
         return np.greater_equal(u, 1.0, out=out, where=v == 1.0)
 
     def d2_breakpoints(self, u):
-        return np.ravel(u).astype(float)
+        return np.reshape(u, (-1, 1)).astype(float)
 
 
 class FrechetW(_Exchangeable):
@@ -304,7 +312,7 @@ class FrechetW(_Exchangeable):
         return np.greater(u, 0.0, out=out, where=v == 1.0)
 
     def d2_breakpoints(self, u):
-        return 1.0 - np.ravel(u)
+        return 1.0 - np.reshape(u, (-1, 1))
 
 
 class ProductPi(_Exchangeable):
@@ -509,7 +517,7 @@ class ShuffleOfM(Copula):
     def d2_breakpoints(self, u):
         # each piece's conditional is 1 on a t-interval [lo, hi] per u
         _, lo, hi = self._sections(u)
-        return np.concatenate((lo, hi), axis=None)
+        return np.concatenate((lo, hi), axis=1)
 
     def d1_breakpoints(self, v):
         return self.transpose().d2_breakpoints(v)
@@ -665,7 +673,7 @@ class GridCopula(Copula):
 
     # the cell edges, whatever the coordinate
     def d2_breakpoints(self, u):
-        return np.arange(1, self.n) / self.n
+        return np.repeat((np.arange(1, self.n) / self.n)[None], np.size(u), axis=0)
 
     d1_breakpoints = d2_breakpoints
 

@@ -208,17 +208,30 @@ def _gl(n: int):
 
 
 def _initial_edges(breakpoints, q: QuadratureConfig):
-    """The initial edges of one group with the given breakpoints: the
-    ``base_subintervals`` uniform points, the extra breakpoints and the
-    group's own that lie in (0, 1) (NaN and the infinities do not), in
-    increasing order, each value once. So every hint in (0, 1) is an
-    edge, bit for bit, and a piece may be one ulp wide.
+    """(a, b, pieces): the initial pieces [a, b] of every group, by group
+    and then left to right, and their number in each group, for one row
+    of breakpoints per group.
+
+    A group's edges are the ``base_subintervals`` uniform points, the
+    extra breakpoints and its row's values in (0, 1) (NaN and the
+    infinities are not), in increasing order, each value once. So every
+    hint in (0, 1) is an edge, bit for bit, and a piece may be one ulp
+    wide. Every row is sorted in one call, with what lies outside (0, 1)
+    made 0.0, a copy of the first base point; a value that differs from
+    its left neighbour ends a piece that starts at that neighbour.
     """
-    base = np.arange(q.base_subintervals + 1) / q.base_subintervals
-    extra = np.concatenate((q.extra_breakpoints, breakpoints), axis=None)
+    bp = np.asarray(breakpoints, dtype=float)
+    nb, ne = q.base_subintervals + 1, len(q.extra_breakpoints)
+    s = np.empty((len(bp), nb + ne + bp.shape[1]))
+    s[:, :nb] = np.arange(nb) / q.base_subintervals
+    s[:, nb : nb + ne] = q.extra_breakpoints
+    s[:, nb + ne :] = bp
+    hints = s[:, nb:]
     # NaN and the infinities fail both comparisons
-    extra = extra[(0.0 < extra) & (extra < 1.0)]
-    return np.unique(np.concatenate((base, extra)))
+    hints[~((0.0 < hints) & (hints < 1.0))] = 0.0
+    s.sort(axis=1)
+    new = s[:, 1:] != s[:, :-1]
+    return s[:, :-1][new], s[:, 1:][new], new.sum(axis=1)
 
 
 def _distinct_rows(columns, groups):
@@ -377,7 +390,8 @@ def _segment_values(fbatch, segs, nodes, weights, chunk, width, support, groups)
 def _integrate_batch(fbatch, breakpoints, q: QuadratureConfig, width: int, support):
     """Integrate vector-valued functions over [0, 1], one per group.
 
-    ``breakpoints`` holds one array of t-values per group. fbatch maps
+    ``breakpoints`` is a (groups, k) array of t-values, one row per
+    group, padded with NaN (``_initial_edges``). fbatch maps
     nodes (k,) to values (k, width). Returns the (groups, width)
     integrals and each group's error estimate, valid for every
     component (sum over pieces of the max-norm two-level defect).
@@ -400,13 +414,11 @@ def _integrate_batch(fbatch, breakpoints, q: QuadratureConfig, width: int, suppo
     failing piece of the first failing group.
     """
     nodes, weights = _gl(q.nodes_per_subinterval)
-    edges = [_initial_edges(bp, q) for bp in breakpoints]
-    pieces = np.asarray([len(e) - 1 for e in edges])
+    a, b, pieces = _initial_edges(breakpoints, q)
+    groups = len(pieces)
     tol0 = q.adaptive_tol / pieces
     chunk = max(3 * len(nodes), _CHUNK_ELEMENTS // max(width, 1))
-    group = np.repeat(np.arange(len(edges)), pieces)
-    a = np.concatenate([e[:-1] for e in edges])
-    b = np.concatenate([e[1:] for e in edges])
+    group = np.repeat(np.arange(groups), pieces)
     coarse = None  # n-point rule on each [a, b] as (values, index), made with level 0
     owners, starts, errs, refs, fines = [], [], [], [], []
     made = depth = 0
@@ -452,10 +464,10 @@ def _integrate_batch(fbatch, breakpoints, q: QuadratureConfig, width: int, suppo
     refs = np.concatenate(refs)[order]
     errs = np.concatenate(errs)[order]
     fines = np.concatenate(fines)
-    bounds = np.searchsorted(owners[order], np.arange(len(edges) + 1))
-    totals = np.empty((len(edges), width))
-    err_sums = np.empty(len(edges))
-    for k in range(len(edges)):
+    bounds = np.searchsorted(owners[order], np.arange(groups + 1))
+    totals = np.empty((groups, width))
+    err_sums = np.empty(groups)
+    for k in range(groups):
         run = slice(bounds[k], bounds[k + 1])
         # add.accumulate runs strictly in order; + 0.0 matches a sum from zero
         totals[k] = np.add.accumulate(fines[refs[run]], axis=0)[-1] + 0.0
@@ -473,7 +485,7 @@ def integrate(f, breakpoints=(), q: QuadratureConfig | None = None):
     def support(segs, nodes, groups, once):
         return np.ones((len(segs), 1), dtype=bool), {}
 
-    totals, errs = _integrate_batch(fbatch, [breakpoints], qq, 1, support)
+    totals, errs = _integrate_batch(fbatch, np.reshape(breakpoints, (1, -1)), qq, 1, support)
     return float(totals[0, 0]), float(errs[0])
 
 
@@ -571,51 +583,62 @@ def _make_integrand(A: Copula, family, B: Copula, xs, ys):
 def _product_points_eval(A, family, B, xs, ys, q):
     """Quadrature values of the (generalized) product at flat points.
 
-    Points sharing a coordinate on the side with the richer breakpoint
-    structure form a group, whose subdivision is built once; without
-    breakpoints on either side all points form one group. Each group is
-    split at the family's breakpoints and at both factors' breakpoints
-    for the group's coordinates, the shared one asked for once. The
-    groups whose other coordinates form the same row, bit for bit,
-    are integrated in one ``_integrate_batch`` call, in key order: on a
-    lattice that is every group. Either way a group's breakpoints hold
-    the hints of both sides at every coordinate they take in the group,
-    so every cell side's hints are among them, as ``_segment_values``
+    Each side's hints are asked for once, one row per distinct
+    coordinate, with the probe coordinate 0.375 in front: the side with
+    more hints there is the grouped one, and without hints on either
+    side all points form one group. Points sharing the grouped
+    coordinate form a group, whose subdivision is built once. The groups
+    whose other coordinates form the same row, bit for bit, are
+    integrated in one ``_integrate_batch`` call, in key order: on a
+    lattice that is every group. A group's breakpoint row is its own
+    coordinate's hints, then the family's breakpoints and the other
+    side's hints at every coordinate of the row, columns that every
+    group of the call shares. Either way a group's breakpoints hold the
+    hints of both sides at every coordinate they take in the group, so
+    every cell side's hints are among them, as ``_segment_values``
     requires. Returns (values, worst per-point error estimate).
     """
     m = xs.size
     out = np.empty(m)
     if m == 0:
         return out, 0.0
-    fam_breaks = family.breakpoints() if family is not None else ()
-    kA = len(A.d2_breakpoints(0.375))
-    kB = len(B.d1_breakpoints(0.375))
+    fam_breaks = np.asarray(family.breakpoints() if family is not None else (), dtype=float)
+    ux, uy = np.unique(xs), np.unique(ys)
+    hA = A.d2_breakpoints(np.concatenate(([0.375], ux)))
+    hB = B.d1_breakpoints(np.concatenate(([0.375], uy)))
+    # NaN is no hint
+    kA, kB = np.count_nonzero(hA[0] == hA[0]), np.count_nonzero(hB[0] == hB[0])
+    hA, hB = hA[1:], hB[1:]
     if not (kA or kB):
-        breaks = np.concatenate(
-            (fam_breaks, A.d2_breakpoints(xs), B.d1_breakpoints(ys)), axis=None
-        )
+        breaks = np.concatenate((fam_breaks, hA, hB), axis=None).reshape(1, -1)
         fb, support = _make_integrand(A, family, B, xs, ys)
-        vals, errs = _integrate_batch(fb, [breaks], q, m, support)
+        vals, errs = _integrate_batch(fb, breaks, q, m, support)
         return np.clip(vals[0], 0.0, 1.0), float(errs[0])
     by_x = kA >= kB
-    keys, other = (xs, ys) if by_x else (ys, xs)
-    own, shared = ((A.d2_breakpoints, B.d1_breakpoints) if by_x
-                   else (B.d1_breakpoints, A.d2_breakpoints))
-    uniq, inv = np.unique(keys, return_inverse=True)
-    members = [np.flatnonzero(inv == g) for g in range(uniq.size)]
+    keys, uniq, own, other, other_uniq, shared = ((xs, ux, hA, ys, uy, hB) if by_x
+                                                  else (ys, uy, hB, xs, ux, hA))
+    # the points of each group, in increasing order
+    inv = np.searchsorted(uniq, keys)
+    order = np.argsort(inv, kind="stable")
+    ends = np.cumsum(np.bincount(inv)).tolist()
+    members = [order[i:j] for i, j in zip([0] + ends, ends)]
     calls = {}
     for g, idx in enumerate(members):
         calls.setdefault(other[idx].tobytes(), []).append(g)
     worst = 0.0
     for gs in calls.values():
-        row = other[members[gs[0]]]
+        idx = np.array([members[g] for g in gs])
+        row = other[idx[0]]
         col = uniq[gs].reshape(-1, 1)
-        row_breaks = shared(row)
-        breaks = [np.concatenate((fam_breaks, own(c), row_breaks), axis=None) for c in col]
+        # the other side's rows at the row's coordinates
+        at = np.searchsorted(other_uniq, row)
+        common = np.concatenate((fam_breaks, shared[at]), axis=None)
+        breaks = np.empty((len(gs), own.shape[1] + common.size))
+        breaks[:, : own.shape[1]] = own[gs]
+        breaks[:, own.shape[1] :] = common
         fb, support = _make_integrand(A, family, B, *((col, row) if by_x else (row, col)))
         vals, errs = _integrate_batch(fb, breaks, q, row.size, support)
-        for g, v in zip(gs, vals):
-            out[members[g]] = v
+        out[idx] = vals
         worst = max(worst, float(errs.max()))
     return np.clip(out, 0.0, 1.0), worst
 

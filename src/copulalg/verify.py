@@ -223,16 +223,17 @@ def check_zero_candidate(family: CopulaFamily, candidate,
     )
 
 
-def fgm_counterexample(theta: float = 1.0, points=None,
-                       tol: float = 1e-5) -> VerificationReport:
+def fgm_counterexample(theta: float = 1.0, points=None, tol: float = 1e-5,
+                       lattice: int = DEFAULT_LATTICE) -> VerificationReport:
     """Average-to-Pi holds, yet Pi fails to be absorbing.
 
     Uses the family that is fgm(theta) on [0, 1/2) and fgm(-theta) on
     [1/2, 1]: its t-average is exactly Pi, but fgm(theta) *_C Pi moves
     away from Pi by theta^2 x(1-x)(1/2-x) y(1-y). Passes iff that
     deviation is actually reproduced (> 10 tol) while the averaging
-    condition holds. The product is polynomial, and the deviation is
-    its coefficients minus Pi's, exactly, evaluated at each point.
+    condition holds on the ``lattice``. The product is polynomial, and
+    the deviation is its coefficients minus Pi's, exactly, evaluated at
+    each point.
     """
     theta = float(theta)
     if theta == 0.0:
@@ -246,7 +247,7 @@ def fgm_counterexample(theta: float = 1.0, points=None,
         if not (0.0 <= x <= 1.0 and 0.0 <= y <= 1.0):
             raise DomainError(f"point ({x}, {y}) outside the unit square")
     family = PiecewiseConstantFamily((0.5,), (FGMCopula(theta), FGMCopula(-theta)))
-    necessary = check_zero_necessary(family, tol=1e-9)
+    necessary = check_zero_necessary(family, tol=1e-9, lattice=lattice)
     prod = star_c(FGMCopula(theta), family, PI)
     worst = -1.0
     witness = None
@@ -371,7 +372,7 @@ def _suite_zero_candidate(q, lattice, thetas, families):
 
 def _suite_fgm(q, lattice, thetas, families):
     ths = tuple(thetas) if thetas is not None else (0.1, 0.5, 1.0)
-    return [fgm_counterexample(th) for th in ths]
+    return [fgm_counterexample(th, lattice=lattice) for th in ths]
 
 
 def _suite_convergence(q, lattice, thetas, families):

@@ -166,6 +166,27 @@ def _point_breakpoints(C, side, x):
             else:
                 pts += [S._t0[i], S._t0[i] + c]
         return tuple(pts)
+    if isinstance(C, ShuffleStarProduct):
+        S, pts = C.S, []
+        for i in range(S.n_pieces):
+            if side == 2:
+                # C's hints at both ends of every piece the section reaches
+                c = min(max(x - S._s0[i], 0.0), S._w[i])
+                if c > 0.0:
+                    ends = (S._t1[i] - c, S._t1[i]) if S._flip[i] else (S._t0[i], S._t0[i] + c)
+                    pts += [h for e in ends for h in _point_breakpoints(C.C, 2, e)]
+            else:
+                # the strip edges, and C's hints carried back through a piece
+                pts += [S._s0[i]] if i else []
+                for h in _point_breakpoints(C.C, 1, x):
+                    if S._t0[i] <= h <= S._t1[i]:
+                        pts.append(S._s0[i] + (S._t1[i] - h) if S._flip[i]
+                                   else S._s0[i] + (h - S._t0[i]))
+        return tuple(pts)
+    if isinstance(C, WRightProduct):
+        if side == 2:
+            return tuple(1.0 - h for h in _point_breakpoints(C.A, 2, x))
+        return _point_breakpoints(C.A, 1, 1.0 - x)
     if isinstance(C, FrechetM):
         return (float(x),)
     if isinstance(C, FrechetW):
@@ -173,6 +194,28 @@ def _point_breakpoints(C, side, x):
     if isinstance(C, GridCopula):
         return tuple(np.arange(1, C.n) / C.n)
     return ()
+
+
+def _hint_count(hints):
+    # the hints in a breakpoint array; NaN pads a row and is no hint
+    return int(np.count_nonzero(~np.isnan(hints)))
+
+
+def _edges_of(rows, q):
+    """Each group's initial edges from ``_initial_edges`` of its rows,
+    as one array per group."""
+    a, b, pieces = products._initial_edges(rows, q)
+    group = np.repeat(np.arange(len(rows)), pieces)
+    return [np.append(a[group == g], b[group == g][-1]) for g in range(len(rows))]
+
+
+def _padded(groups):
+    # one row per group, each padded with NaN to the longest
+    k = max(len(g) for g in groups)
+    rows = np.full((len(groups), k), np.nan)
+    for i, g in enumerate(groups):
+        rows[i, : len(g)] = g
+    return rows
 
 
 def _tuple_path_edges(breakpoints, q):
@@ -192,39 +235,44 @@ def _tuple_path_edges(breakpoints, q):
 
 def _hint_corpus():
     rng = np.random.default_rng(7)
-    base = [M, W, PI, FGMCopula(0.7), StraightShuffle(0.3),
-            grid_from_copula(FGMCopula(0.8), 6)]
+    g6 = grid_from_copula(FGMCopula(0.8), 6)
+    base = [M, W, PI, FGMCopula(0.7), StraightShuffle(0.3), g6]
     for k in (2, 3, 5, 9):
         cuts = (0.0, *np.sort(rng.uniform(size=k - 1)), 1.0)
         flips = rng.integers(0, 2, k).astype(bool)
         base.append(ShuffleOfM(cuts, rng.permutation(k) + 1, flips))
+    base += [ShuffleStarProduct(base[-2], g6), ShuffleStarProduct(StraightShuffle(0.3), PI),
+             WRightProduct(g6), WRightProduct(base[-1])]
     return [c for C in base for c in (C, C.transpose(), TransposedCopula(C))]
 
 
-def test_breakpoints_are_flat_arrays_over_coordinates():
+def test_breakpoints_are_rows_per_coordinate():
+    # one float row per coordinate, in flat order, padded with NaN: row
+    # i without NaN holds the hints of coordinate i, as a set
     xs = np.concatenate((np.arange(17) / 16, [0.3, 1 / 3, 0.7, 0.3]))
     for C in _hint_corpus():
         for side, method in ((2, C.d2_breakpoints), (1, C.d1_breakpoints)):
-            whole = method(xs)
-            assert isinstance(whole, np.ndarray) and whole.ndim == 1
-            assert whole.dtype == np.float64, (C, side)
-            union = {b for x in xs for b in _point_breakpoints(C, side, float(x))}
-            assert set(whole.tolist()) == union, (C, side)
-            for x in (0.375, 1 / 3, 0.0, 1.0):
-                one = method(x)
-                assert one.ndim == 1 and one.dtype == np.float64
-                assert set(one.tolist()) == set(_point_breakpoints(C, side, x))
-            if not union:  # smooth conditionals
-                assert whole.size == 0 and method(0.375).size == 0
+            for coords in (xs, xs.reshape(3, 7), 0.375, 1 / 3, 0.0, 1.0, xs[:0]):
+                rows = method(coords)
+                assert isinstance(rows, np.ndarray) and rows.dtype == np.float64, (C, side)
+                assert rows.ndim == 2 and len(rows) == np.size(coords), (C, side)
+                for x, row in zip(np.ravel(coords), rows):
+                    want = _point_breakpoints(C, side, float(x))
+                    assert set(row[~np.isnan(row)].tolist()) == set(want), (C, side, x)
+                    assert _hint_count(row) == len(want), (C, side, x)
+            if not any(_point_breakpoints(C, side, float(x)) for x in xs):  # smooth
+                assert method(xs).shape == (xs.size, 0)
 
 
 def test_initial_edges_match_tuple_path():
-    # the edges of one group from array hints are bit-identical to the
-    # edges from the concatenated per-point tuples: every value in
-    # (0, 1) once, however close to another; first for groups of chains
-    # of cuts 0.9e-14 apart, values next to 0, 1 and base cuts,
-    # duplicates, NaN, the infinities and values outside (0, 1)
+    # every group's edges from one sort of its NaN-padded row are
+    # bit-identical to the edges of the concatenated per-point tuples:
+    # every value in (0, 1) once, however close to another; groups of
+    # chains of cuts 0.9e-14 apart, hints one ulp apart, values next to
+    # 0, 1 and base cuts, duplicates, NaN, the infinities and values
+    # outside (0, 1), in one call and each group alone
     tiny = 0.9e-14
+    ulp = np.nextafter(0.7, 1.0)
     groups = [
         (),
         (0.25 + tiny, 0.25 + 2 * tiny, 0.25 + 3 * tiny, 0.7, 0.7, 0.7 + 5e-15),
@@ -234,31 +282,45 @@ def test_initial_edges_match_tuple_path():
         (0.125 - tiny, 0.125, 0.125 + tiny, 0.125 + 2 * tiny),
         (1.0 - 1e-15, 1.0 - 2e-15, 5e-324, np.nextafter(1.0, 0.0)),
         (1.0 - 3 * tiny, 1.0 - 2 * tiny, 1.0 - tiny),
+        (0.7, ulp, np.nextafter(ulp, 1.0), np.nextafter(0.5, 0.0), 0.5, np.nextafter(0.5, 1.0)),
         np.random.default_rng(3).uniform(size=200),
     ]
+    rows = _padded(groups)
     corpus = _hint_corpus()
     ys = np.arange(9) / 8
     fam_breaks = (0.25, 0.5)
     configs = (QuadratureConfig(), QuadratureConfig(base_subintervals=1),
                QuadratureConfig(base_subintervals=5,
-                                extra_breakpoints=(0.2 + 5e-15, np.nan, 0.9, 2.0)))
+                                extra_breakpoints=(0.2 + 5e-15, np.nan, 0.9, 2.0, ulp)))
     for q in configs:
-        for bp in groups:
-            got = products._initial_edges(bp, q)
-            assert got.tobytes() == _tuple_path_edges(tuple(bp), q).tobytes(), (q, bp)
-            assert got[0] == 0.0 and got[-1] == 1.0 and (np.diff(got) > 0.0).all()
+        together = _edges_of(rows, q)
+        for i, bp in enumerate(groups):
+            want = _tuple_path_edges(tuple(bp), q)
+            (alone,) = _edges_of(rows[i : i + 1], q)
+            assert together[i].tobytes() == alone.tobytes() == want.tobytes(), (q, bp)
+            assert want[0] == 0.0 and want[-1] == 1.0 and (np.diff(want) > 0.0).all()
+        # with no group, and groups whose rows are empty
+        assert all(len(x) == 0 for x in products._initial_edges(np.empty((0, 3)), q))
+        base = _tuple_path_edges((), q).tobytes()
+        assert [e.tobytes() for e in _edges_of(np.empty((2, 0)), q)] == [base, base]
         for A in corpus:
             for B in corpus[::3]:
+                hints = []
                 for x in (0.2, 0.5):
                     xs = np.full(ys.size, x)
                     arrays = np.concatenate(
-                        (fam_breaks, A.d2_breakpoints(xs), B.d1_breakpoints(ys))
+                        (fam_breaks, A.d2_breakpoints(xs), B.d1_breakpoints(ys)), axis=None
                     )
                     tuples = fam_breaks + _point_breakpoints(A, 2, x)
                     for y in ys:
                         tuples += _point_breakpoints(B, 1, float(y))
-                    got = products._initial_edges(arrays, q)
+                    hints.append(arrays)
+                    (got,) = _edges_of(arrays[None], q)
                     assert got.tobytes() == _tuple_path_edges(tuples, q).tobytes()
+                # the two groups in one call, as a lattice's rows
+                got = _edges_of(_padded(hints), q)
+                assert [e.tobytes() for e in got] == [
+                    _edges_of(h[None], q)[0].tobytes() for h in hints]
 
 
 def test_group_hints_its_shared_coordinate_once(monkeypatch):
@@ -278,11 +340,34 @@ def test_group_hints_its_shared_coordinate_once(monkeypatch):
     xs = np.full(33, 0.3)
     star(S, B, q, fast_paths=False).copula.eval(xs, GRID_33)
     (hints,) = seen
-    assert hints.size == S.d2_breakpoints(0.3).size == 2 * S.n_pieces
-    every_point = np.concatenate((S.d2_breakpoints(xs), B.d1_breakpoints(GRID_33)))
+    assert hints.shape == S.d2_breakpoints(0.3).shape == (1, 2 * S.n_pieces)
+    every_point = np.concatenate((S.d2_breakpoints(xs), B.d1_breakpoints(GRID_33)), axis=None)
     assert every_point.size == 33 * hints.size
-    want = products._initial_edges(every_point, q)
-    assert products._initial_edges(hints, q).tobytes() == want.tobytes()
+    want = _edges_of(every_point[None], q)[0]
+    assert _edges_of(hints, q)[0].tobytes() == want.tobytes()
+
+
+def test_lattice_asks_each_side_for_hints_once(monkeypatch, quad_counter):
+    # work-counter gate: a forced 33 x 33 shuffle * fgm lattice is one
+    # quadrature run, and each factor is asked for its hints once for
+    # it, one row per coordinate, not once per group
+    S = ShuffleOfM((0.0, 0.2, 0.7, 1.0), (3, 1, 2), (False, True, False))
+    B = FGMCopula(0.5)
+    calls = {"d2": 0, "d1": 0}
+
+    def counting(obj, name, key):
+        method = getattr(obj, name)
+
+        def counted(x):
+            calls[key] += 1
+            return method(x)
+        monkeypatch.setattr(obj, name, counted)
+
+    counting(S, "d2_breakpoints", "d2")
+    counting(B, "d1_breakpoints", "d1")
+    star(S, B, fast_paths=False).copula.eval(GRID_33[:, None], GRID_33[None, :])
+    assert quad_counter["calls"] == 1
+    assert calls == {"d2": 1, "d1": 1}
 
 
 # ---------------------------------------------------------------------------
@@ -456,7 +541,8 @@ def test_right_shuffle_factor_via_transpose(flip_shuffle):
 
 def _hint_free(points, hints, gap=1e-4):
     # the points farther than ``gap`` from every hint of their own
-    return np.asarray([all(abs(x - h) > gap for h in hints(y)) for x, y in points])
+    return np.asarray([(np.abs(x - h[h == h]) > gap).all() for x, y in points
+                       for h in hints(y)])
 
 
 def test_shuffle_and_w_products_partials_match_finite_differences(flip_shuffle):
@@ -514,7 +600,7 @@ def test_products_over_a_shuffle_product_converge():
     S, F = StraightShuffle(0.3), FGMCopula(0.5)
     inner = star(S, F)
     assert inner.fast_path == "shuffle-closed-form"
-    assert inner.copula.d1_breakpoints(0.5).tolist() == [0.7]
+    assert inner.copula.d1_breakpoints(0.5).tolist() == [[0.7]]
     g = np.arange(9) / 8
     d1 = oracles.d1_straight_star(0.3, oracles.d1_fgm(0.5))
     nested = star(FGMCopula(0.5), inner.copula)
@@ -629,7 +715,7 @@ def _all_live(segs, nodes, groups, once):
 def _work_list_integrate(fbatch, breakpoints, q, width, support):
     # reference: the adaptive loop one segment at a time, as a work list
     nodes, weights = products._gl(q.nodes_per_subinterval)
-    edges = products._initial_edges(breakpoints, q)
+    (edges,) = _edges_of(np.reshape(breakpoints, (1, -1)), q)
     tol0 = q.adaptive_tol / (len(edges) - 1)
     chunk = max(3 * len(nodes), products._CHUNK_ELEMENTS // max(width, 1))
     work = [(float(a), float(b), 0, None) for a, b in zip(edges[:-1], edges[1:])]
@@ -711,8 +797,8 @@ def test_grouped_points_bits_match_alone(flip_shuffle):
     for F in corpus_families():
         for A in (flip_shuffle, fgm):
             for left, right in ((M, A), (A, M)):
-                kA = len(left.d2_breakpoints(0.375))
-                kB = len(right.d1_breakpoints(0.375))
+                kA = _hint_count(left.d2_breakpoints(0.375))
+                kB = _hint_count(right.d1_breakpoints(0.375))
                 branches.add(kA >= kB)
                 prod = star_c(left, F, right, fast_paths=False).copula
                 lattice = prod.eval(g[:, None], g[None, :])
@@ -811,7 +897,7 @@ def test_skipping_dead_segments_keeps_the_bits(monkeypatch, flip_shuffle):
     runs = 0
     for A, B in pairs:
         # one group of width 1089 shares the coordinate of the grouped side
-        if len(A.d2_breakpoints(0.375)) >= len(B.d1_breakpoints(0.375)):
+        if _hint_count(A.d2_breakpoints(0.375)) >= _hint_count(B.d1_breakpoints(0.375)):
             group = (np.full(wide.size, 0.45), wide)
         else:
             group = (wide, np.full(wide.size, 0.45))
@@ -846,7 +932,7 @@ def _step_side_products(flip_shuffle):
              (g8, 0.4, 0.375))
     cases = []
     for C, x, e in sides:
-        h = C.d2_breakpoints(x)
+        (h,) = C.d2_breakpoints(x)
         h = h[np.argmin(np.abs(h - e))]
         chain = tuple(e + k * tiny for k in range(1, 9)) + (e + 1e-11,)
         narrow = (h - 1e-12, h - 1.05e-14, h + 1.05e-14, h + 1e-12)
@@ -1001,8 +1087,8 @@ def _per_group_points_eval(A, family, B, xs, ys, q):
     # reference: the loop that integrated each group of points sharing
     # the grouped coordinate in a quadrature run of its own
     fam_breaks = family.breakpoints() if family is not None else ()
-    kA = len(A.d2_breakpoints(0.375))
-    kB = len(B.d1_breakpoints(0.375))
+    kA = _hint_count(A.d2_breakpoints(0.375))
+    kB = _hint_count(B.d1_breakpoints(0.375))
     if kA or kB:
         keys = xs if kA >= kB else ys
         groups = [keys == val for val in np.unique(keys)]
@@ -1275,8 +1361,8 @@ def _branch_products(flip_shuffle):
     fgm = FGMCopula(1.0)
     ungrouped = star(fgm, FGMCopula(-1.0), fast_paths=False)
     grouped = star_c(fgm, SPLIT_M_W, flip_shuffle, fast_paths=False)
-    assert len(fgm.d2_breakpoints(0.375)) == 0
-    assert len(flip_shuffle.d1_breakpoints(0.375)) > 0
+    assert _hint_count(fgm.d2_breakpoints(0.375)) == 0
+    assert _hint_count(flip_shuffle.d1_breakpoints(0.375)) > 0
     return ungrouped, grouped
 
 

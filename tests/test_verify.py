@@ -264,6 +264,29 @@ def test_run_suite_fgm_thetas():
     assert reports[0].name == "fgm-counterexample[theta=0.5]"
 
 
+def test_run_suite_fgm_passes_its_lattice(monkeypatch):
+    # the necessary check of each counterexample runs on the suite's
+    # lattice, the default one included
+    from copulalg import verify
+
+    seen = []
+    necessary = verify.check_zero_necessary
+
+    def recording(family, tol=1e-12, lattice=verify.DEFAULT_LATTICE):
+        seen.append(lattice)
+        return necessary(family, tol=tol, lattice=lattice)
+
+    monkeypatch.setattr(verify, "check_zero_necessary", recording)
+    (rep,) = run_suite("fgm", lattice=9, thetas=(0.1,))
+    assert seen == [9]
+    family = split_sign_family(0.1)
+    want = necessary(family, tol=1e-9, lattice=9).deviation
+    assert rep.params["necessary_dev"] == want
+    assert want != necessary(family, tol=1e-9).deviation
+    run_suite("fgm", thetas=(0.1,))
+    assert seen == [9, verify.DEFAULT_LATTICE]
+
+
 def test_run_suite_unknown_name():
     with pytest.raises(ConstructionError):
         run_suite("nope")
