@@ -545,6 +545,19 @@ def test_grid_csv_rejects(tmp_path):
         "non-numeric.csv": ("N=2\n0.25,x\n0.25,0.25\n", "row 1 contains a non-numeric entry"),
         "off-marginals.csv": ("N=2\n0.45,0.1\n0.1,0.35\n", "marginals deviate from 1/2"),
         "count-and-bad-row.csv": ("N=3\n0.25,x\n0.25,0.25\n", "expected 3 mass rows, found 2"),
+        # '#' is data, not a comment
+        "hash.csv": ("N=2\n0.25,0.25 # note\n0.25,0.25\n", "row 1 contains a non-numeric entry"),
+        "hash-row.csv": ("N=2\n#0.25,0.25\n0.25,0.25\n", "row 1 contains a non-numeric entry"),
+        # the first bad row wins, whatever is wrong with a later one
+        "first-wins.csv": ("N=2\n0.25,x\n0.25,0.25,0.25\n",
+                           "row 1 contains a non-numeric entry"),
+        "negative-first.csv": ("N=2\n-0.25,0.75\n0.25,y\n",
+                               "row 1 contains a negative or NaN mass"),
+        "nan-later.csv": ("N=2\n0.25,0.25\n0.25,nan\n", "row 2 contains a negative or NaN mass"),
+        "narrow.csv": ("N=2\n0.5\n0.5\n", "row 1 has 1 entries, expected 2"),
+        # float() takes no unit separator for whitespace
+        "unit-separator.csv": ("N=2\n0.25\x1f,0.25\n0.25,0.25\n",
+                               "row 1 contains a non-numeric entry"),
     }
     for name, (body, message) in cases.items():
         p = tmp_path / name
@@ -554,8 +567,30 @@ def test_grid_csv_rejects(tmp_path):
         assert str(err.value).startswith(message), name
 
 
+def test_grid_csv_reads_as_float_does(tmp_path):
+    # CRLF line ends, blank and whitespace-only lines, spaces around
+    # entries and the underscores that float() takes give the same mass
+    plain = "N=2\n0.25,0.25\n0.25,0.25\n"
+    bodies = ["N=2\r\n0.25,0.25\r\n0.25,0.25\r\n",
+              "N=2\n\n  \n0.25,0.25\n\t\n0.25,0.25\n\n",
+              "N=2\n 0.25 ,\t0.25\n0.25, 0.25 \n",
+              "N=2\n0.2_5,0.25\n0.25,2_5e-2\n"]
+    want = read_grid_csv(_written(tmp_path / "plain.csv", plain)).mass
+    assert want.tobytes() == np.full((2, 2), 0.25).tobytes()
+    for k, body in enumerate(bodies):
+        got = read_grid_csv(_written(tmp_path / f"{k}.csv", body)).mass
+        assert got.tobytes() == want.tobytes(), body
+
+
+def _written(path, body):
+    with open(path, "w", newline="") as fh:
+        fh.write(body)
+    return path
+
+
 def test_grid_csv_read_holds_little_more_than_the_grid(tmp_path):
-    # the file is read line by line: reading a 512 x 512 export peaks
+    # the rows are parsed one line at a time by numpy's reader, which
+    # holds about 1.2 mass arrays: reading a 512 x 512 export peaks
     # below 6 times its mass array (GridCopula alone takes about 4)
     g = grid_from_copula(FGMCopula(0.7), 512)
     p = tmp_path / "big.csv"
@@ -593,6 +628,88 @@ def test_many_piece_shuffle_bits_do_not_depend_on_batch(unit_grid_65):
             if not alone == lattice[i, j] == pair:
                 bad.append((u, v))
     assert bad == []
+
+
+def _old_shuffle_cdf(S, u, v):
+    # the cdf one piece at a time, in piece order
+    u, v = np.broadcast_arrays(np.asarray(u, float), np.asarray(v, float))
+    out = np.zeros_like(u, dtype=float)
+    for i in range(S.n_pieces):
+        s0, w = S._s0[i], S._w[i]
+        t0, t1 = S._t0[i], S._t1[i]
+        a = u - s0
+        if S._flip[i]:
+            out += np.maximum(np.minimum(a, w) - np.maximum(t1 - v, 0.0), 0.0)
+        else:
+            out += np.clip(np.minimum(a, v - t0), 0.0, w)
+    return out
+
+
+def _around(x):
+    # x, its float neighbours, -0, 0 and 1, inside [0, 1]
+    x = np.concatenate((x, [0.0, 1.0]))
+    x = np.concatenate((x, np.nextafter(x, 0.0), np.nextafter(x, 1.0)))
+    return np.concatenate(([-0.0], np.unique(np.clip(x, 0.0, 1.0))))
+
+
+def test_shuffle_cdf_matches_the_piece_loop_bit_for_bit(monkeypatch):
+    # u at every cut and strip end, v at every strip and slot end, their
+    # neighbours, -0, 0 and 1; lattices both ways, scalars and scattered
+    # points, on both sides of the running-sum rule
+    rng = np.random.default_rng(22)
+    shuffles = [shuffle_from_grid(grid_from_copula(FGMCopula(0.7), 32)),
+                StraightShuffle(0.3)]
+    for n in (1, 2, 3, 5, 8, 13, 30, 64, 100):
+        cuts = np.concatenate(([0.0], np.sort(rng.uniform(0.0, 1.0, n - 1)), [1.0]))
+        shuffles.append(ShuffleOfM(cuts, rng.permutation(n) + 1, rng.random(n) < 0.5))
+    taken = {"running": 0, "looped": 0}
+    for side in taken:
+        def spy(self, u, v, kernel=getattr(ShuffleOfM, f"_cdf_{side}"), side=side):
+            taken[side] += 1
+            return kernel(self, u, v)
+        monkeypatch.setattr(ShuffleOfM, f"_cdf_{side}", spy)
+    for S in shuffles:
+        us = _around(np.concatenate((S._s0, S._s0 + S._w)))
+        vs = _around(np.concatenate((S._t0, S._t1, S._tcuts)))
+        few_u = rng.choice(us, min(us.size, 16), replace=False)
+        few_v = rng.choice(vs, min(vs.size, 16), replace=False)
+        cases = [(us[:, None], few_v[None, :]), (few_v[None, :], us[:, None]),
+                 (few_u[:, None], vs[None, :]), (vs[None, :], few_u[:, None])]
+        cases += [(np.float64(x), vs) for x in few_u[:8]]
+        cases += [(us, np.float64(y)) for y in few_v[:8]]
+        cases += [(np.float64(x), np.float64(y)) for x, y in zip(few_u, few_v)]
+        pairs = rng.choice(vs, us.size)
+        cases += [(us, pairs), (us[:5], pairs[:5]), (us[-1:], pairs[-1:])]
+        for u, v in cases:
+            want = _old_shuffle_cdf(S, u, v)
+            got = S._cdf(u, v)
+            assert got.shape == want.shape and got.dtype == want.dtype
+            assert got.tobytes() == want.tobytes(), (S.n_pieces, np.shape(u), np.shape(v))
+    assert taken["running"] > 0 and taken["looped"] > 0
+
+
+def test_shuffle_lattice_and_point_cdf_take_the_running_sum(monkeypatch, unit_grid_65):
+    # the running sum holds its (pieces + 1) x 65 array, and a second
+    # one for the flipped pieces, never a (pieces x points) one
+    def loop(*args):
+        raise AssertionError("the piece loop ran")
+
+    monkeypatch.setattr(ShuffleOfM, "_cdf_looped", loop)
+    S = shuffle_from_grid(grid_from_copula(FGMCopula(0.7), 32))
+    flips = np.random.default_rng(7).random(S.n_pieces) < 0.5
+    g = unit_grid_65
+    lattice = 65 * 65 * 8
+    for C in (S, ShuffleOfM(S.cuts, S.sigma, flips)):
+        C.eval(0.3, 0.6)
+        validate(C, 64)
+        running = (C.n_pieces + 1) * 65 * 8
+        tracemalloc.start()
+        try:
+            C._cdf(g[:, None], g[None, :])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * running + 6 * lattice
 
 
 def _residue_sweep():
