@@ -46,8 +46,10 @@ class ShuffleStarProduct(Copula):
             yield self.S._section(u, i)[1:]
 
     def _cdf(self, u, v):
-        u, v = np.broadcast_arrays(np.asarray(u, float), np.asarray(v, float))
-        out = np.zeros_like(u, dtype=float)
+        # u and v as given: a shuffle C shares its running sum between the
+        # points with the same v
+        u, v = np.asarray(u, float), np.asarray(v, float)
+        out = np.zeros(np.broadcast_shapes(u.shape, v.shape))
         inner = self.C._cdf
         for lo, hi in self._ends(u):
             out += inner(hi, v) - inner(lo, v)
@@ -116,8 +118,9 @@ class WRightProduct(Copula):
         self.A = A
 
     def _cdf(self, u, v):
-        u, v = np.broadcast_arrays(np.asarray(u, float), np.asarray(v, float))
-        return np.clip(u - self.A._cdf(u, 1.0 - v), 0.0, 1.0)
+        # u and v as given, as in ShuffleStarProduct._cdf
+        u = np.asarray(u, float)
+        return np.clip(u - self.A._cdf(u, 1.0 - np.asarray(v, float)), 0.0, 1.0)
 
     def _d1(self, u, v):
         out = np.asarray(self.A._d1(u, 1.0 - np.asarray(v, float)))

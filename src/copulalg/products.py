@@ -53,8 +53,11 @@ function of t (``Copula.conditional_degree`` 0: M, W, Pi, shuffles and
 grids) is evaluated at one node per segment, in one call per level:
 its jumps lie next to hints, which are the group's edges, so it is
 constant on every segment but those too narrow to keep their nodes off
-their ends, which are evaluated at every node. All of it keeps every
-bit (see ``_segment_values``). None of it is a fast path: the
+their ends, which are evaluated at every node. A segment is told apart
+by that one value, a narrow one by its values at every node. All
+groups' accepted segments are summed in one pass, each group's left to
+right. All of it keeps every bit (see ``_segment_values`` and
+``_integrate_batch``). None of it is a fast path: the
 family is still integrated wherever the grouped conditional is
 nonzero, so forced quadrature, and the identity suite with it, still
 exercises the quadrature.
@@ -234,25 +237,18 @@ def _initial_edges(breakpoints, q: QuadratureConfig):
     return s[:, :-1][new], s[:, 1:][new], new.sum(axis=1)
 
 
-def _distinct_rows(columns, groups):
+def _distinct_rows(columns):
     """(first, inverse) such that row ``first[inverse[i]]`` equals row i,
     for rows given as ``columns`` of 8-byte values, compared bit for bit.
 
-    ``groups`` holds each row's group, the rows in group order. The
-    rows of one group are disjoint segments or pieces, which never
-    repeat, so with one group this is the identity. Otherwise rows are
-    sorted by their bits (``np.lexsort`` of the columns as uint64) and
-    compared with their predecessor, so two rows share an entry exactly
-    when their bits are the same (+0.0 and -0.0, or two NaN payloads,
-    differ).
+    Rows are sorted by their bits (``np.lexsort`` of the columns as
+    uint64) and compared with their predecessor, so two rows share an
+    entry exactly when their bits are the same (+0.0 and -0.0, or two
+    NaN payloads, differ).
     """
-    m = len(groups)
-    if not m or groups[0] == groups[-1]:
-        ident = np.arange(m)
-        return ident, ident
     columns = [c.view(np.uint64) for c in columns]
     order = np.lexsort(columns)
-    new = np.zeros(m, dtype=bool)
+    new = np.zeros(len(order), dtype=bool)
     new[:1] = True
     # column by column, to hold no sorted copy of the rows
     for col in columns:
@@ -277,41 +273,69 @@ def _live_segments(support, segs, nodes, groups):
     whose values it takes, and the cell conditionals of ``rows`` as
     (nodes, 1) columns.
 
-    ``support`` runs on slices of up to ``_CHUNK_ELEMENTS`` nodes, one
-    per level as a rule, since its arrays have no width axis. It may
-    evaluate a step-function side once on a segment whose outermost
-    nodes, (1 + nodes[0]) / 2 of its width from its ends, are more than
-    ``_SLACK`` from them. ``rows`` holds one live segment per distinct
-    key: its endpoints and cell conditionals (``_distinct_rows``), a
-    side given once per segment broadcast to its n nodes, as its equal
-    node values would key it.
+    A segment is once when its outermost nodes, (1 + nodes[0]) / 2 of
+    its width from its ends, are more than ``_SLACK`` from them, and
+    narrow otherwise: ``support`` may evaluate a step-function side at
+    one node of a once segment only. The once segments go first, then
+    the narrow ones, each kind in order, and ``support`` runs on slices
+    of up to ``_CHUNK_ELEMENTS`` nodes of that order, one per level as
+    a rule, since its arrays have no width axis. A live segment keys as
+    its endpoints and cell conditionals: a side given once per segment
+    as its one value, any other as its n node values, so a narrow
+    segment keys with n values per side. ``rows`` holds one live
+    segment per distinct key, the once ones first.
+
+    Whether a segment is once depends on its endpoints alone, so the two
+    kinds never share a key and are told apart by ``_distinct_rows``
+    each. Only the once segments of a level of one group skip that:
+    they never repeat, since the group's pieces are disjoint and a half
+    of a piece is the piece itself only when the piece is one ulp wide,
+    its midpoint rounded onto an end, which makes its segments narrow.
     Nothing else moves the integrand, since the call shares the other
     coordinate's row.
     """
     n = len(nodes)
     step = -(-_CHUNK_ELEMENTS // n)
     once = (segs[:, 1] - segs[:, 0]) * (0.5 + 0.5 * nodes[0]) > _SLACK
-    kept, keys, names = [], [], ()
+    # the groups come in order: a level of one group when its ends agree
+    single = groups[0] == groups[-1]
+    ids = np.flatnonzero(once)
+    if ids.size < len(segs):
+        # the narrow segments after the once ones
+        ids = np.concatenate((ids, np.flatnonzero(~once)))
+        segs, groups, once = segs[ids], groups[ids], once[ids]
+    # per kind, once then narrow: the positions, endpoints and cell sides
+    # of its live segments, slice by slice
+    kinds = {}
     for s in range(0, len(segs), step):
         seg = segs[s : s + step]
         live, cells = support(seg, nodes, groups[s : s + step], once[s : s + step])
-        rows = np.flatnonzero(live.any(axis=1))
-        names = tuple(cells)
-        kept.append(rows + s)
-        key = np.empty((rows.size, 2 + n * len(names)))
-        key[:, :2] = seg[rows]
-        for i, k in enumerate(names):
-            key[:, 2 + i * n : 2 + (i + 1) * n] = cells[k][rows]
-        keys.append(key)
-    kept = np.concatenate(kept)
-    keys = np.concatenate(keys)
-    first, inverse = _distinct_rows(keys.T, groups[kept])
+        alive = live.any(axis=1)
+        lead = np.count_nonzero(once[s : s + step])
+        for narrow, lo, hi in ((False, 0, lead), (True, lead, len(seg))):
+            if lo < hi:
+                rows = lo + np.flatnonzero(alive[lo:hi])
+                # a step side is one column: a value per once segment, then n per narrow one
+                sides = [c[lead:].reshape(-1, n)[rows - lead] if narrow and c.shape[1] == 1
+                         else c[rows] for c in cells.values()]
+                kinds.setdefault(narrow, []).append([ids[s + rows], seg[rows]] + sides)
     index = np.zeros(len(segs), dtype=np.intp)
-    index[kept] = inverse + 1
-    kept, keys = kept[first], keys[first]
-    cells = {k: keys[:, 2 + i * n : 2 + (i + 1) * n].reshape(-1, 1)
-             for i, k in enumerate(names)}
-    return kept, index, cells
+    rows, values = [], []
+    for narrow, parts in kinds.items():
+        pos, ends, *sides = (x[0] if len(x) == 1 else np.concatenate(x) for x in zip(*parts))
+        made = sum(map(len, rows))
+        if narrow or not single:
+            first, inverse = _distinct_rows(np.concatenate([ends.T] + [c.T for c in sides]))
+            index[pos] = made + 1 + inverse
+            pos, sides = pos[first], [c[first] for c in sides]
+        else:
+            index[pos] = np.arange(made + 1, made + 1 + len(pos))
+        rows.append(pos)
+        # a value given once stands for each of its segment's nodes
+        values.append([c if c.shape[1] == n else np.repeat(c, n, axis=1) for c in sides])
+    cells = {k: (c[0] if len(c) == 1 else np.concatenate(c)).reshape(-1, 1)
+             for k, c in zip(cells, zip(*values))}
+    return np.concatenate(rows), index, cells
 
 
 def _weighted_sum(fv, weights, out):
@@ -347,12 +371,12 @@ def _segment_values(fbatch, segs, nodes, weights, chunk, width, support, groups)
     maps the segments, their ``groups`` and which of them may be
     evaluated once to a boolean array, False where a cell conditional
     is exactly 0, and a dict of the cell conditionals, which fbatch
-    takes as keyword arguments. Segments whose nodes are all dead lie
-    outside a cell side's support and are skipped: every member C_t is
-    grounded, so the integrand is exactly +-0 on them. Adding +-0 never
-    moves a nonzero sum, and the differences taken for the error
-    estimate have the same magnitudes, so every value and estimate
-    keeps its bits.
+    takes back per node as keyword arguments. Segments whose nodes are
+    all dead lie outside a cell side's support and are skipped: every
+    member C_t is grounded, so the integrand is exactly +-0 on them.
+    Adding +-0 never moves a nonzero sum, and the differences taken for
+    the error estimate have the same magnitudes, so every value and
+    estimate keeps its bits.
 
     A step-function side evaluated once on a segment has the bits it
     has at every node. Its kernel's value changes only within a few
@@ -369,8 +393,11 @@ def _segment_values(fbatch, segs, nodes, weights, chunk, width, support, groups)
 
     fbatch runs only on the distinct live segments
     (``_live_segments``), whose values every segment with the same key
-    takes: equal keys mean equal integrand values, node by node, so
-    each value has the bits it has when its group is integrated alone.
+    takes. A key holds the segment's endpoints and its cell sides, a
+    step-function side given once as its one value, which stands for
+    every node, and any other side as its n node values: equal keys
+    mean equal integrand values, node by node, so each value has the
+    bits it has when its group is integrated alone.
     """
     n = len(nodes)
     # no call takes more nodes than the largest group's share
@@ -408,8 +435,17 @@ def _integrate_batch(fbatch, breakpoints, q: QuadratureConfig, width: int, suppo
     and the sum of its two halves is within its share of its group's
     tolerance; the rest are bisected into the next level. Pieces hold
     indices into their segments' values, and pieces with the same three
-    rows share one sum and one gap. Each group's accepted values are
-    added left to right in the order of their left ends. So every group
+    rows share one sum and one gap. The pieces of a level of one group
+    are not compared: they are disjoint, so two of them hold the same
+    rows only where all their segments are dead, and their sum is +0.0.
+
+    Every group's accepted values and gaps are summed in one pass, each
+    group's in the order of their left ends: row i of a padded array
+    holds every group's i-th piece from the left, its sum and then its
+    gap, or +0.0 after the group's last piece, and one running sum from
+    +0.0 goes down the rows by add.accumulate, which adds strictly in
+    order, in blocks of rows of up to ``_CHUNK_ELEMENTS``. A sum from
+    +0.0 is never -0.0, so the padding changes no bit. So every group
     gets the bits it gets alone, and a failure names the leftmost
     failing piece of the first failing group.
     """
@@ -420,59 +456,68 @@ def _integrate_batch(fbatch, breakpoints, q: QuadratureConfig, width: int, suppo
     chunk = max(3 * len(nodes), _CHUNK_ELEMENTS // max(width, 1))
     group = np.repeat(np.arange(groups), pieces)
     coarse = None  # n-point rule on each [a, b] as (values, index), made with level 0
-    owners, starts, errs, refs, fines = [], [], [], [], []
+    owners, starts, refs, fines = [], [], [], []
     made = depth = 0
-    while a.size:
+    while True:
         mid = 0.5 * (a + b)
-        if coarse is None:
-            lo, hi = (a, a, mid), (b, mid, b)
-        else:
-            lo, hi = (a, mid), (mid, b)
-        segs = np.stack((np.stack(lo, axis=1), np.stack(hi, axis=1)), axis=-1)
+        # a piece's segments: itself and its halves on the first level, then its halves
+        ends = (a, b, a, mid, mid, b) if coarse is None else (a, mid, mid, b)
         vals, index = _segment_values(
-            fbatch, segs.reshape(-1, 2), nodes, weights, chunk, width, support,
-            np.repeat(group, len(lo)),
+            fbatch, np.stack(ends, axis=1).reshape(-1, 2), nodes, weights, chunk, width,
+            support, np.repeat(group, len(ends) // 2),
         )
-        index = index.reshape(a.size, len(lo))
+        index = index.reshape(a.size, -1)
         if coarse is None:
             coarse = vals, index[:, 0]
         left, right = index[:, -2], index[:, -1]
-        first, inverse = _distinct_rows((coarse[1], left, right), group)
-        fine = vals[left[first]] + vals[right[first]]
-        err = np.max(np.abs(coarse[0][coarse[1][first]] - fine), axis=1)[inverse]
+        rows = coarse[1], left, right
+        if groups > 1:
+            first, inverse = _distinct_rows(rows)
+            rows = [r[first] for r in rows]
+        else:
+            inverse = np.arange(a.size)
+        # each distinct piece's sum of its halves, and its gap in the last column
+        fine = np.empty((len(rows[0]), width + 1))
+        np.add(vals[rows[1]], vals[rows[2]], out=fine[:, :width])
+        np.max(np.abs(coarse[0][rows[0]] - fine[:, :width]), axis=1, out=fine[:, width])
+        err = fine[inverse, width]
         # each bisection halves the budget so the total stays bounded
         tol = tol0[group] / (1 << depth)
         ok = err <= tol
         owners.append(group[ok])
         starts.append(a[ok])
-        errs.append(err[ok])
         refs.append(made + inverse[ok])
         fines.append(fine)
         made += len(fine)
         bad = ~ok
-        if depth >= q.max_depth and bad.any():
+        if not bad.any():
+            break
+        if depth >= q.max_depth:
             i = int(np.argmax(bad))
             raise NonConvergenceError((float(a[i]), float(b[i])), float(err[i]),
                                       float(tol[i]))
         group = np.repeat(group[bad], 2)
-        a = np.stack((a[bad], mid[bad]), axis=1).reshape(-1)
-        b = np.stack((mid[bad], b[bad]), axis=1).reshape(-1)
+        a, b = np.stack((a[bad], mid[bad], mid[bad], b[bad]), axis=1).reshape(-1, 2).T
         coarse = vals, np.stack((left[bad], right[bad]), axis=1).reshape(-1)
         depth += 1
-    owners = np.concatenate(owners)
-    order = np.lexsort((np.concatenate(starts), owners))
-    refs = np.concatenate(refs)[order]
-    errs = np.concatenate(errs)[order]
-    fines = np.concatenate(fines)
-    bounds = np.searchsorted(owners[order], np.arange(groups + 1))
-    totals = np.empty((groups, width))
-    err_sums = np.empty(groups)
-    for k in range(groups):
-        run = slice(bounds[k], bounds[k + 1])
-        # add.accumulate runs strictly in order; + 0.0 matches a sum from zero
-        totals[k] = np.add.accumulate(fines[refs[run]], axis=0)[-1] + 0.0
-        err_sums[k] = np.add.accumulate(errs[run])[-1] + 0.0
-    return totals, err_sums
+    owners, refs = np.concatenate(owners), np.concatenate(refs)
+    if depth:
+        # levels after the first: the accepted pieces by group, then by left end
+        order = np.lexsort((np.concatenate(starts), owners))
+        owners, refs = owners[order], refs[order]
+    at = np.searchsorted(owners, np.arange(groups + 1))
+    counts = np.diff(at)
+    rank = np.arange(counts.max())[:, None]
+    # row i: every group's i-th accepted piece, or the zero row after its last
+    pos = np.append(refs, made)[np.where(rank < counts, at[:-1] + rank, len(refs))]
+    fines = np.concatenate(fines + [np.zeros((1, width + 1))])
+    total = np.zeros((groups, width + 1))
+    step = max(1, _CHUNK_ELEMENTS // total.size)
+    for r in range(0, len(pos), step):
+        sums = fines[pos[r : r + step]]
+        sums[0] += total
+        total = np.add.accumulate(sums, axis=0, out=sums)[-1]
+    return total[:, :width], total[:, width]
 
 
 def integrate(f, breakpoints=(), q: QuadratureConfig | None = None):
@@ -513,16 +558,20 @@ def _make_integrand(A: Copula, family, B: Copula, xs, ys):
     once per node, or once per segment, and broadcast only in the
     result. support(segs, nodes, groups, once) takes (m, 2) segments,
     the rule nodes on [-1, 1], each segment's group and whether it may
-    be evaluated once. It returns where no cell side's clipped
-    conditional is 0 (NaN stays live), and those conditionals, s on the
-    left and r on the right, as (m, n) arrays, one column per node;
+    be evaluated once, which holds for a leading run of the segments
+    (``_live_segments`` puts them first). It returns where no cell
+    side's clipped conditional is 0 (NaN stays live), as (m, 1) or
+    (m, n), and those conditionals, s on the left and r on the right;
     with no cell side, every node is live and the dict is empty. A side
     whose factor declares ``conditional_degree`` 0 is a step function
-    of t: its kernel runs at the first node of every segment, in one
-    call, and that value stands for each of the segment's nodes; the
-    segments not ``once`` are evaluated again at every node, with the
-    same clip. When there are none, its array, and the live mask, is
-    (m, 1) (``_segment_values`` states why this keeps the bits).
+    of t: its kernel runs at the first node of every once segment, in
+    one call, and that value stands for each of the segment's nodes;
+    the other segments, the narrow ones, are evaluated at every node,
+    with the same clip (``_segment_values`` states why this keeps the
+    bits). Such a side holds a value per once segment and then n per
+    narrow one, as one column, or as (m, n) when no segment is once. In
+    an (m, 1) mask a narrow segment is live where any of its nodes is.
+    Any other cell side is (m, n), one column per node.
     fbatch takes the conditionals back as (k, 1) columns instead of
     evaluating them again. fbatch caps numpy's ufunc buffers
     (``_integrand_bufsize``), so a call on few live nodes holds about
@@ -559,23 +608,33 @@ def _make_integrand(A: Copula, family, B: Copula, xs, ys):
     sides = [(k, f, Z, C.conditional_degree == 0)
              for k, f, Z, C in (("s", left, X, A), ("r", right, Y, B)) if Z.shape[1] == 1]
 
-    def support(segs, nodes, groups, once):
+    def evaluate(segs, nodes, groups, once):
+        # the cell sides on segments of one kind: a step side at the first
+        # node of each if they are once, any other side at every node
         live, cells, ts = np.ones((len(segs), 1), dtype=bool), {}, None
         for k, f, Z, steps in sides:
             # a side of one row holds every group's value, a column one per group
             Z = Z if len(Z) == 1 else Z[groups]
-            if steps:
+            if steps and once:
                 c = f(_nodes_of(segs, nodes[:1])[0], Z)
-                rest = ~once
-                if rest.any():
-                    c = np.repeat(c, len(nodes), axis=1)
-                    c[rest] = f(_nodes_of(segs[rest], nodes)[0], Z if len(Z) == 1 else Z[rest])
             else:
                 ts = _nodes_of(segs, nodes)[0] if ts is None else ts
                 c = f(ts, Z)
             live = live & (c != 0.0)
             cells[k] = c
         return live, cells
+
+    def support(segs, nodes, groups, once):
+        lead = np.count_nonzero(once)
+        if lead in (0, len(segs)):
+            return evaluate(segs, nodes, groups, lead > 0)
+        live, cells = evaluate(segs[:lead], nodes, groups[:lead], True)
+        rest, narrow = evaluate(segs[lead:], nodes, groups[lead:], False)
+        if live.shape[1] < rest.shape[1]:
+            rest = rest.any(axis=1, keepdims=True)
+        # a step side is one column: a value per once segment, then n per narrow one
+        return np.concatenate((live, rest)), {
+            k: np.concatenate((c, narrow[k].reshape(-1, c.shape[1]))) for k, c in cells.items()}
 
     return fbatch, support
 

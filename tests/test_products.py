@@ -523,6 +523,35 @@ def test_many_piece_shuffle_star_holds_a_few_lattice_arrays():
         tracemalloc.stop()
 
 
+def test_closed_forms_pass_a_many_piece_shuffle_its_lattice(monkeypatch, flip_shuffle):
+    # work-counter gate: W's closed forms and the shuffle closed form hand
+    # u and v to the inner cdf unbroadcast, so on a 65 x 65 lattice a
+    # 1024-piece shuffle shares its values of v and takes the running sum,
+    # not the loop over its pieces; the bits are those of evaluating every
+    # point with its own v, which takes the loop
+    S = shuffle_from_grid(grid_from_copula(FGMCopula(0.5), 32))
+    assert S.n_pieces == 1024
+    g = np.linspace(0.0, 1.0, 65)
+    u, v = g[:, None], g[None, :]
+    looped = []
+    cdf_looped = ShuffleOfM._cdf_looped
+
+    def counting(self, uu, vv):
+        looped.append(self.n_pieces)
+        return cdf_looped(self, uu, vv)
+
+    monkeypatch.setattr(ShuffleOfM, "_cdf_looped", counting)
+    for r in (star(S, W), star(W, S), star(flip_shuffle, S)):
+        assert r.fast_path in ("W-closed-form", "shuffle-closed-form")
+        del looped[:]
+        want = r.copula.eval(*np.broadcast_arrays(u, v))
+        assert 1024 in looped
+        del looped[:]
+        got = r.copula.eval(u, v)
+        assert 1024 not in looped, r.fast_path
+        assert got.tobytes() == want.tobytes(), r.fast_path
+
+
 def test_m_as_one_piece_shuffle_acts_as_identity():
     S = ShuffleOfM((0.0, 1.0), (1,))
     r = star(S, FGMCopula(1.0))
@@ -1177,11 +1206,11 @@ def test_several_groups_fail_as_the_first_alone(flip_shuffle):
     assert alone.value.interval[0] < got.value.interval[0]
 
 
-def _assert_partition(columns, groups):
+def _assert_partition(columns):
     """(first, inverse) of ``_distinct_rows``, checked: two rows share
     an entry exactly when their bits are the same, each entry is one of
     its rows, and ``rows[first][inverse]`` gives the rows back."""
-    first, inverse = products._distinct_rows(columns, groups)
+    first, inverse = products._distinct_rows(columns)
     rows = np.stack([np.asarray(c).view(np.uint64) for c in columns], axis=1)
     assert rows[first][inverse].tobytes() == rows.tobytes()
     assert inverse[first].tolist() == list(range(len(first)))
@@ -1195,13 +1224,13 @@ def test_distinct_rows_never_merge_unequal_rows():
     # only equal rows share an entry; rows 4 and 5 share a but not b
     a = np.asarray([0.5, 0.5, 0.25, 0.75, 0.75, 0.75])
     b = np.asarray([1.0, 1.0, 2.0, 1.0, 1.0, 3.0])
-    first, inverse = _assert_partition((a, b), np.asarray([0, 1, 1, 2, 3, 3]))
+    first, inverse = _assert_partition((a, b))
     assert len(first) == 4
     # (5, 0, 0) and (0, 0, 1) are unequal rows that a hash linear in odd
     # multiples of one constant maps alike; sorted between the two equal
     # rows, such a row must not split them
     cols = (np.asarray([5, 0, 5]), np.zeros(3, dtype=np.intp), np.asarray([0, 1, 0]))
-    first, inverse = _assert_partition(cols, np.arange(3))
+    first, inverse = _assert_partition(cols)
     assert len(first) == 2
 
 
@@ -1211,18 +1240,51 @@ def test_distinct_rows_compare_bits():
     # equal bits share an entry
     bits = np.asarray([0, 1 << 63, 1 << 63, 0x7FF8000000000000, 0x7FF8000000000001,
                        0x7FF8000000000001], dtype=np.uint64)
-    first, inverse = _assert_partition((bits.view(float),), np.arange(6))
+    first, inverse = _assert_partition((bits.view(float),))
     assert len(first) == 4
 
 
-def test_distinct_rows_of_one_group_is_the_identity():
-    # the segments or pieces of one group are disjoint, so their rows
-    # are distinct; the helper returns at once, even for equal rows
+def test_one_work_list_bits_do_not_depend_on_its_blocks(monkeypatch, flip_shuffle):
+    # the support slices and the final sums run in blocks of up to
+    # _CHUNK_ELEMENTS: slices of seven segments, and the 9 x 9 lattice's
+    # padded sums one row at a time, give every group the same bits
+    prod = star(flip_shuffle, FGMCopula(0.5), fast_paths=False).copula
+    g = np.linspace(0.0, 1.0, 9)
+    want = prod.eval_with_error(g[:, None], g[None, :])
+    monkeypatch.setattr(products, "_CHUNK_ELEMENTS", 16 * 7)
+    got = prod.eval_with_error(g[:, None], g[None, :])
+    assert got[0].tobytes() == want[0].tobytes()
+    assert np.float64(got[1]).tobytes() == np.float64(want[1]).tobytes()
+
+
+def test_distinct_rows_merge_equal_rows():
+    # equal rows share an entry wherever they come from: the rows of one
+    # group repeat where a piece one ulp wide has its midpoint on an end
     col = np.asarray([0.5, 0.5, 0.25])
-    first, inverse = products._distinct_rows((col,), np.full(3, 7))
-    assert first.tolist() == inverse.tolist() == [0, 1, 2]
-    first, inverse = products._distinct_rows((col[:0],), np.zeros(0, dtype=np.intp))
+    first, inverse = _assert_partition((col,))
+    assert len(first) == 2 and inverse[0] == inverse[1]
+    first, inverse = products._distinct_rows((col[:0],))
     assert len(first) == len(inverse) == 0
+
+
+def test_one_ulp_piece_evaluates_each_distinct_segment_once(monkeypatch, quad_counter):
+    # work-counter gate: a forced fgm * fgm lattice is one group; the
+    # piece [0.5, nextafter(0.5, 1)] has its midpoint on an end, so one of
+    # its halves is the piece itself, and the two are evaluated once
+    q = QuadratureConfig(extra_breakpoints=(0.5, np.nextafter(0.5, 1.0)))
+    segments = []
+    segment_values = products._segment_values
+
+    def recording(fbatch, segs, *args):
+        segments.append(len({(a.hex(), b.hex()) for a, b in segs.tolist()}))
+        return segment_values(fbatch, segs, *args)
+
+    monkeypatch.setattr(products, "_segment_values", recording)
+    star(FGMCopula(0.5), FGMCopula(0.3), q, fast_paths=False).copula.eval(
+        GRID_33[:, None], GRID_33[None, :])
+    assert quad_counter["calls"] == 1
+    assert segments == [194]
+    assert quad_counter["nodes"] == 16 * 194 < quad_counter["rule_nodes"]
 
 
 def test_lattice_groups_share_one_run(quad_counter):
@@ -1269,6 +1331,27 @@ def test_integrand_with_a_cell_side_holds_one_full_array(flip_shuffle, peak_allo
     # most one group's level of nodes each
     assert len(peak_alloc) >= 1
     assert max(peak_alloc) <= 1.18
+
+
+def test_shuffle_lattice_work_and_peak_memory(flip_shuffle, quad_counter):
+    # work and memory gates on the forced flip_shuffle * fgm 33 x 33
+    # lattice: 290 distinct segments evaluated, as since segments were
+    # shared between groups, and the whole evaluation, the engine's level
+    # keys and final sums included, peaks below the 2.42 MB it held with
+    # a step-function side keyed by 16 copies of its value
+    prod = star(flip_shuffle, FGMCopula(0.5), fast_paths=False).copula
+    assert np.getbufsize() == 8192  # numpy's default
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        prod.eval(GRID_33[:, None], GRID_33[None, :])
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert quad_counter["calls"] == 1
+    assert quad_counter["nodes"] == 16 * 290
+    assert peak <= 2.4e6
 
 
 def test_integrand_with_two_varying_sides_holds_two_full_arrays(peak_alloc):
