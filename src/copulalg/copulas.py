@@ -15,6 +15,7 @@ to the left-hand derivative at the value 1, clamped into [0, 1].
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -793,15 +794,25 @@ def shuffle_from_grid(grid: GridCopula) -> ShuffleOfM:
 
 def grid_from_copula(C: Copula, n: int) -> GridCopula:
     """Discretize C to an n x n checkerboard by exact cell volumes."""
-    if not isinstance(n, int) or n < 1:
-        raise ConstructionError(f"grid order must be a positive integer, got {n}")
     e = _lattice_values(C, n)
     vols = e[1:, 1:] - e[1:, :-1] - e[:-1, 1:] + e[:-1, :-1]
     return GridCopula(vols)
 
 
+def _lattice(n):
+    """The n + 1 uniform points 0, 1/n, ..., 1, for a size n that is a
+    positive integer (a numpy integer too); any other n is refused."""
+    try:
+        k = operator.index(n)
+    except TypeError:
+        k = 0
+    if k < 1:
+        raise ConstructionError(f"grid order must be a positive integer, got {n}")
+    return np.arange(k + 1) / k
+
+
 def _lattice_values(C: Copula, n: int):
-    g = np.arange(n + 1) / n
+    g = _lattice(n)
     return C._cdf(g[:, None], g[None, :])
 
 
@@ -816,7 +827,7 @@ def sup_distance_witness(A: Copula, B: Copula, n: int = 32):
     polynomial copulas."""
     from .poly import exact_gap  # poly imports this module
 
-    g = np.arange(n + 1) / n
+    g = _lattice(n)
     d = exact_gap(A, B, g[:, None], g[None, :])
     if d is None:
         d = np.abs(_lattice_values(A, n) - _lattice_values(B, n))
@@ -838,7 +849,7 @@ def validate(C: Copula, n: int = 64, tol: float = 1e-9) -> ValidationReport:
     >= -tol, and no lattice increment exceeds the argument increment
     by more than tol.
     """
-    g = np.arange(n + 1) / n
+    g = _lattice(n)
     e = _lattice_values(C, n)
     boundary = max(
         float(np.abs(e[:, n] - g).max()),

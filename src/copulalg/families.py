@@ -25,6 +25,7 @@ from .copulas import (
     DomainError,
     FGMCopula,
     _fgm_cdf,
+    _lattice,
     _maybe_scalar,
     _unit,
 )
@@ -317,9 +318,9 @@ def ae_equal(F: CopulaFamily, G: CopulaFamily, lattice: int = 32) -> bool:
     most d, so d + 1 equal samples make them equal on the whole
     interval, and jumps at cuts cannot hide.
     """
-    g = np.arange(lattice + 1) / lattice
-    xg = np.tile(g, lattice + 1).reshape(1, -1)
-    y = np.repeat(g, lattice + 1).reshape(1, -1)
+    g = _lattice(lattice)
+    xg = np.tile(g, g.size).reshape(1, -1)
+    y = np.repeat(g, g.size).reshape(1, -1)
     ts = _refined_samples(F, G)
     a = F.eval_grid(ts, xg, y)
     b = G.eval_grid(ts, xg, y)
@@ -359,9 +360,7 @@ def midpoint_fgm_approximation(curve: FGMCurveFamily, pieces: int) -> PiecewiseC
     Splits [0, 1] into ``pieces`` equal intervals and freezes theta at
     each midpoint.
     """
-    if pieces < 1:
-        raise ConstructionError(f"need at least one piece, got {pieces}")
-    cuts = np.arange(pieces + 1) / pieces
+    cuts = _lattice(pieces)
     mids = (cuts[:-1] + cuts[1:]) / 2.0
     members = [FGMCopula(float(curve.theta(m))) for m in mids]
     return PiecewiseConstantFamily(tuple(cuts), members)

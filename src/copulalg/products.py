@@ -50,13 +50,14 @@ it is 0 at every node adds exactly +-0 and is skipped. A segment that
 several groups share, with the same endpoints and the same grouped
 conditionals, is evaluated once. A grouped conditional that is a step
 function of t (``Copula.conditional_degree`` 0: M, W, Pi, shuffles and
-grids) is evaluated at one node per segment, in one call per level:
-its jumps lie next to hints, which are the group's edges, so it is
-constant on every segment but those too narrow to keep their nodes off
-their ends, which are evaluated at every node. A segment is told apart
-by that one value, a narrow one by its values at every node. All
-groups' accepted segments are summed in one pass, each group's left to
-right. All of it keeps every bit (see ``_segment_values`` and
+grids) is evaluated at one node per segment: its jumps lie next to
+hints, which are the group's edges, so it is constant on every segment
+but those too narrow to keep their nodes off their ends, which are
+evaluated at every node. Each kind of segment gets one call per level,
+and each call returns one layout: one value per segment, or a value
+per node. A segment is told apart by that one value, a narrow one by
+its values at every node. All groups' accepted segments are summed in
+one pass, each group's left to right. All of it keeps every bit (see ``_segment_values`` and
 ``_integrate_batch``). None of it is a fast path: the
 family is still integrated wherever the grouped conditional is
 nonzero, so forced quadrature, and the identity suite with it, still
@@ -65,6 +66,7 @@ exercises the quadrature.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Callable
@@ -86,6 +88,7 @@ from .copulas import (
     _unit,
 )
 from .closedforms import ShuffleStarProduct, WRightProduct
+from .families import CopulaFamily
 from .poly import poly_product
 
 __all__ = [
@@ -165,11 +168,16 @@ class QuadratureConfig:
 
     base_subintervals: int = 64
     nodes_per_subinterval: int = 16
-    extra_breakpoints: tuple = ()
     adaptive_tol: float = 1e-8
     max_depth: int = 12
 
     def __post_init__(self):
+        for name in ("base_subintervals", "nodes_per_subinterval", "max_depth"):
+            value = getattr(self, name)
+            try:
+                object.__setattr__(self, name, operator.index(value))
+            except TypeError:
+                raise ConstructionError(f"{name} must be an integer, got {value!r}") from None
         if self.base_subintervals < 1:
             raise ConstructionError("base_subintervals must be >= 1")
         if self.nodes_per_subinterval < 2:
@@ -178,9 +186,6 @@ class QuadratureConfig:
             raise ConstructionError("adaptive_tol must be positive")
         if self.max_depth < 0:
             raise ConstructionError("max_depth must be >= 0")
-        object.__setattr__(
-            self, "extra_breakpoints", tuple(float(b) for b in self.extra_breakpoints)
-        )
 
 
 @dataclass(frozen=True)
@@ -215,20 +220,18 @@ def _initial_edges(breakpoints, q: QuadratureConfig):
     and then left to right, and their number in each group, for one row
     of breakpoints per group.
 
-    A group's edges are the ``base_subintervals`` uniform points, the
-    extra breakpoints and its row's values in (0, 1) (NaN and the
-    infinities are not), in increasing order, each value once. So every
-    hint in (0, 1) is an edge, bit for bit, and a piece may be one ulp
-    wide. Every row is sorted in one call, with what lies outside (0, 1)
+    A group's edges are the ``base_subintervals`` uniform points and its
+    row's values in (0, 1) (NaN and the infinities are not), in
+    increasing order, each value once. So every hint in (0, 1) is an
+    edge, bit for bit, and a piece may be one ulp wide. Every row is sorted in one call, with what lies outside (0, 1)
     made 0.0, a copy of the first base point; a value that differs from
     its left neighbour ends a piece that starts at that neighbour.
     """
     bp = np.asarray(breakpoints, dtype=float)
-    nb, ne = q.base_subintervals + 1, len(q.extra_breakpoints)
-    s = np.empty((len(bp), nb + ne + bp.shape[1]))
+    nb = q.base_subintervals + 1
+    s = np.empty((len(bp), nb + bp.shape[1]))
     s[:, :nb] = np.arange(nb) / q.base_subintervals
-    s[:, nb : nb + ne] = q.extra_breakpoints
-    s[:, nb + ne :] = bp
+    s[:, nb:] = bp
     hints = s[:, nb:]
     # NaN and the infinities fail both comparisons
     hints[~((0.0 < hints) & (hints < 1.0))] = 0.0
@@ -276,21 +279,21 @@ def _live_segments(support, segs, nodes, groups):
     A segment is once when its outermost nodes, (1 + nodes[0]) / 2 of
     its width from its ends, are more than ``_SLACK`` from them, and
     narrow otherwise: ``support`` may evaluate a step-function side at
-    one node of a once segment only. The once segments go first, then
-    the narrow ones, each kind in order, and ``support`` runs on slices
-    of up to ``_CHUNK_ELEMENTS`` nodes of that order, one per level as
-    a rule, since its arrays have no width axis. A live segment keys as
-    its endpoints and cell conditionals: a side given once per segment
-    as its one value, any other as its n node values, so a narrow
-    segment keys with n values per side. ``rows`` holds one live
-    segment per distinct key, the once ones first.
+    one node of a once segment only. This is the one place that tells
+    the kinds apart. ``support`` gets each kind in calls of its own,
+    the once segments first, each kind in order, on slices of up to
+    ``_CHUNK_ELEMENTS`` nodes, one call per kind and level as a rule,
+    since its arrays have no width axis. Each call returns one layout:
+    a step-function side as (m, 1) on a once call, and every side as
+    (m, n) on a narrow one. A live segment keys as its endpoints and
+    cell sides as they come back, so the two kinds never share a key
+    and are told apart by ``_distinct_rows`` each. ``rows`` holds one
+    live segment per distinct key, the once ones first.
 
-    Whether a segment is once depends on its endpoints alone, so the two
-    kinds never share a key and are told apart by ``_distinct_rows``
-    each. Only the once segments of a level of one group skip that:
-    they never repeat, since the group's pieces are disjoint and a half
-    of a piece is the piece itself only when the piece is one ulp wide,
-    its midpoint rounded onto an end, which makes its segments narrow.
+    Only the once segments of a level of one group skip that: they
+    never repeat, since the group's pieces are disjoint and a half of a
+    piece is the piece itself only when the piece is one ulp wide, its
+    midpoint rounded onto an end, which makes its segments narrow.
     Nothing else moves the integrand, since the call shares the other
     coordinate's row.
     """
@@ -299,37 +302,28 @@ def _live_segments(support, segs, nodes, groups):
     once = (segs[:, 1] - segs[:, 0]) * (0.5 + 0.5 * nodes[0]) > _SLACK
     # the groups come in order: a level of one group when its ends agree
     single = groups[0] == groups[-1]
-    ids = np.flatnonzero(once)
-    if ids.size < len(segs):
-        # the narrow segments after the once ones
-        ids = np.concatenate((ids, np.flatnonzero(~once)))
-        segs, groups, once = segs[ids], groups[ids], once[ids]
-    # per kind, once then narrow: the positions, endpoints and cell sides
-    # of its live segments, slice by slice
-    kinds = {}
-    for s in range(0, len(segs), step):
-        seg = segs[s : s + step]
-        live, cells = support(seg, nodes, groups[s : s + step], once[s : s + step])
-        alive = live.any(axis=1)
-        lead = np.count_nonzero(once[s : s + step])
-        for narrow, lo, hi in ((False, 0, lead), (True, lead, len(seg))):
-            if lo < hi:
-                rows = lo + np.flatnonzero(alive[lo:hi])
-                # a step side is one column: a value per once segment, then n per narrow one
-                sides = [c[lead:].reshape(-1, n)[rows - lead] if narrow and c.shape[1] == 1
-                         else c[rows] for c in cells.values()]
-                kinds.setdefault(narrow, []).append([ids[s + rows], seg[rows]] + sides)
     index = np.zeros(len(segs), dtype=np.intp)
     rows, values = [], []
-    for narrow, parts in kinds.items():
+    for kind in (True, False):
+        ids = np.flatnonzero(once == kind)
+        # the positions, endpoints and cell sides of the kind's live segments
+        parts = []
+        for s in range(0, ids.size, step):
+            pos = ids[s : s + step]
+            live, cells = support(segs[pos], nodes, groups[pos], kind)
+            alive = live.any(axis=1)
+            pos = pos[alive]
+            parts.append([pos, segs[pos]] + [c[alive] for c in cells.values()])
+        if not parts:
+            continue
         pos, ends, *sides = (x[0] if len(x) == 1 else np.concatenate(x) for x in zip(*parts))
         made = sum(map(len, rows))
-        if narrow or not single:
+        if kind and single:
+            index[pos] = np.arange(made + 1, made + 1 + len(pos))
+        else:
             first, inverse = _distinct_rows(np.concatenate([ends.T] + [c.T for c in sides]))
             index[pos] = made + 1 + inverse
             pos, sides = pos[first], [c[first] for c in sides]
-        else:
-            index[pos] = np.arange(made + 1, made + 1 + len(pos))
         rows.append(pos)
         # a value given once stands for each of its segment's nodes
         values.append([c if c.shape[1] == n else np.repeat(c, n, axis=1) for c in sides])
@@ -368,12 +362,14 @@ def _segment_values(fbatch, segs, nodes, weights, chunk, width, support, groups)
 
     ``support`` evaluates the cell sides once per rule node, or once
     per segment for a step-function side (``_make_integrand``): it
-    maps the segments, their ``groups`` and which of them may be
+    maps segments of one kind, their ``groups`` and whether they may be
     evaluated once to a boolean array, False where a cell conditional
-    is exactly 0, and a dict of the cell conditionals, which fbatch
-    takes back per node as keyword arguments. Segments whose nodes are
-    all dead lie outside a cell side's support and are skipped: every
-    member C_t is grounded, so the integrand is exactly +-0 on them.
+    is exactly 0, and a dict of the cell conditionals in the one layout
+    of that kind, which fbatch takes back per node as keyword
+    arguments. ``_live_segments`` calls it once per kind of segment per
+    level. Segments whose nodes are all dead lie outside a cell side's
+    support and are skipped: every member C_t is grounded, so the
+    integrand is exactly +-0 on them.
     Adding +-0 never moves a nonzero sum, and the differences taken for
     the error estimate have the same magnitudes, so every value and
     estimate keeps its bits.
@@ -556,22 +552,20 @@ def _make_integrand(A: Copula, family, B: Copula, xs, ys):
     A coordinate constant within a group, a column or a row whose values
     share their bits, is a cell: its side's conditional is evaluated
     once per node, or once per segment, and broadcast only in the
-    result. support(segs, nodes, groups, once) takes (m, 2) segments,
-    the rule nodes on [-1, 1], each segment's group and whether it may
-    be evaluated once, which holds for a leading run of the segments
-    (``_live_segments`` puts them first). It returns where no cell
-    side's clipped conditional is 0 (NaN stays live), as (m, 1) or
-    (m, n), and those conditionals, s on the left and r on the right;
-    with no cell side, every node is live and the dict is empty. A side
-    whose factor declares ``conditional_degree`` 0 is a step function
-    of t: its kernel runs at the first node of every once segment, in
-    one call, and that value stands for each of the segment's nodes;
-    the other segments, the narrow ones, are evaluated at every node,
-    with the same clip (``_segment_values`` states why this keeps the
-    bits). Such a side holds a value per once segment and then n per
-    narrow one, as one column, or as (m, n) when no segment is once. In
-    an (m, 1) mask a narrow segment is live where any of its nodes is.
-    Any other cell side is (m, n), one column per node.
+    result. support(segs, nodes, groups, once) takes (m, 2) segments of
+    one kind, the rule nodes on [-1, 1], each segment's group and one
+    bool, whether the segments may be evaluated once (``_live_segments``
+    decides). It returns where no cell side's clipped conditional is 0
+    (NaN stays live), as (m, 1) or (m, n), and those conditionals, s on
+    the left and r on the right; with no cell side, every node is live
+    and the dict is empty. A side whose factor declares
+    ``conditional_degree`` 0 is a step function of t: on a once call
+    its kernel runs at the first node of every segment, in one call,
+    and comes back as (m, 1), one value that stands for each of the
+    segment's nodes; on a narrow call it is evaluated at every node,
+    with the same clip, and comes back as (m, n) (``_segment_values``
+    states why this keeps the bits). Any other cell side is (m, n), one
+    column per node, on either call.
     fbatch takes the conditionals back as (k, 1) columns instead of
     evaluating them again. fbatch caps numpy's ufunc buffers
     (``_integrand_bufsize``), so a call on few live nodes holds about
@@ -608,7 +602,7 @@ def _make_integrand(A: Copula, family, B: Copula, xs, ys):
     sides = [(k, f, Z, C.conditional_degree == 0)
              for k, f, Z, C in (("s", left, X, A), ("r", right, Y, B)) if Z.shape[1] == 1]
 
-    def evaluate(segs, nodes, groups, once):
+    def support(segs, nodes, groups, once):
         # the cell sides on segments of one kind: a step side at the first
         # node of each if they are once, any other side at every node
         live, cells, ts = np.ones((len(segs), 1), dtype=bool), {}, None
@@ -623,18 +617,6 @@ def _make_integrand(A: Copula, family, B: Copula, xs, ys):
             live = live & (c != 0.0)
             cells[k] = c
         return live, cells
-
-    def support(segs, nodes, groups, once):
-        lead = np.count_nonzero(once)
-        if lead in (0, len(segs)):
-            return evaluate(segs, nodes, groups, lead > 0)
-        live, cells = evaluate(segs[:lead], nodes, groups[:lead], True)
-        rest, narrow = evaluate(segs[lead:], nodes, groups[lead:], False)
-        if live.shape[1] < rest.shape[1]:
-            rest = rest.any(axis=1, keepdims=True)
-        # a step side is one column: a value per once segment, then n per narrow one
-        return np.concatenate((live, rest)), {
-            k: np.concatenate((c, narrow[k].reshape(-1, c.shape[1]))) for k, c in cells.items()}
 
     return fbatch, support
 
@@ -768,6 +750,11 @@ def _fast_path(A: Copula, family, B: Copula, q: QuadratureConfig | None,
     product is left to quadrature, and its error estimate is probed
     when first read.
     """
+    if not (isinstance(A, Copula) and isinstance(B, Copula)):
+        raise ConstructionError(
+            f"factors must be copulas, got {type(A).__name__} and {type(B).__name__}")
+    if family is not None and not isinstance(family, CopulaFamily):
+        raise ConstructionError(f"family must be a copula family, got {type(family).__name__}")
     q = q if q is not None else QuadratureConfig()
     if fast_paths:
         if isinstance(A, FrechetM):

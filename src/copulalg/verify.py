@@ -38,6 +38,7 @@ from .copulas import (
     ShuffleOfM,
     StraightShuffle,
     W,
+    _lattice,
     _lattice_witness,
     sup_distance_witness,
 )
@@ -175,7 +176,7 @@ def check_zero_necessary(family: CopulaFamily, tol: float = 1e-12,
     A failing family cannot give its product a zero element. Passing
     proves nothing further (the condition is necessary only).
     """
-    g = np.arange(lattice + 1) / lattice
+    g = _lattice(lattice)
     vals = family_integral(family, g[:, None], g[None, :])
     worst, witness = _lattice_witness(np.abs(vals - g[:, None] * g[None, :]), g)
     return VerificationReport(

@@ -66,6 +66,14 @@ def test_config_validation():
         QuadratureConfig(adaptive_tol=0.0)
     with pytest.raises(ConstructionError):
         QuadratureConfig(max_depth=-1)
+    # the counts are integers: a float, even a whole one, is refused at
+    # construction, and a numpy integer is kept as the same int
+    for name in ("base_subintervals", "nodes_per_subinterval", "max_depth"):
+        for bad in (1.5, 3.0, "16", None):
+            with pytest.raises(ConstructionError, match=name):
+                QuadratureConfig(**{name: bad})
+        q = QuadratureConfig(**{name: np.int64(5)})
+        assert type(getattr(q, name)) is int and getattr(q, name) == 5
 
 
 def test_integrate_constant_exact():
@@ -89,12 +97,6 @@ def test_integrate_kink_adaptive():
     # no hint: the subdivision has to find the kink on its own
     val, err = integrate(lambda t: abs(t - 1 / 3))
     assert abs(val - 5 / 18) <= 1e-8
-
-
-def test_integrate_extra_breakpoints_config():
-    q = QuadratureConfig(extra_breakpoints=(1 / 3,))
-    val, _ = integrate(lambda t: abs(t - 1 / 3), q=q)
-    assert abs(val - 5 / 18) <= 1e-12
 
 
 def test_integrate_smooth_oscillation():
@@ -223,11 +225,7 @@ def _tuple_path_edges(breakpoints, q):
     one value at a time."""
     base = np.arange(q.base_subintervals + 1) / q.base_subintervals
     pts = [base]
-    extra = [
-        float(b)
-        for b in tuple(q.extra_breakpoints) + tuple(breakpoints)
-        if np.isfinite(b) and 0.0 < float(b) < 1.0
-    ]
+    extra = [float(b) for b in breakpoints if np.isfinite(b) and 0.0 < float(b) < 1.0]
     if extra:
         pts.append(np.asarray(extra, dtype=float))
     return np.unique(np.concatenate(pts))
@@ -289,14 +287,15 @@ def test_initial_edges_match_tuple_path():
     corpus = _hint_corpus()
     ys = np.arange(9) / 8
     fam_breaks = (0.25, 0.5)
-    configs = (QuadratureConfig(), QuadratureConfig(base_subintervals=1),
-               QuadratureConfig(base_subintervals=5,
-                                extra_breakpoints=(0.2 + 5e-15, np.nan, 0.9, 2.0, ulp)))
-    for q in configs:
-        together = _edges_of(rows, q)
+    # the last configuration puts the same cuts in front of every row
+    configs = ((QuadratureConfig(), ()), (QuadratureConfig(base_subintervals=1), ()),
+               (QuadratureConfig(base_subintervals=5), (0.2 + 5e-15, np.nan, 0.9, 2.0, ulp)))
+    for q, cuts in configs:
+        cut_rows = np.concatenate((np.tile(cuts, (len(rows), 1)), rows), axis=1)
+        together = _edges_of(cut_rows, q)
         for i, bp in enumerate(groups):
-            want = _tuple_path_edges(tuple(bp), q)
-            (alone,) = _edges_of(rows[i : i + 1], q)
+            want = _tuple_path_edges(cuts + tuple(bp), q)
+            (alone,) = _edges_of(cut_rows[i : i + 1], q)
             assert together[i].tobytes() == alone.tobytes() == want.tobytes(), (q, bp)
             assert want[0] == 0.0 and want[-1] == 1.0 and (np.diff(want) > 0.0).all()
         # with no group, and groups whose rows are empty
@@ -309,9 +308,10 @@ def test_initial_edges_match_tuple_path():
                 for x in (0.2, 0.5):
                     xs = np.full(ys.size, x)
                     arrays = np.concatenate(
-                        (fam_breaks, A.d2_breakpoints(xs), B.d1_breakpoints(ys)), axis=None
+                        (cuts, fam_breaks, A.d2_breakpoints(xs), B.d1_breakpoints(ys)),
+                        axis=None,
                     )
-                    tuples = fam_breaks + _point_breakpoints(A, 2, x)
+                    tuples = cuts + fam_breaks + _point_breakpoints(A, 2, x)
                     for y in ys:
                         tuples += _point_breakpoints(B, 1, float(y))
                     hints.append(arrays)
@@ -470,6 +470,20 @@ def test_star_c_fast_path_precedence(flip_shuffle):
     assert star_c(PI, F, W).fast_path == "W-closed-form"
     assert star_c(M, F, W).fast_path == "identity-M"
     assert star_c(fgm, F, fgm).fast_path == "none"
+
+
+def test_star_rejects_factors_and_families_of_the_wrong_type():
+    # a family as a factor, or a copula as the family, is refused when
+    # the product is built, with or without fast paths
+    fgm = FGMCopula(0.3)
+    for fast in (True, False):
+        with pytest.raises(ConstructionError, match="factors must be copulas"):
+            star(ConstantFamily(PI), fgm, fast_paths=fast)
+        with pytest.raises(ConstructionError, match="factors must be copulas"):
+            star_c(fgm, ConstantFamily(PI), 0.5, fast_paths=fast)
+        for A in (FGMCopula(0.5), M):
+            with pytest.raises(ConstructionError, match="family must be a copula family"):
+                star_c(A, PI, fgm, fast_paths=fast)
 
 
 def test_star_fast_paths_disabled():
@@ -806,8 +820,7 @@ def test_level_loop_matches_work_list_reference():
     fb, support = products._make_integrand(fgm, FGMCurveFamily((-1.0, 3.0)), fgm, xs, ys)
     # no coordinate is a cell: the support yields no cell conditionals
     segs = np.asarray([[0.0, 0.5], [0.5, 1.0]])
-    live, cells = support(segs, products._gl(16)[0], np.zeros(2, dtype=np.intp),
-                          np.ones(2, dtype=bool))
+    live, cells = support(segs, products._gl(16)[0], np.zeros(2, dtype=np.intp), True)
     assert cells == {} and live.all()
     q = QuadratureConfig()
     # theta is clipped from t = 2/3 on; without that breakpoint it refines
@@ -876,8 +889,7 @@ def _no_skip_segment_values(fbatch, segs, nodes, weights, chunk, width, support,
     a, b = segs[:, :1], segs[:, 1:]
     hw = 0.5 * (b - a)
     ts = hw * nodes + 0.5 * (a + b)
-    every = np.zeros(len(segs), dtype=bool)
-    cells = {k: c.reshape(-1, 1) for k, c in support(segs, nodes, groups, every)[1].items()}
+    cells = {k: c.reshape(-1, 1) for k, c in support(segs, nodes, groups, False)[1].items()}
     step = -(-chunk // n)
     out = []
     for s in range(0, len(segs), step):
@@ -943,12 +955,43 @@ def test_skipping_dead_segments_keeps_the_bits(monkeypatch, flip_shuffle):
     assert runs == 7 * 4 * (1 + 1 + 1)
 
 
+class _WithCuts(Copula):
+    """A copula with the values, partials and degree of ``C`` whose
+    breakpoint hints add ``cuts`` at every coordinate: as a factor of a
+    forced product it makes the cuts quadrature edges of every group."""
+
+    def __init__(self, C, cuts):
+        self.C = C
+        self.cuts = np.asarray(cuts, dtype=float)
+        self.conditional_degree = C.conditional_degree
+
+    def _cdf(self, u, v):
+        return self.C._cdf(u, v)
+
+    def _d1(self, u, v):
+        return self.C._d1(u, v)
+
+    def _d2(self, u, v):
+        return self.C._d2(u, v)
+
+    def _add_cuts(self, rows):
+        return np.concatenate((rows, np.tile(self.cuts, (len(rows), 1))), axis=1)
+
+    def d1_breakpoints(self, v):
+        return self._add_cuts(self.C.d1_breakpoints(v))
+
+    def d2_breakpoints(self, u):
+        return self._add_cuts(self.C.d2_breakpoints(u))
+
+
 def _step_side_products(flip_shuffle):
     """Forced products whose grouped side is a step function of t, each
     with a grouped coordinate x whose hint h ends a chain of pieces
     0.9e-14 wide, before a piece of about 1e-11, or lies between pieces
     1e-12 and 1.05e-14 wide: narrow pieces, next to h, whose segments
-    are evaluated at every node."""
+    are evaluated at every node. The cuts come in as hints of the step
+    side in the classical products, and as the cuts of a family whose
+    members are all the same copula in the generalized ones."""
     tiny = 0.9e-14
     fgm = FGMCopula(0.7)
     g8 = grid_from_copula(FGMCopula(0.6), 8)
@@ -969,16 +1012,23 @@ def _step_side_products(flip_shuffle):
                          0.125 + 3e-15, 0.625 + 3e-15])
         ys = np.linspace(0.0, 1.0, 5)
         for cuts in (chain, narrow):
-            q = QuadratureConfig(extra_breakpoints=cuts)
-            for F in (None, ConstantFamily(FGMCopula(-1.0))):
-                for A, B, u, v in ((C, fgm, xs[:, None], ys[None, :]),
-                                   (fgm, C.transpose(), ys[:, None], xs[None, :])):
-                    prod = (star(A, B, q, fast_paths=False) if F is None
-                            else star_c(A, F, B, q, fast_paths=False)).copula
+            same = PiecewiseConstantFamily(cuts, (FGMCopula(-1.0),) * (len(cuts) + 1))
+            for F, left, right in ((None, _WithCuts(C, cuts), _WithCuts(C.transpose(), cuts)),
+                                   (same, C, C.transpose())):
+                for A, B, u, v in ((left, fgm, xs[:, None], ys[None, :]),
+                                   (fgm, right, ys[:, None], xs[None, :])):
+                    prod = (star(A, B, fast_paths=False) if F is None
+                            else star_c(A, F, B, fast_paths=False)).copula
                     cases.append((prod, u, v))
                     # one point
                     cases.append((prod, u.reshape(-1)[:1], v.reshape(-1)[:1]))
     return cases
+
+
+def _step_keys(A, B, xs, ys):
+    # the cell sides of an integrand that are step functions of t
+    return {k for k, Z, C in (("s", xs, A), ("r", ys, B))
+            if products._side(Z).shape[1] == 1 and C.conditional_degree == 0}
 
 
 def test_step_sides_once_per_segment_keep_the_bits(monkeypatch, flip_shuffle):
@@ -989,21 +1039,34 @@ def test_step_sides_once_per_segment_keep_the_bits(monkeypatch, flip_shuffle):
     # rounding-sensitive W hints
     # (test_skipping_dead_segments_keeps_the_bits compares the
     # dead-segment corpus with the same reference); some segments of
-    # these runs take each path
+    # these runs take each path. Each support call gets one kind of
+    # segment and returns one layout: a step side as (m, 1) on a once
+    # call and as (m, n) on a narrow one, any other side as (m, n)
+    make_integrand = products._make_integrand
     live_segments = products._live_segments
     paths = {"once": 0, "every node": 0}
+    steps = set()
+
+    def recording_make(A, family, B, xs, ys):
+        steps.clear()
+        steps.update(_step_keys(A, B, xs, ys))
+        return make_integrand(A, family, B, xs, ys)
 
     def recording(support, segs, nodes, groups):
         def seen(seg, nodes, groups, once):
-            paths["once"] += int(once.sum())
-            paths["every node"] += int((~once).sum())
-            return support(seg, nodes, groups, once)
+            assert type(once) is bool
+            paths["once" if once else "every node"] += len(seg)
+            live, cells = support(seg, nodes, groups, once)
+            for k, c in cells.items():
+                assert c.shape == (len(seg), 1 if once and k in steps else len(nodes)), k
+            return live, cells
         return live_segments(seen, segs, nodes, groups)
 
+    monkeypatch.setattr(products, "_make_integrand", recording_make)
     monkeypatch.setattr(products, "_live_segments", recording)
     cases = _step_side_products(flip_shuffle)
     # also in support slices of 7 segments, which key a side alike
-    # whether or not a slice holds a segment evaluated at every node
+    # however a level is sliced
     for chunk, batch in ((products._CHUNK_ELEMENTS, cases), (16 * 7, cases[::6])):
         monkeypatch.setattr(products, "_CHUNK_ELEMENTS", chunk)
         for prod, u, v in batch:
@@ -1017,7 +1080,8 @@ def test_step_side_costs_one_kernel_element_per_segment(monkeypatch, flip_shuffl
     # work-counter gate: on the forced shuffle * fgm 33 x 33 lattice the
     # support evaluates the shuffle's conditional at one node of each
     # segment, and at every node of the few segments too narrow for
-    # that: one support call per level, at most 1/8 of the rule's nodes
+    # that: one kernel call per kind of segment a level holds (the
+    # lattice's one level holds both), at most 1/8 of the rule's nodes
     # in all
     S = ShuffleOfM(flip_shuffle.cuts, flip_shuffle.sigma, flip_shuffle.flips)
     elements = []
@@ -1029,23 +1093,26 @@ def test_step_side_costs_one_kernel_element_per_segment(monkeypatch, flip_shuffl
 
     monkeypatch.setattr(S, "_d2", counting_d2)
     live_segments = products._live_segments
-    counts = {"levels": 0, "support calls": 0, "segments": 0, "every node": 0,
-              "rule_nodes": 0}
+    counts = {"levels": 0, "kinds": 0, "segments": 0, "every node": 0, "rule_nodes": 0}
 
     def recording(support, segs, nodes, groups):
+        kinds = set()
+
         def seen(seg, nodes, groups, once):
-            counts["support calls"] += 1
+            kinds.add(once)
             counts["segments"] += len(seg)
-            counts["every node"] += int((~once).sum())
+            counts["every node"] += 0 if once else len(seg)
             counts["rule_nodes"] += len(seg) * len(nodes)
             return support(seg, nodes, groups, once)
         counts["levels"] += 1
-        return live_segments(seen, segs, nodes, groups)
+        out = live_segments(seen, segs, nodes, groups)
+        counts["kinds"] += len(kinds)
+        return out
 
     monkeypatch.setattr(products, "_live_segments", recording)
     star(S, FGMCopula(0.5), fast_paths=False).copula.eval(GRID_33[:, None], GRID_33[None, :])
     n = QuadratureConfig().nodes_per_subinterval
-    assert counts["support calls"] == counts["levels"]
+    assert len(elements) == counts["kinds"] == 2 * counts["levels"] == 2
     assert counts["every node"] < counts["segments"] / 8
     assert sum(elements) <= counts["segments"] + n * counts["every node"]
     assert sum(elements) <= counts["rule_nodes"] / 8
@@ -1268,10 +1335,11 @@ def test_distinct_rows_merge_equal_rows():
 
 
 def test_one_ulp_piece_evaluates_each_distinct_segment_once(monkeypatch, quad_counter):
-    # work-counter gate: a forced fgm * fgm lattice is one group; the
-    # piece [0.5, nextafter(0.5, 1)] has its midpoint on an end, so one of
-    # its halves is the piece itself, and the two are evaluated once
-    q = QuadratureConfig(extra_breakpoints=(0.5, np.nextafter(0.5, 1.0)))
+    # work-counter gate: a forced fgm * fgm lattice over a family of Pi
+    # on pieces cut at 0.5 and nextafter(0.5, 1) is one group; the piece
+    # [0.5, nextafter(0.5, 1)] has its midpoint on an end, so one of its
+    # halves is the piece itself, and the two are evaluated once
+    family = PiecewiseConstantFamily((0.5, np.nextafter(0.5, 1.0)), (PI, PI, PI))
     segments = []
     segment_values = products._segment_values
 
@@ -1280,7 +1348,7 @@ def test_one_ulp_piece_evaluates_each_distinct_segment_once(monkeypatch, quad_co
         return segment_values(fbatch, segs, *args)
 
     monkeypatch.setattr(products, "_segment_values", recording)
-    star(FGMCopula(0.5), FGMCopula(0.3), q, fast_paths=False).copula.eval(
+    star_c(FGMCopula(0.5), family, FGMCopula(0.3), fast_paths=False).copula.eval(
         GRID_33[:, None], GRID_33[None, :])
     assert quad_counter["calls"] == 1
     assert segments == [194]
@@ -1312,7 +1380,7 @@ def test_nan_cell_conditional_stays_live():
     fb, support = products._make_integrand(A, None, B, np.asarray([0.3]), np.asarray([0.6]))
     # one segment on [0, 1] whose nodes are 0.1, 0.4, 0.6 and 0.9
     live, cells = support(np.asarray([[0.0, 1.0]]), np.asarray([-0.8, -0.2, 0.2, 0.8]),
-                          np.zeros(1, dtype=np.intp), np.ones(1, dtype=bool))
+                          np.zeros(1, dtype=np.intp), True)
     assert live.tolist() == [[True, True, False, False]]
     assert sorted(cells) == ["r", "s"]
     with pytest.raises(NonConvergenceError):

@@ -19,16 +19,22 @@ from copulalg import (
     StraightShuffle,
     SUITES,
     W,
+    ae_equal,
     check_identity,
     check_zero_candidate,
     check_zero_necessary,
     convergence_study,
     fgm_counterexample,
+    grid_from_copula,
+    midpoint_fgm_approximation,
     reports_to_json,
     reports_to_text,
     run_suite,
     star,
     star_c,
+    sup_distance,
+    sup_distance_witness,
+    validate,
 )
 from copulalg.verify import copula_label, family_label, report_lines
 
@@ -180,6 +186,30 @@ def test_fgm_counterexample_rejects_bad_theta():
 
 
 # a check that evaluates nothing has no deviation to report
+
+
+def test_lattice_sizes_must_be_positive_integers():
+    # every lattice entry refuses a size that is not a positive integer,
+    # instead of checking nothing (lattice 0 passed check_identity with
+    # deviation -1) or failing inside numpy
+    fam = ConstantFamily(PI)
+    entries = {
+        "grid_from_copula": lambda n: grid_from_copula(PI, n),
+        "sup_distance": lambda n: sup_distance(PI, M, n),
+        "sup_distance_witness": lambda n: sup_distance_witness(PI, M, n),
+        "validate": lambda n: validate(PI, n),
+        "ae_equal": lambda n: ae_equal(fam, fam, lattice=n),
+        "midpoint_fgm_approximation":
+            lambda n: midpoint_fgm_approximation(FGMCurveFamily((-1.0, 3.0)), n),
+        "check_zero_necessary": lambda n: check_zero_necessary(fam, lattice=n),
+        "check_identity": lambda n: check_identity(fam, corpus=(PI,), lattice=n),
+    }
+    for name, entry in entries.items():
+        for n in (0, 1.5):
+            with pytest.raises(ConstructionError, match="must be a positive integer"):
+                entry(n)
+        # a numpy integer is a size like any other
+        entry(np.int64(2))
 
 
 def test_identity_rejects_empty_corpus():
