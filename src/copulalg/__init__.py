@@ -8,125 +8,31 @@ otherwise, verification experiments for the algebraic laws, and an
 expression-based CLI.
 """
 
-from .copulas import (
-    CopulaError,
-    DomainError,
-    ConstructionError,
-    FormatError,
-    Copula,
-    FrechetM,
-    FrechetW,
-    ProductPi,
-    FGMCopula,
-    ShuffleOfM,
-    StraightShuffle,
-    TransposedCopula,
-    GridCopula,
-    Rectangle,
-    Segment,
-    ValidationReport,
-    M,
-    W,
-    PI,
-    shuffle_from_grid,
-    grid_from_copula,
-    sup_distance,
-    sup_distance_witness,
-    validate,
-    fd_partial1,
-    fd_partial2,
-    read_grid_csv,
-    write_grid_csv,
-)
-from .families import (
-    CLASS_MEASURABLE,
-    CLASS_PIECEWISE,
-    CopulaFamily,
-    ConstantFamily,
-    PiecewiseConstantFamily,
-    FGMCurveFamily,
-    measurability_class,
-    ae_equal,
-    family_integral,
-    midpoint_fgm_approximation,
-)
-from .products import (
-    QuadratureConfig,
-    ProductResult,
-    NonConvergenceError,
-    ComputedCopula,
-    ShuffleStarProduct,
-    WRightProduct,
-    star,
-    star_c,
-    integrate,
-    FAST_PATHS,
-)
+from . import copulas, families, products
+from .copulas import *  # noqa: F401,F403
+from .families import *  # noqa: F401,F403
+from .products import *  # noqa: F401,F403
 from .poly import PolyCopula
 from .verify import (
+    SUITES,
     VerificationReport,
     check_identity,
-    check_zero_necessary,
     check_zero_candidate,
-    fgm_counterexample,
+    check_zero_necessary,
     convergence_study,
-    run_suite,
-    SUITES,
-    reports_to_text,
+    fgm_counterexample,
     reports_to_json,
+    reports_to_text,
+    run_suite,
 )
 
 __version__ = "0.1.0"
 
+# every public name of the core modules; only poly and verify are curated
 __all__ = [
-    "CopulaError",
-    "DomainError",
-    "ConstructionError",
-    "FormatError",
-    "Copula",
-    "FrechetM",
-    "FrechetW",
-    "ProductPi",
-    "FGMCopula",
-    "ShuffleOfM",
-    "StraightShuffle",
-    "TransposedCopula",
-    "GridCopula",
-    "Rectangle",
-    "Segment",
-    "ValidationReport",
-    "M",
-    "W",
-    "PI",
-    "shuffle_from_grid",
-    "grid_from_copula",
-    "sup_distance",
-    "sup_distance_witness",
-    "validate",
-    "fd_partial1",
-    "fd_partial2",
-    "read_grid_csv",
-    "write_grid_csv",
-    "CLASS_MEASURABLE",
-    "CLASS_PIECEWISE",
-    "CopulaFamily",
-    "ConstantFamily",
-    "PiecewiseConstantFamily",
-    "FGMCurveFamily",
-    "measurability_class",
-    "ae_equal",
-    "family_integral",
-    "midpoint_fgm_approximation",
-    "QuadratureConfig",
-    "ProductResult",
-    "NonConvergenceError",
-    "ComputedCopula",
-    "ShuffleStarProduct",
-    "WRightProduct",
-    "star",
-    "star_c",
-    "integrate",
-    "FAST_PATHS",
+    *copulas.__all__,
+    *families.__all__,
+    *products.__all__,
     "PolyCopula",
     "VerificationReport",
     "check_identity",

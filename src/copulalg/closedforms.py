@@ -45,23 +45,21 @@ class ShuffleStarProduct(Copula):
         for i in range(self.S.n_pieces):
             yield self.S._section(u, i)[1:]
 
-    def _cdf(self, u, v):
-        # u and v as given: a shuffle C shares its running sum between the
-        # points with the same v
+    def _increments(self, inner, u, v):
+        """sum_i inner(hi_i, v) - inner(lo_i, v), added in piece order."""
         u, v = np.asarray(u, float), np.asarray(v, float)
         out = np.zeros(np.broadcast_shapes(u.shape, v.shape))
-        inner = self.C._cdf
-        for lo, hi in self._ends(u):
-            out += inner(hi, v) - inner(lo, v)
-        return np.clip(out, 0.0, 1.0)
-
-    def _d2(self, u, v):
-        u, v = np.asarray(u, float), np.asarray(v, float)
-        out = np.zeros(np.broadcast_shapes(u.shape, v.shape))
-        inner = self.C._d2
         for lo, hi in self._ends(u):
             out += inner(hi, v) - inner(lo, v)
         return out
+
+    def _cdf(self, u, v):
+        # u and v as given: a shuffle C shares its running sum between the
+        # points with the same v
+        return np.clip(self._increments(self.C._cdf, u, v), 0.0, 1.0)
+
+    def _d2(self, u, v):
+        return self._increments(self.C._d2, u, v)
 
     def _d1(self, u, v):
         u, v = np.asarray(u, float), np.asarray(v, float)

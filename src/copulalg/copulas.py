@@ -794,9 +794,7 @@ def shuffle_from_grid(grid: GridCopula) -> ShuffleOfM:
 
 def grid_from_copula(C: Copula, n: int) -> GridCopula:
     """Discretize C to an n x n checkerboard by exact cell volumes."""
-    e = _lattice_values(C, n)
-    vols = e[1:, 1:] - e[1:, :-1] - e[:-1, 1:] + e[:-1, :-1]
-    return GridCopula(vols)
+    return GridCopula(_cell_volumes(_lattice_values(C, n)))
 
 
 def _lattice(n):
@@ -814,6 +812,11 @@ def _lattice(n):
 def _lattice_values(C: Copula, n: int):
     g = _lattice(n)
     return C._cdf(g[:, None], g[None, :])
+
+
+def _cell_volumes(e):
+    """The volume of each cell of the lattice whose corner values are e."""
+    return e[1:, 1:] - e[1:, :-1] - e[:-1, 1:] + e[:-1, :-1]
 
 
 def sup_distance(A: Copula, B: Copula, n: int = 32) -> float:
@@ -857,8 +860,7 @@ def validate(C: Copula, n: int = 64, tol: float = 1e-9) -> ValidationReport:
         float(np.abs(e[:, 0]).max()),
         float(np.abs(e[0, :]).max()),
     )
-    vols = e[1:, 1:] - e[1:, :-1] - e[:-1, 1:] + e[:-1, :-1]
-    min_vol = float(vols.min())
+    min_vol = float(_cell_volumes(e).min())
     step = 1.0 / n
     du = np.abs(np.diff(e, axis=0))
     dv = np.abs(np.diff(e, axis=1))
@@ -958,18 +960,21 @@ def _mass_rows(fh, n):
 
 
 def _mass_rows_one_by_one(lines, n):
-    m = np.empty((n, n))
-    for k, (ln, row) in enumerate(zip(lines, m), start=1):
+    # each row is checked before it is kept, so that a file's n x n mass
+    # is allocated only as its rows prove that the file holds it
+    rows = []
+    for k, ln in enumerate(lines, start=1):
         parts = ln.split(",")
         if len(parts) != n:
             raise FormatError(f"row {k} has {len(parts)} entries, expected {n}")
         try:
-            row[:] = list(map(float, parts))
+            row = np.array(list(map(float, parts)))
         except ValueError:
             raise FormatError(f"row {k} contains a non-numeric entry") from None
         if not (row >= 0.0).all():
             raise FormatError(f"row {k} contains a negative or NaN mass")
-    return m
+        rows.append(row)
+    return np.array(rows)
 
 
 def read_grid_csv(path) -> GridCopula:

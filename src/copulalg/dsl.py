@@ -22,8 +22,9 @@ an object back to the AST that builds it.
 This module is the one place that spells the syntax: report labels
 are ``to_text(expr_of(x), num)`` with a shorter number format.
 
-Syntax problems raise ``ParseError`` carrying a 1-based column; value
-and arity problems found while building raise ``SemanticError``.
+Syntax problems raise ``ParseError`` carrying a 1-based column, and so
+does parenthesis nesting deeper than ``MAX_NESTING``; value and arity
+problems found while building raise ``SemanticError``.
 """
 
 from __future__ import annotations
@@ -170,6 +171,11 @@ _NUMBER = re.compile(r"[+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?")
 _IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 _BARE_PATH = re.compile(r"[^(),;:\"\s]+")
 
+# the deepest nesting of parentheses an expression may have: the parser,
+# build_copula, expr_of and to_text recurse once or twice per level, and
+# this keeps them far inside Python's default recursion limit of 1000
+MAX_NESTING = 200
+
 
 class _Scanner:
     """Cursor over the source text; tokens are pulled on demand."""
@@ -177,6 +183,7 @@ class _Scanner:
     def __init__(self, text: str):
         self.text = text
         self.pos = 0
+        self.depth = 0
 
     def _skip_ws(self):
         while self.pos < len(self.text) and self.text[self.pos].isspace():
@@ -209,6 +216,18 @@ class _Scanner:
     def expect(self, literal: str):
         if not self.take(literal):
             raise ParseError(self.col(), (f"'{literal}'",), self.describe_here())
+
+    def open(self):
+        """Take a "(" that opens one more level of nesting."""
+        self.expect("(")
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise ParseError(self.col() - 1, (f"at most {MAX_NESTING} nested parentheses",),
+                             f"'(' at depth {self.depth}")
+
+    def close(self):
+        self.expect(")")
+        self.depth -= 1
 
     def ident(self):
         self._skip_ws()
@@ -281,7 +300,7 @@ def _parse_expr(sc: _Scanner):
     head = _head(sc, _EXPR_HEADS)
     if head in ("M", "W", "Pi"):
         return Atom(head)
-    sc.expect("(")
+    sc.open()
     if head == "fgm":
         node = Fgm(sc.number())
     elif head == "straight":
@@ -306,13 +325,13 @@ def _parse_expr(sc: _Scanner):
         family = _parse_family(sc)
         sc.expect(",")
         node = StarC(left, family, _parse_expr(sc))
-    sc.expect(")")
+    sc.close()
     return node
 
 
 def _parse_family(sc: _Scanner):
     head = _head(sc, _FAMILY_HEADS)
-    sc.expect("(")
+    sc.open()
     if head == "const":
         node = Const(_parse_expr(sc))
     elif head == "pw":
@@ -327,7 +346,7 @@ def _parse_family(sc: _Scanner):
         if not (sc.ident() == "poly" and sc.take(":")):
             sc.pos = save  # the "poly:" label is optional
         node = FgmCurve(_num_list(sc))
-    sc.expect(")")
+    sc.close()
     return node
 
 

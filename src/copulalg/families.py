@@ -31,6 +31,8 @@ from .copulas import (
 )
 
 __all__ = [
+    "CLASS_PIECEWISE",
+    "CLASS_MEASURABLE",
     "CopulaFamily",
     "ConstantFamily",
     "PiecewiseConstantFamily",

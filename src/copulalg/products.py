@@ -182,8 +182,10 @@ class QuadratureConfig:
             raise ConstructionError("base_subintervals must be >= 1")
         if self.nodes_per_subinterval < 2:
             raise ConstructionError("nodes_per_subinterval must be >= 2")
-        if not self.adaptive_tol > 0.0:
-            raise ConstructionError("adaptive_tol must be positive")
+        # an infinite tolerance would accept every piece at its first
+        # level; NaN fails the comparison too
+        if not 0.0 < self.adaptive_tol < np.inf:
+            raise ConstructionError("adaptive_tol must be finite and positive")
         if self.max_depth < 0:
             raise ConstructionError("max_depth must be >= 0")
 

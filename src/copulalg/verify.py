@@ -98,15 +98,31 @@ def _num(x) -> str:
 # `import copulalg` does not pay the ~10 ms its AST dataclasses take.
 
 def copula_label(C) -> str:
-    """Short stable text for a copula, in the expression syntax."""
+    """Short stable text for a copula or a family, in the expression
+    syntax."""
     from .dsl import expr_of, to_text
     return to_text(expr_of(C), _num)
 
 
-def family_label(F) -> str:
-    """Short stable text for a family, in the expression syntax."""
-    from .dsl import expr_of, to_text
-    return to_text(expr_of(F), _num)
+family_label = copula_label
+
+
+def _worst(cases):
+    """The first (deviation, witness, label) case of strictly largest
+    deviation, or (-1.0, None, "") if none exceeds -1.0; a NaN deviation
+    never wins."""
+    worst = (-1.0, None, "")
+    for case in cases:
+        if case[0] > worst[0]:
+            worst = case
+    return worst
+
+
+def _expected_failure(name, r, passed, **params):
+    """Report ``name``: check report ``r`` shows the failure expected of
+    it iff ``passed``; ``params`` add the expectation to r's."""
+    return VerificationReport(name=name, passed=bool(passed), deviation=r.deviation,
+                              witness=r.witness, params=dict(r.params, **params))
 
 
 def corpus_copulas():
@@ -142,18 +158,13 @@ def check_identity(family: CopulaFamily, corpus=None, tol: float = 1e-5,
     corpus = tuple(corpus) if corpus is not None else corpus_copulas()
     if not corpus:
         raise ConstructionError("need at least one corpus copula")
-    worst = -1.0
-    witness = None
-    worst_case = ""
-    for A in corpus:
-        left = star_c(e, family, A, q, fast_paths=False)
-        right = star_c(A, family, e, q, fast_paths=False)
-        for side, prod in (("left", left), ("right", right)):
-            dev, pt = sup_distance_witness(prod.copula, A, lattice)
-            if dev > worst:
-                worst = dev
-                witness = pt
-                worst_case = f"{side}:{copula_label(A)}"
+    labels = [copula_label(A) for A in corpus]
+    worst, witness, worst_case = _worst(
+        (*sup_distance_witness(prod.copula, A, lattice), f"{side}:{label}")
+        for A, label in zip(corpus, labels)
+        for side, prod in (("left", star_c(e, family, A, q, fast_paths=False)),
+                           ("right", star_c(A, family, e, q, fast_paths=False)))
+    )
     return VerificationReport(
         name=f"identity[{family_label(family)}]",
         passed=worst <= tol,
@@ -161,7 +172,7 @@ def check_identity(family: CopulaFamily, corpus=None, tol: float = 1e-5,
         witness=witness,
         params={
             "candidate": copula_label(e),
-            "corpus": ", ".join(copula_label(A) for A in corpus),
+            "corpus": ", ".join(labels),
             "lattice": lattice,
             "tol": tol,
             "worst_case": worst_case,
@@ -202,14 +213,13 @@ def check_zero_candidate(family: CopulaFamily, candidate,
     alphas = tuple(alphas)
     if not alphas:
         raise ConstructionError("need at least one shuffle parameter alpha")
-    worst = -1.0
-    witness = None
-    for a in alphas:
+
+    def case(a):
         prod = star_c(StraightShuffle(a), family, candidate)
         dev, pt = sup_distance_witness(prod.copula, candidate, lattice)
-        if dev > worst:
-            worst = dev
-            witness = (float(a), pt[0], pt[1])
+        return dev, (float(a), *pt), ""
+
+    worst, witness, _ = _worst(map(case, alphas))
     return VerificationReport(
         name=f"zero-candidate[{copula_label(candidate)}]",
         passed=worst <= tol,
@@ -250,15 +260,12 @@ def fgm_counterexample(theta: float = 1.0, points=None, tol: float = 1e-5,
     family = PiecewiseConstantFamily((0.5,), (FGMCopula(theta), FGMCopula(-theta)))
     necessary = check_zero_necessary(family, tol=1e-9, lattice=lattice)
     prod = star_c(FGMCopula(theta), family, PI)
-    worst = -1.0
-    witness = None
+    cases = [(float(exact_gap(prod.copula, PI, x, y)), (float(x), float(y)), "")
+             for x, y in pts]
     params = {"theta": theta, "tol": tol, "necessary_dev": necessary.deviation}
-    for x, y in pts:
-        d = float(exact_gap(prod.copula, PI, x, y))
-        params[f"dev({_num(float(x))},{_num(float(y))})"] = d
-        if d > worst:
-            worst = d
-            witness = (float(x), float(y))
+    for d, (x, y), _ in cases:
+        params[f"dev({_num(x)},{_num(y)})"] = d
+    worst, witness, _ = _worst(cases)
     return VerificationReport(
         name=f"fgm-counterexample[theta={_num(theta)}]",
         passed=bool(necessary.passed and worst > 10.0 * tol),
@@ -340,15 +347,8 @@ def _suite_zero_necessary(q, lattice, thetas, families):
         and abs(r.deviation - 0.0625) <= 1e-9
         and r.witness == (0.5, 0.5)
     )
-    reports.append(
-        VerificationReport(
-            name=f"zero-necessary-violation[{family_label(bad)}]",
-            passed=detected,
-            deviation=r.deviation,
-            witness=r.witness,
-            params=dict(r.params, expected_dev=0.0625),
-        )
-    )
+    reports.append(_expected_failure(f"zero-necessary-violation[{family_label(bad)}]",
+                                     r, detected, expected_dev=0.0625))
     return reports
 
 
@@ -359,15 +359,9 @@ def _suite_zero_candidate(q, lattice, thetas, families):
     reports = [check_zero_candidate(fam, PI, lattice=lattice)]
     for U in (M, W, FGMCopula(1.0)):
         r = check_zero_candidate(fam, U, lattice=lattice)
-        reports.append(
-            VerificationReport(
-                name=f"zero-eliminates[{copula_label(U)}]",
-                passed=bool(not r.passed and r.deviation >= 1e-2),
-                deviation=r.deviation,
-                witness=r.witness,
-                params=dict(r.params, eliminate_threshold=1e-2),
-            )
-        )
+        reports.append(_expected_failure(f"zero-eliminates[{copula_label(U)}]", r,
+                                         not r.passed and r.deviation >= 1e-2,
+                                         eliminate_threshold=1e-2))
     return reports
 
 

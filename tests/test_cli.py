@@ -139,6 +139,27 @@ def test_eval_nonconvergence_exit_2(capsys):
     assert err.startswith("error: quadrature did not converge")
 
 
+def test_infinite_qtol_exit_2(capsys, tmp_path):
+    message = "error: adaptive_tol must be finite and positive\n"
+    for argv in (("eval", "star(fgm(0.5), fgm(-0.3))", "0.5", "0.5", "--no-fast-path"),
+                 ("grid", "M", "4", str(tmp_path / "g.csv")),
+                 ("verify", "identity", "--out", str(tmp_path))):
+        for qtol in ("inf", "nan"):
+            rc, out, err = run(capsys, *argv, "--qtol", qtol)
+            assert (rc, out, err) == (2, "", message), argv
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_eval_malformed_grid_allocates_nothing_of_its_order(capsys, tmp_path):
+    # 200000 one-entry rows: the order asks for a 298 GiB mass, which
+    # is not allocated, since the first row already has the wrong width
+    p = tmp_path / "f.csv"
+    p.write_text("N=200000\n" + "0.5\n" * 200000)
+    rc, out, err = run(capsys, "eval", f'grid("{p}")', "0.5", "0.5")
+    assert (rc, out) == (2, "")
+    assert err == "error: row 1 has 1 entries, expected 200000\n"
+
+
 def test_eval_runtime_errors_exit_2(capsys):
     rc, _, err = run(capsys, "eval", 'grid("no-such.csv")', "0.3", "0.8")
     assert rc == 2
@@ -208,6 +229,15 @@ def test_grid_order_range_exit_2(capsys, tmp_path):
     rc, _, err = run(capsys, "grid", "Pi", "4097", str(tmp_path / "x.csv"))
     assert rc == 2
     assert "4096" in err
+
+
+def test_grid_nonconvergence_exit_2(capsys, tmp_path):
+    out_path = tmp_path / "out.csv"
+    rc, out, err = run(capsys, "grid", "star(fgm(1), fgm(1))", "2", str(out_path),
+                       "--qtol", "1e-300", "--no-fast-path")
+    assert (rc, out) == (2, "")
+    assert err.startswith("error: quadrature did not converge")
+    assert not out_path.exists()
 
 
 def test_grid_parse_error_exit_1(capsys, tmp_path):
@@ -287,6 +317,27 @@ def test_verify_config_errors_exit_2(capsys, tmp_path):
         assert (rc, out) == (2, "")
         assert err.startswith("error: bad --family: ")
         assert "Traceback" not in err
+
+
+def test_nesting_limit_through_the_cli(capsys, tmp_path):
+    # an expression nested deeper than the parser's limit is a parse
+    # error with its column, as a bad --family is a configuration error
+    from copulalg.dsl import MAX_NESTING
+    for depth in (MAX_NESTING, MAX_NESTING + 1, 1500):
+        text = "t(" * depth + "M" + ")" * depth
+        rc, out, err = run(capsys, "eval", text, "0.3", "0.4")
+        family = "const(" + "t(" * (depth - 1) + "Pi" + ")" * depth
+        vrc, vout, verr = run(capsys, "verify", "zero-necessary", "--family", family,
+                              "--lattice", "9", "--out", str(tmp_path))
+        if depth == MAX_NESTING:
+            assert (rc, out) == (0, "0.300000000000\n")
+            assert vrc == 0 and vout.startswith("zero-necessary[const(Pi)] | pass")
+        else:
+            column = 2 * MAX_NESTING + 2
+            assert (rc, out) == (1, "")
+            assert err.startswith(f"error: column {column}: expected at most {MAX_NESTING} ")
+            assert (vrc, vout) == (2, "")
+            assert verr.startswith(f"error: bad --family: column {column + 4}: ")
 
 
 # the size flags are capped at 4096 and checked before any quadrature

@@ -567,6 +567,17 @@ def test_grid_csv_rejects(tmp_path):
         assert str(err.value).startswith(message), name
 
 
+def test_grid_csv_rejects_a_bad_order(tmp_path):
+    for header, message in (("N=abc", "bad order 'abc'"),
+                            ("N=0", "order must be positive, got 0"),
+                            ("N=-2", "order must be positive, got -2")):
+        p = tmp_path / "order.csv"
+        p.write_text(header + "\n0.5,0.5\n0.5,0.5\n")
+        with pytest.raises(FormatError) as err:
+            read_grid_csv(p)
+        assert str(err.value) == message
+
+
 def test_grid_csv_reads_as_float_does(tmp_path):
     # CRLF line ends, blank and whitespace-only lines, spaces around
     # entries and the underscores that float() takes give the same mass

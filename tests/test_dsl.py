@@ -123,6 +123,42 @@ def test_parse_error_columns():
     assert "end of input" in str(exc.value)
 
 
+def _first_too_deep(text, limit):
+    """1-based column of the first "(" nested more than ``limit`` deep."""
+    depth = 0
+    for i, ch in enumerate(text):
+        depth += (ch == "(") - (ch == ")")
+        if depth > limit:
+            return i + 1
+    return None
+
+
+def test_nesting_limit():
+    # parse, build, expr_of, to_text and eval recurse per level of
+    # parentheses; they all work at the limit, and the parser refuses
+    # one level more, at the column of the "(" that opens it
+    from copulalg.dsl import MAX_NESTING
+    chains = (lambda k: "t(" * k + "M" + ")" * k,
+              # fgm(0.5) opens a level of its own
+              lambda k: "star(fgm(0.5), " * (k - 1) + "fgm(0.5)" + ")" * (k - 1))
+    for chain in chains:
+        text = chain(MAX_NESTING)
+        assert _first_too_deep(text, MAX_NESTING - 1) is not None
+        C = build_copula(parse(text))
+        assert parse(to_text(expr_of(C))) == expr_of(C)
+        assert 0.0 <= C.eval(0.3, 0.4) <= 0.3
+        deeper = chain(MAX_NESTING + 1)
+        with pytest.raises(ParseError) as exc:
+            parse(deeper)
+        assert exc.value.column == _first_too_deep(deeper, MAX_NESTING)
+        assert f"at most {MAX_NESTING} nested" in str(exc.value)
+    family = "const(" + "t(" * (MAX_NESTING - 1) + "Pi" + ")" * MAX_NESTING
+    assert build_family(parse_family(family)).member is PI
+    with pytest.raises(ParseError) as exc:
+        parse_family("const(t(" + family[6:] + ")")
+    assert exc.value.column == 2 * MAX_NESTING + 6
+
+
 def test_parse_rejects_fractional_permutation_entry():
     with pytest.raises(ParseError) as exc:
         parse("shuffle(0.5; 1.5, 2; 0, 0)")

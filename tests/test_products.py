@@ -62,8 +62,11 @@ def test_config_validation():
         QuadratureConfig(base_subintervals=0)
     with pytest.raises(ConstructionError):
         QuadratureConfig(nodes_per_subinterval=1)
-    with pytest.raises(ConstructionError):
-        QuadratureConfig(adaptive_tol=0.0)
+    # a tolerance is finite and positive: an infinite one would accept
+    # every piece at its first level
+    for bad in (0.0, -1e-8, math.inf, -math.inf, math.nan):
+        with pytest.raises(ConstructionError, match="adaptive_tol"):
+            QuadratureConfig(adaptive_tol=bad)
     with pytest.raises(ConstructionError):
         QuadratureConfig(max_depth=-1)
     # the counts are integers: a float, even a whole one, is refused at
@@ -74,6 +77,32 @@ def test_config_validation():
                 QuadratureConfig(**{name: bad})
         q = QuadratureConfig(**{name: np.int64(5)})
         assert type(getattr(q, name)) is int and getattr(q, name) == 5
+
+
+def test_quadrature_factor_partials_by_finite_differences(monkeypatch):
+    # a quadrature product has no analytic partials, so as a factor of
+    # another quadrature product it is differentiated by Copula._d1 and
+    # _d2, the central differences; FGM products have exact polynomials
+    from copulalg import PolyCopula, copulas
+    calls = {"fd_partial1": 0, "fd_partial2": 0}
+    for name, fn in ((n, getattr(copulas, n)) for n in calls):
+        def counted(*args, _fn=fn, _name=name, **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(copulas, name, counted)
+    inner = star(FGMCopula(0.3), FGMCopula(-0.4), fast_paths=False).copula
+    exact_inner = star(FGMCopula(0.3), FGMCopula(-0.4)).copula
+    u, v = np.array([0.2, 0.5, 0.9]), np.array([0.7, 0.3, 0.6])
+    cases = ((star(FGMCopula(0.5), inner, fast_paths=False),
+              star(FGMCopula(0.5), exact_inner), "fd_partial1"),
+             (star(inner, FGMCopula(0.5), fast_paths=False),
+              star(exact_inner, FGMCopula(0.5)), "fd_partial2"))
+    for prod, exact, fallback in cases:
+        assert isinstance(exact.copula, PolyCopula)
+        before = calls[fallback]
+        got = prod.copula.eval(u, v)
+        assert calls[fallback] > before
+        assert np.abs(got - exact.copula.eval(u, v)).max() <= 1e-9
 
 
 def test_integrate_constant_exact():

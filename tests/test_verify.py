@@ -83,6 +83,18 @@ def test_labels(flip_shuffle):
     assert family_label(CustomFamily()) == "CustomFamily"
 
 
+def test_worst_case_is_the_first_strictly_largest():
+    # ties keep the earlier case, and a NaN deviation never wins
+    from copulalg.verify import _worst
+    nan = float("nan")
+    cases = [(nan, (0.0,), "a"), (0.5, (1.0,), "b"), (nan, (2.0,), "c"),
+             (0.5, (3.0,), "d"), (0.25, (4.0,), "e")]
+    assert _worst(cases) == (0.5, (1.0,), "b")
+    assert _worst(iter(cases)) == (0.5, (1.0,), "b")
+    assert _worst([(nan, (0.0,), "a")]) == (-1.0, None, "")
+    assert _worst([]) == (-1.0, None, "")
+
+
 # ---------------------------------------------------------------------------
 # identity experiment
 
