@@ -4,14 +4,15 @@
 ``WRightProduct`` any copula times W (transposed, W times any copula).
 Both evaluate the product from the other factor's cdf, and give exact
 partials and breakpoint hints from its partials and hints, so that the
-product can itself be a factor of a quadrature product.
+product can itself be a factor of a quadrature product. Each records
+its own factors as ``source``, as every product copula does.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .copulas import ConstructionError, Copula, ShuffleOfM
+from .copulas import ConstructionError, Copula, ShuffleOfM, W
 
 __all__ = ["ShuffleStarProduct", "WRightProduct"]
 
@@ -38,6 +39,7 @@ class ShuffleStarProduct(Copula):
             raise ConstructionError(f"left factor must be a shuffle, got {S!r}")
         self.S = S
         self.C = C
+        self.source = (S, None, C)
 
     def _ends(self, u):
         """(lo, hi) of each piece in turn, for the u-sections ``u``
@@ -114,6 +116,7 @@ class WRightProduct(Copula):
 
     def __init__(self, A: Copula):
         self.A = A
+        self.source = (A, None, W)
 
     def _cdf(self, u, v):
         # u and v as given, as in ShuffleStarProduct._cdf

@@ -202,6 +202,9 @@ class Copula:
     left_invertible = False
     right_invertible = False
     conditional_degree = None
+    # the (A, family, B) of the star product asked for, family None for
+    # the classical product, on every copula a product makes; None else
+    source = None
 
     def _cdf(self, u, v):
         raise NotImplementedError
@@ -407,13 +410,19 @@ class ShuffleOfM(Copula):
         if not np.all(widths > 0.0):
             raise ConstructionError(f"cuts must be strictly increasing, got {cuts}")
         n = len(cuts) - 1
-        sigma = tuple(int(s) for s in sigma)
-        if sorted(sigma) != list(range(1, n + 1)):
-            raise ConstructionError(
-                f"sigma must be a permutation of 1..{n}, got {sigma}"
-            )
-        if flips is None:
-            flips = (False,) * n
+        sigma = tuple(sigma)
+        try:
+            # numpy integers pass; 1.5 or "2" is no entry of a permutation
+            ints = tuple(map(operator.index, sigma))
+        except TypeError:
+            ints = ()
+        if sorted(ints) != list(range(1, n + 1)):
+            raise ConstructionError(f"sigma must be a permutation of 1..{n}, got {sigma}")
+        sigma = ints
+        flips = (False,) * n if flips is None else tuple(flips)
+        for f in flips:
+            if f not in (0, 1):
+                raise ConstructionError(f"flip flags must be 0 or 1, got {f}")
         flips = tuple(bool(f) for f in flips)
         if len(flips) != n:
             raise ConstructionError(f"need {n} flip flags, got {len(flips)}")
@@ -987,16 +996,21 @@ def read_grid_csv(path) -> GridCopula:
     """
     with open(path, "r", encoding="ascii") as fh:
         lines = _grid_lines(fh)
-        head = next(lines, "")
-        if not head.startswith("N="):
-            raise FormatError("first line must be 'N=<order>'")
+        # the header read and the row count decode the whole file before
+        # a row is parsed
         try:
-            n = int(head[2:])
-        except ValueError:
-            raise FormatError(f"bad order {head[2:]!r}") from None
-        if n < 1:
-            raise FormatError(f"order must be positive, got {n}")
-        rows = sum(1 for _ in lines)
+            head = next(lines, "")
+            if not head.startswith("N="):
+                raise FormatError("first line must be 'N=<order>'")
+            try:
+                n = int(head[2:])
+            except ValueError:
+                raise FormatError(f"bad order {head[2:]!r}") from None
+            if n < 1:
+                raise FormatError(f"order must be positive, got {n}")
+            rows = sum(1 for _ in lines)
+        except UnicodeDecodeError as exc:
+            raise FormatError(f"not ASCII text: byte 0x{exc.object[exc.start]:02x}") from None
         if rows != n:
             raise FormatError(f"expected {n} mass rows, found {rows}")
         m = _mass_rows(fh, n)

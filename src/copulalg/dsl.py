@@ -51,14 +51,7 @@ from .copulas import (
 )
 from .families import ConstantFamily, FGMCurveFamily, PiecewiseConstantFamily
 from .poly import PolyCopula
-from .products import (
-    ComputedCopula,
-    QuadratureConfig,
-    ShuffleStarProduct,
-    WRightProduct,
-    star,
-    star_c,
-)
+from .products import QuadratureConfig, star, star_c
 
 __all__ = [
     "ParseError",
@@ -421,14 +414,24 @@ def expr_of(obj):
     """The AST that builds ``obj``: the inverse of ``build_copula`` and
     ``build_family``.
 
-    A product maps to the ``star``/``starc`` of its factors, whichever
-    closed form or quadrature evaluates it; its quadrature settings are
-    not part of the text. A ``GridCopula`` held in memory has no source
-    text and maps to ``Opaque("grid[NxN]")``, as a ``PolyCopula`` built
-    from coefficients maps to ``Opaque("poly[du,dv]")`` of its degrees;
-    any other class the language cannot spell maps to ``Opaque`` of its
+    A product prints as the ``star``/``starc`` it was asked for, read
+    from its ``source``, whichever closed form evaluates it, the grid
+    closed form and the invertible reduction included; its quadrature
+    settings are not part of the text. identity-M and zero-Pi return a
+    factor or ``PI``, and print as that, as does an invertible reduction
+    whose classical product is zero-Pi. A ``GridCopula`` read from a
+    file or made by ``grid_from_copula`` has no source text and maps to
+    ``Opaque("grid[NxN]")``, as a ``PolyCopula`` built from
+    coefficients maps to ``Opaque("poly[du,dv]")`` of its degrees; any
+    other class the language cannot spell maps to ``Opaque`` of its
     class name.
     """
+    source = getattr(obj, "source", None)
+    if source is not None:
+        A, family, B = source
+        if family is None:
+            return Star(expr_of(A), expr_of(B))
+        return StarC(expr_of(A), expr_of(family), expr_of(B))
     if isinstance(obj, FrechetM):
         return Atom("M")
     if isinstance(obj, FrechetW):
@@ -445,17 +448,8 @@ def expr_of(obj):
         return Transpose(expr_of(obj.inner))
     if isinstance(obj, GridCopula):
         return Opaque(f"grid[{obj.n}x{obj.n}]")
-    if isinstance(obj, PolyCopula) and obj.source is None:
+    if isinstance(obj, PolyCopula):
         return Opaque("poly[{},{}]".format(*obj.degree))
-    if isinstance(obj, (ComputedCopula, PolyCopula)):
-        A, family, B = obj.source
-        if family is None:
-            return Star(expr_of(A), expr_of(B))
-        return StarC(expr_of(A), expr_of(family), expr_of(B))
-    if isinstance(obj, ShuffleStarProduct):
-        return Star(expr_of(obj.S), expr_of(obj.C))
-    if isinstance(obj, WRightProduct):
-        return Star(expr_of(obj.A), Atom("W"))
     if isinstance(obj, ConstantFamily):
         return Const(expr_of(obj.member))
     if isinstance(obj, PiecewiseConstantFamily):
@@ -481,11 +475,7 @@ def build_copula(node, q: QuadratureConfig | None = None,
         if isinstance(node, Straight):
             return StraightShuffle(node.alpha)
         if isinstance(node, Shuffle):
-            for f in node.flips:
-                if f not in (0, 1):
-                    raise ConstructionError(f"flip flags must be 0 or 1, got {f}")
-            return ShuffleOfM((0.0,) + node.cuts + (1.0,), node.sigma,
-                              tuple(bool(f) for f in node.flips))
+            return ShuffleOfM((0.0,) + node.cuts + (1.0,), node.sigma, node.flips)
         if isinstance(node, Grid):
             return read_grid_csv(node.path)
         if isinstance(node, Transpose):

@@ -40,6 +40,14 @@ except where a structural fast path gives the result in closed form:
   degree would pass ``poly.MAX_DEGREE`` = 16 in either variable is
   left to quadrature.
 
+Every copula that ``star``/``star_c`` return records the product asked
+for as its ``source``, (A, family, B) with family None for the classical
+product, whichever closed form or quadrature evaluates it, so the
+transposed shuffle and W forms, the grid closed form and the invertible
+reduction keep their factors alive through it, as quadrature and
+polynomial products do. identity-M and zero-Pi return a factor or
+``PI``, which is that copula, and set nothing on it.
+
 Quadrature groups the points that share the coordinate of the factor
 with more breakpoints, and the groups with the same other coordinates,
 every group of a lattice, share one adaptive work list
@@ -694,11 +702,7 @@ class ComputedCopula(Copula):
         self.family = family
         self.B = B
         self.q = q
-
-    @property
-    def source(self):
-        """(A, family, B): the factors, as ``PolyCopula.source`` gives them."""
-        return (self.A, self.family, self.B)
+        self.source = (A, family, B)
 
     def _cdf_with_error(self, u, v):
         u, v = np.broadcast_arrays(np.asarray(u, float), np.asarray(v, float))
@@ -796,6 +800,15 @@ def _fast_path(A: Copula, family, B: Copula, q: QuadratureConfig | None,
     return ProductResult(cop, "none", lambda: _probe_error(cop), q)
 
 
+def _asked(A: Copula, family, B: Copula, q, fast_paths) -> ProductResult:
+    """``_fast_path``'s product, its copula's ``source`` set to the
+    product asked for unless the copula is a factor or ``PI``."""
+    res = _fast_path(A, family, B, q, fast_paths)
+    if not any(res.copula is c for c in (A, B, PI)):
+        res.copula.source = (A, family, B)
+    return res
+
+
 def star(A: Copula, B: Copula, q: QuadratureConfig | None = None,
          *, fast_paths: bool = True) -> ProductResult:
     """Classical star product A * B.
@@ -805,7 +818,7 @@ def star(A: Copula, B: Copula, q: QuadratureConfig | None = None,
     form (two grids of the same order), polynomial closed form. Pass
     fast_paths=False to force raw quadrature.
     """
-    return _fast_path(A, None, B, q, fast_paths)
+    return _asked(A, None, B, q, fast_paths)
 
 
 def star_c(A: Copula, family, B: Copula, q: QuadratureConfig | None = None,
@@ -817,4 +830,4 @@ def star_c(A: Copula, family, B: Copula, q: QuadratureConfig | None = None,
     There is no zero-Pi path: Pi factors do not absorb the generalized
     product.
     """
-    return _fast_path(A, family, B, q, fast_paths)
+    return _asked(A, family, B, q, fast_paths)

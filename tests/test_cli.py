@@ -160,6 +160,23 @@ def test_eval_malformed_grid_allocates_nothing_of_its_order(capsys, tmp_path):
     assert err == "error: row 1 has 1 entries, expected 200000\n"
 
 
+def test_grid_file_that_is_not_ascii_exit_2(capsys, tmp_path):
+    # a BOM, an accented letter, and a 0xff byte after the last row
+    for name, body in {"bom.csv": b"\xef\xbb\xbfN=2\n0.25,0.25\n0.25,0.25\n",
+                       "accent.csv": b"N=2\n0.25,0.25\n0.25,0.2\xc3\xa9\n",
+                       "ff.csv": b"N=2\n0.25,0.25\n0.25,0.25\n\xff"}.items():
+        p = tmp_path / name
+        p.write_bytes(body)
+        error = f"not ASCII text: byte 0x{next(b for b in body if b > 127):02x}\n"
+        rc, out, err = run(capsys, "eval", f'grid("{p}")', "0.5", "0.5")
+        assert (rc, out, err) == (2, "", "error: " + error), name
+        rc, out, err = run(capsys, "grid", f'grid("{p}")', "2", str(tmp_path / "out.csv"))
+        assert (rc, out, err) == (2, "", "error: " + error), name
+        rc, out, err = run(capsys, "verify", "identity", "--family", f'const(grid("{p}"))',
+                           "--out", str(tmp_path))
+        assert (rc, out, err) == (2, "", "error: bad --family: " + error), name
+
+
 def test_eval_runtime_errors_exit_2(capsys):
     rc, _, err = run(capsys, "eval", 'grid("no-such.csv")', "0.3", "0.8")
     assert rc == 2
@@ -282,6 +299,14 @@ def test_verify_identity_with_family_flag(capsys, tmp_path):
     assert rc == 0
     assert out.count("\n") == 1
     assert out.startswith("identity[const(Pi)] | pass")
+
+
+def test_verify_names_a_closed_form_family_as_it_was_asked_for(capsys, tmp_path):
+    # star(W, fgm(0.5)) is evaluated as the transpose of fgm(0.5) * W
+    rc, out, _ = run(capsys, "verify", "identity", "--family", "const(star(W, fgm(0.5)))",
+                     "--lattice", "5", "--out", str(tmp_path))
+    assert rc == 0
+    assert out.startswith("identity[const(star(W, fgm(0.5)))] | pass")
 
 
 def test_verify_failing_family_exit_1(capsys, tmp_path):

@@ -112,6 +112,23 @@ def test_shuffle_constructor_rejects_bad_input():
         ShuffleOfM((0.0, 0.5, 1.0), (1, 2), (True,))  # flips arity
 
 
+def test_shuffle_refuses_entries_that_are_not_integers_or_flags():
+    # no float entry is truncated, and a flip is 0, 1 or a bool, not any truthy value
+    cuts = (0.0, 0.5, 1.0)
+    for sigma in ((1.5, 2), (2.9, 1.2), ("2", "1"), (1, None)):
+        with pytest.raises(ConstructionError, match="sigma must be a permutation of 1..2"):
+            ShuffleOfM(cuts, sigma)
+    for flips, bad in (((2, "no"), "2"), ((0, "no"), "no"), ((0.5, 0), "0.5"),
+                       ((None, 1), "None")):
+        with pytest.raises(ConstructionError) as err:
+            ShuffleOfM(cuts, (2, 1), flips)
+        assert str(err.value) == f"flip flags must be 0 or 1, got {bad}"
+    # numpy integers and bools pass, and are kept as Python values
+    S = ShuffleOfM(cuts, np.array([2, 1]), np.array([True, False]))
+    assert S.sigma == (2, 1) and all(type(s) is int for s in S.sigma)
+    assert S.flips == (True, False) == ShuffleOfM(cuts, (2, 1), (1, 0)).flips
+
+
 def test_shuffle_rejects_nan_cut():
     with pytest.raises(ConstructionError):
         ShuffleOfM((0.0, float("nan"), 1.0), (2, 1))
@@ -576,6 +593,24 @@ def test_grid_csv_rejects_a_bad_order(tmp_path):
         with pytest.raises(FormatError) as err:
             read_grid_csv(p)
         assert str(err.value) == message
+
+
+NOT_ASCII = {
+    "bom.csv": b"\xef\xbb\xbfN=2\n0.25,0.25\n0.25,0.25\n",
+    "accent.csv": b"N=2\n0.25,0.25\n0.25,0.2\xc3\xa9\n",
+    "trailing-ff.csv": b"N=2\n0.25,0.25\n0.25,0.25\n\xff",
+}
+
+
+def test_grid_csv_that_is_not_ascii_is_a_format_error(tmp_path):
+    for name, body in NOT_ASCII.items():
+        p = tmp_path / name
+        p.write_bytes(body)
+        with pytest.raises(FormatError) as err:
+            read_grid_csv(p)
+        # the message names the first byte that is not ASCII
+        byte = next(b for b in body if b > 127)
+        assert str(err.value) == f"not ASCII text: byte 0x{byte:02x}", name
 
 
 def test_grid_csv_reads_as_float_does(tmp_path):

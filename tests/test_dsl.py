@@ -46,6 +46,7 @@ from copulalg.dsl import (
     parse_family,
     to_text,
 )
+from copulalg.products import FAST_PATHS
 from copulalg.verify import corpus_copulas, corpus_families
 
 
@@ -343,8 +344,9 @@ def test_expr_of_inverts_build_family():
 
 
 def test_every_exported_class_has_a_spelling(exported_class_samples):
-    # a concrete class exported without an expr_of case would label its
-    # reports with its bare class name; GridCopula alone has no source
+    # a concrete class exported with neither an expr_of case nor a
+    # source would label its reports with its bare class name; a grid
+    # read from a file is the one kind that spells no source text
     exported = {
         obj for obj in (getattr(copulalg, name) for name in copulalg.__all__)
         if isinstance(obj, type) and issubclass(obj, (Copula, CopulaFamily))
@@ -353,3 +355,60 @@ def test_every_exported_class_has_a_spelling(exported_class_samples):
     assert set(samples) == exported
     for cls, x in samples.items():
         assert not isinstance(expr_of(x), Opaque), cls.__name__
+
+
+# one product per fast-path tag, and both sides where the dispatch has
+# two: (text, fast_paths, tag, label), label None for the text itself
+ASKED_PRODUCTS = (
+    ("star(fgm(0.5), fgm(-0.3))", False, "none", None),
+    ("starc(fgm(0.5), const(fgm(0.3)), fgm(-0.3))", False, "none", None),
+    ("star(M, fgm(0.5))", True, "identity-M", "fgm(0.5)"),
+    ("starc(fgm(0.5), const(Pi), M)", True, "identity-M", "fgm(0.5)"),
+    ("star(Pi, fgm(0.5))", True, "zero-Pi", "Pi"),
+    ("star(fgm(0.5), W)", True, "W-closed-form", None),
+    ("star(W, fgm(0.5))", True, "W-closed-form", None),
+    ("starc(fgm(0.5), const(fgm(0.5)), W)", True, "W-closed-form", None),
+    ("starc(W, pw(0.5: M, W), fgm(0.5))", True, "W-closed-form", None),
+    ("starc(shuffle(0.2,0.7; 3,1,2; 0,1,0), const(fgm(0.5)), fgm(0.3))", True,
+     "invertible-reduction", None),
+    ("starc(fgm(0.3), pw(0.5: M, W), straight(0.3))", True, "invertible-reduction", None),
+    ("star(shuffle(0.2,0.7; 3,1,2; 0,1,0), fgm(0.5))", True, "shuffle-closed-form", None),
+    ("star(fgm(0.5), shuffle(0.2,0.7; 3,1,2; 0,1,0))", True, "shuffle-closed-form", None),
+    ("star(fgm(0.5), fgm(-0.5))", True, "poly-closed-form", None),
+    ("starc(fgm(1.0), pw(0.5: fgm(1.0), fgm(-1.0)), Pi)", True, "poly-closed-form", None),
+)
+
+
+def _product_of(text, fast_paths):
+    """The ProductResult of the star/starc that ``text`` spells."""
+    node = parse(text)
+    A, B = build_copula(node.left), build_copula(node.right)
+    if isinstance(node, Star):
+        return star(A, B, fast_paths=fast_paths)
+    return star_c(A, build_family(node.family), B, fast_paths=fast_paths)
+
+
+def test_every_product_is_labelled_as_it_was_asked_for(tmp_path):
+    # whichever closed form evaluates a product, its label is the
+    # product that was asked for and rebuilds it bit for bit; identity-M
+    # and zero-Pi return a factor or Pi, and print as that
+    x, y = np.meshgrid(np.arange(17) / 16, np.arange(17) / 16, indexing="ij")
+    tags = set()
+    for text, fast_paths, tag, label in ASKED_PRODUCTS:
+        res = _product_of(text, fast_paths)
+        assert res.fast_path == tag, text
+        tags.add(tag)
+        got = to_text(expr_of(res.copula))
+        assert got == (text if label is None else label), text
+        rebuilt = build_copula(parse(got), fast_paths=fast_paths)
+        assert same_bits(rebuilt.eval(x, y), res.copula.eval(x, y)), text
+    # a grid read from a file prints as grid[NxN], so the grid closed
+    # form prints as the product of two of them
+    paths = [tmp_path / "a.csv", tmp_path / "b.csv"]
+    write_grid_csv(grid_from_copula(FGMCopula(0.5), 4), paths[0])
+    write_grid_csv(grid_from_copula(StraightShuffle(0.3), 4), paths[1])
+    res = _product_of(f'star(grid("{paths[0]}"), grid("{paths[1]}"))', True)
+    assert res.fast_path == "grid-closed-form"
+    tags.add(res.fast_path)
+    assert to_text(expr_of(res.copula)) == "star(grid[4x4], grid[4x4])"
+    assert tags == set(FAST_PATHS)

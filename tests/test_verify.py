@@ -67,7 +67,7 @@ def test_labels(flip_shuffle):
     fgm = FGMCopula(0.5)
     quad = star(fgm, FGMCopula(-0.5), fast_paths=False).copula
     assert copula_label(quad) == "star(fgm(0.5), fgm(-0.5))"
-    assert copula_label(star(W, fgm).copula) == "t(star(fgm(0.5), W))"
+    assert copula_label(star(W, fgm).copula) == "star(W, fgm(0.5))"
     generalized = star_c(fgm, split_sign_family(1.0), PI, fast_paths=False)
     assert copula_label(generalized.copula) == \
         "starc(fgm(0.5), pw(0.5: fgm(1), fgm(-1)), Pi)"
