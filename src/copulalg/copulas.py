@@ -644,6 +644,12 @@ class TransposedCopula(Copula):
         return f"<TransposedCopula of {self.inner!r}>"
 
 
+def _margin_error(m: np.ndarray) -> float:
+    """max |row sum - 1/n| and |column sum - 1/n| of an n x n mass matrix."""
+    target = 1.0 / m.shape[0]
+    return max(np.abs(m.sum(axis=1) - target).max(), np.abs(m.sum(axis=0) - target).max())
+
+
 class GridCopula(Copula):
     """Checkerboard copula from an N x N mass matrix.
 
@@ -665,9 +671,7 @@ class GridCopula(Copula):
             raise ConstructionError("mass entries must be nonnegative")
         m[m < 0.0] = 0.0
         n = m.shape[0]
-        rows = m.sum(axis=1)
-        cols = m.sum(axis=0)
-        err = max(np.abs(rows - 1.0 / n).max(), np.abs(cols - 1.0 / n).max())
+        err = _margin_error(m)
         if err > GRID_MARGIN_TOL:
             raise ConstructionError(
                 f"marginals deviate from 1/{n} by {err:.3e} (tol {GRID_MARGIN_TOL})"
@@ -899,11 +903,7 @@ def _sinkhorn(m: np.ndarray, n: int) -> np.ndarray:
         if cols.min() <= 0.0:
             raise FormatError("a column of the grid has no mass; cannot renormalize")
         m = m * (target / cols)
-        err = max(
-            np.abs(m.sum(axis=1) - target).max(),
-            np.abs(m.sum(axis=0) - target).max(),
-        )
-        if err <= SINKHORN_TOL:
+        if _margin_error(m) <= SINKHORN_TOL:
             return m
     raise FormatError(f"renormalization failed to reach {SINKHORN_TOL:.0e}")
 
@@ -1014,11 +1014,7 @@ def read_grid_csv(path) -> GridCopula:
         if rows != n:
             raise FormatError(f"expected {n} mass rows, found {rows}")
         m = _mass_rows(fh, n)
-    target = 1.0 / n
-    err = max(
-        np.abs(m.sum(axis=1) - target).max(),
-        np.abs(m.sum(axis=0) - target).max(),
-    )
+    err = _margin_error(m)
     if err > CSV_MARGIN_TOL:
         raise FormatError(
             f"marginals deviate from 1/{n} by {err:.3e} (tol {CSV_MARGIN_TOL})"

@@ -3,13 +3,16 @@
 A family supplies the inner copula used by the generalized star
 product. Three shapes are supported:
 
-* ``ConstantFamily``: the same copula for every t.
-* ``PiecewiseConstantFamily``: finitely many members on right-closed,
-  left-open pieces [t_{i-1}, t_i); t = 1 belongs to the last piece.
+* ``PiecewiseConstantFamily``: finitely many members on left-closed,
+  right-open pieces [t_{i-1}, t_i); t = 1 belongs to the last piece.
+* ``ConstantFamily``: the same copula for every t, the one-piece
+  ``PiecewiseConstantFamily``. ``const(C)`` and ``pw(: C)`` give
+  bit-identical products, and each prints as written.
 * ``FGMCurveFamily``: FGM copulas with a polynomial parameter curve
   theta(t), clipped into [-1, 1].
 
-The first two are jointly measurable in the strong (piecewise /
+``member_at(t)`` checks that t lies in [0, 1] for every family. The
+piecewise families are jointly measurable in the strong (piecewise /
 "checkable") sense; the curve family is only known to be jointly
 measurable in the wider sense, which is what ``measurability_class``
 reports.
@@ -90,30 +93,6 @@ class CopulaFamily:
         return _maybe_scalar(out, t, x, y)
 
 
-class ConstantFamily(CopulaFamily):
-    """C_t = member for all t."""
-
-    measurability = CLASS_PIECEWISE
-
-    def __init__(self, member: Copula):
-        if not isinstance(member, Copula):
-            raise ConstructionError(f"member must be a Copula, got {member!r}")
-        self.member = member
-
-    def member_at(self, t):
-        return self.member
-
-    def eval_grid(self, ts, x, y):
-        x, y = np.broadcast_arrays(x, y)
-        out = self.member._cdf(x, y)
-        if out.shape[0] != len(ts):
-            out = np.broadcast_to(out, (len(ts),) + out.shape[1:]).copy()
-        return out
-
-    def __repr__(self):
-        return f"<ConstantFamily member={self.member!r}>"
-
-
 class PiecewiseConstantFamily(CopulaFamily):
     """Finitely many copulas on right-open pieces of [0, 1].
 
@@ -132,11 +111,9 @@ class PiecewiseConstantFamily(CopulaFamily):
             if not isinstance(m, Copula):
                 raise ConstructionError(f"members must be Copulas, got {m!r}")
         cuts = tuple(float(c) for c in cuts)
-        if cuts and not (cuts[0] == 0.0 and cuts[-1] == 1.0):
-            # interior-only form
+        if not (cuts and cuts[0] == 0.0 and cuts[-1] == 1.0):
+            # interior-only form, () included
             cuts = (0.0,) + cuts + (1.0,)
-        elif not cuts:
-            cuts = (0.0, 1.0)
         if len(cuts) != len(members) + 1:
             raise ConstructionError(
                 f"{len(members)} members need {len(members) + 1} cuts "
@@ -145,8 +122,6 @@ class PiecewiseConstantFamily(CopulaFamily):
         # NaN fails the comparison, so a NaN cut is rejected too
         if any(not b > a for a, b in zip(cuts, cuts[1:])):
             raise ConstructionError(f"cuts must increase strictly, got {cuts}")
-        if cuts[0] != 0.0 or cuts[-1] != 1.0:
-            raise ConstructionError(f"cuts must span [0, 1], got {cuts}")
         self.cuts = cuts
         self.members = members
         self._interior = np.asarray(cuts[1:-1])
@@ -177,7 +152,23 @@ class PiecewiseConstantFamily(CopulaFamily):
         return tuple(self.cuts[1:-1])
 
     def __repr__(self):
-        return f"<PiecewiseConstantFamily cuts={self.cuts} members={self.members!r}>"
+        return f"<{type(self).__name__} cuts={self.cuts} members={self.members!r}>"
+
+
+class ConstantFamily(PiecewiseConstantFamily):
+    """C_t = member for all t: the one-piece ``PiecewiseConstantFamily``."""
+
+    def __init__(self, member: Copula):
+        super().__init__((), (member,))
+        self.member = member
+
+    def eval_grid(self, ts, x, y):
+        # the whole batch goes to the one member, with no row masks
+        x, y = np.broadcast_arrays(x, y)
+        out = self.member._cdf(x, y)
+        if out.shape[0] != len(ts):
+            out = np.broadcast_to(out, (len(ts),) + out.shape[1:]).copy()
+        return out
 
 
 class FGMCurveFamily(CopulaFamily):
@@ -332,15 +323,14 @@ def ae_equal(F: CopulaFamily, G: CopulaFamily, lattice: int = 32) -> bool:
 def family_integral(F: CopulaFamily, x, y):
     """integral over t in [0,1] of C_t(x, y) dt.
 
-    Exact interval-weighted sums for constant and piecewise families.
+    Exact interval-weighted sums for piecewise families, constant ones
+    included.
     For parameter curves the member is FGM with the mean of theta, an
     exact sum of polynomial moments between the clip points, rounded
     once. No quadrature runs.
     """
     xx = _unit(x, "x")
     yy = _unit(y, "y")
-    if isinstance(F, ConstantFamily):
-        return _maybe_scalar(F.member._cdf(xx, yy), x, y)
     if isinstance(F, PiecewiseConstantFamily):
         out = 0.0
         for k, member in enumerate(F.members):

@@ -41,7 +41,7 @@ from .copulas import (
     ProductPi,
     TransposedCopula,
 )
-from .families import ConstantFamily, FGMCurveFamily, PiecewiseConstantFamily
+from .families import FGMCurveFamily, PiecewiseConstantFamily
 
 __all__ = ["PolyCopula", "MAX_DEGREE", "poly_product", "exact_gap"]
 
@@ -222,9 +222,6 @@ def _family_terms(family):
     elsewhere. None when a member is not polynomial."""
     if family is None:
         return [(_PI, _WHOLE)]
-    if isinstance(family, ConstantFamily):
-        m = _exact_of(family.member)
-        return None if m is None else [(m, _WHOLE)]
     if isinstance(family, PiecewiseConstantFamily):
         ms = [_exact_of(m) for m in family.members]
         if any(m is None for m in ms):

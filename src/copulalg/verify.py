@@ -109,11 +109,13 @@ family_label = copula_label
 
 def _worst(cases):
     """The first (deviation, witness, label) case of strictly largest
-    deviation, or (-1.0, None, "") if none exceeds -1.0; a NaN deviation
-    never wins."""
+    deviation, or (-1.0, None, "") if none exceeds -1.0. The first NaN
+    deviation wins outright, so every check built on this fails it."""
     worst = (-1.0, None, "")
     for case in cases:
-        if case[0] > worst[0]:
+        # a NaN fails both comparisons: it beats any number, and once
+        # it is the worst nothing replaces it
+        if not case[0] <= worst[0] and worst[0] == worst[0]:
             worst = case
     return worst
 

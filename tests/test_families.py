@@ -10,6 +10,7 @@ from copulalg import (
     ConstantFamily,
     ConstructionError,
     Copula,
+    DomainError,
     FGMCopula,
     FGMCurveFamily,
     M,
@@ -34,6 +35,28 @@ def test_constant_family():
     assert f.member_at(0.0) is M
     assert f.member_at(1.0) is M
     assert measurability_class(f) == CLASS_PIECEWISE
+    assert f.cuts == (0.0, 1.0) and f.members == (M,) and f.breakpoints() == ()
+    with pytest.raises(DomainError):
+        f.member_at(2.0)
+    with pytest.raises(ConstructionError):
+        ConstantFamily("x")
+
+
+def test_const_is_the_one_piece_pw(flip_shuffle):
+    # const(C) and pw(: C) give the same products and integrals, bit for bit
+    g = np.linspace(0.0, 1.0, 9)
+    x, y = g[:, None], g[None, :]
+    grid8 = grid_from_copula(FGMCopula(0.7), 8)
+    for C in (M, W, PI, FGMCopula(0.5), flip_shuffle, grid8):
+        const, pw = ConstantFamily(C), PiecewiseConstantFamily((), (C,))
+        assert family_integral(const, x, y).tobytes() == family_integral(pw, x, y).tobytes()
+        for fast in (True, False):
+            a, b = (star_c(FGMCopula(0.5), F, FGMCopula(-0.3), fast_paths=fast)
+                    for F in (const, pw))
+            assert a.fast_path == b.fast_path, (C, fast)
+            assert a.copula.eval(x, y).tobytes() == b.copula.eval(x, y).tobytes(), (C, fast)
+            if a.fast_path == "poly-closed-form":
+                assert np.array_equal(a.copula.coeffs, b.copula.coeffs)
 
 
 def test_piecewise_right_continuity():

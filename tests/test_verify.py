@@ -36,7 +36,7 @@ from copulalg import (
     sup_distance_witness,
     validate,
 )
-from copulalg.verify import copula_label, family_label, report_lines
+from copulalg.verify import DEFAULT_ALPHAS, copula_label, family_label, report_lines
 
 SMALL = dict(lattice=16)
 GOLDEN = pathlib.Path(__file__).parent / "golden"
@@ -84,15 +84,32 @@ def test_labels(flip_shuffle):
 
 
 def test_worst_case_is_the_first_strictly_largest():
-    # ties keep the earlier case, and a NaN deviation never wins
+    # ties keep the earlier case, and the first NaN deviation wins
     from copulalg.verify import _worst
     nan = float("nan")
-    cases = [(nan, (0.0,), "a"), (0.5, (1.0,), "b"), (nan, (2.0,), "c"),
-             (0.5, (3.0,), "d"), (0.25, (4.0,), "e")]
+    cases = [(0.5, (1.0,), "b"), (0.5, (3.0,), "d"), (0.25, (4.0,), "e")]
     assert _worst(cases) == (0.5, (1.0,), "b")
     assert _worst(iter(cases)) == (0.5, (1.0,), "b")
-    assert _worst([(nan, (0.0,), "a")]) == (-1.0, None, "")
+    with_nan = [(0.5, (1.0,), "b"), (nan, (2.0,), "c"), (0.75, (3.0,), "d"),
+                (nan, (4.0,), "e")]
+    for got in (_worst(with_nan), _worst(iter(with_nan))):
+        assert np.isnan(got[0]) and got[1:] == ((2.0,), "c")
     assert _worst([]) == (-1.0, None, "")
+
+
+def test_nan_deviation_fails_the_check():
+    # a candidate whose cdf is NaN inside the square must not pass
+    class NaNInside(Copula):
+        def _cdf(self, u, v):
+            u, v = np.broadcast_arrays(np.asarray(u, float), np.asarray(v, float))
+            return np.where((u > 0) & (u < 1) & (v > 0) & (v < 1), np.nan,
+                            np.minimum(u, v))
+
+    fam = PiecewiseConstantFamily((0.5,), (FGMCopula(1.0), FGMCopula(-1.0)))
+    r = check_zero_candidate(fam, NaNInside(), lattice=8)
+    assert not r.passed
+    assert np.isnan(r.deviation)
+    assert r.witness is not None and r.witness[0] == DEFAULT_ALPHAS[0]
 
 
 # ---------------------------------------------------------------------------
