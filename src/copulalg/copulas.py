@@ -57,6 +57,9 @@ FD_STEP = 1e-5
 
 # Tolerances for constructor-level mass checks on grid copulas.
 GRID_MARGIN_TOL = 1e-10
+# a cell mass within this of 0 is rounding: a negative one is set to 0,
+# and shuffle_from_grid makes no piece of a positive one
+GRID_MASS_TOL = 1e-12
 CSV_MARGIN_TOL = 1e-6
 SINKHORN_TOL = 1e-13
 
@@ -375,6 +378,28 @@ class FGMCopula(_Exchangeable):
         return f"<FGMCopula theta={self.theta}>"
 
 
+def _stacked(widths, order):
+    """The cuts of strips of these widths laid end to end in this order,
+    added in order from 0.0, the last cut set to 1.0."""
+    cuts = np.concatenate(([0.0], np.cumsum(widths[order])))
+    cuts[-1] = 1.0
+    return cuts
+
+
+def _refuse_flat_strips(ends, piece, widths, side):
+    """Refuse a shuffle whose cuts ``ends`` on one side hold a strip of
+    no width; strip k there is piece ``piece[k]`` of the widths."""
+    rises = ends[1:] > ends[:-1]
+    if not rises.all():
+        k = int(np.argmin(rises))
+        i = piece[k]
+        raise ConstructionError(
+            f"piece {i + 1} of width {float(widths[i])!r} lands on "
+            f"[{float(ends[k])!r}, {float(ends[k + 1])!r}], a strip of no "
+            f"width in the {side} cuts"
+        )
+
+
 class ShuffleOfM(Copula):
     """Shuffle of M: the unit square is cut vertically, the strips are
     permuted, and mass is spread uniformly along the diagonal (or
@@ -401,7 +426,7 @@ class ShuffleOfM(Copula):
     # _d1 is the transpose's _d2, with the transpose's hints
     conditional_degree = 0
 
-    def __init__(self, cuts, sigma, flips=None):
+    def __init__(self, cuts, sigma, flips=None, *, _transpose_of=None):
         cuts = tuple(float(c) for c in cuts)
         if len(cuts) < 2 or cuts[0] != 0.0 or cuts[-1] != 1.0:
             raise ConstructionError(f"cuts must run from 0 to 1, got {cuts}")
@@ -432,19 +457,26 @@ class ShuffleOfM(Copula):
         self.flips = flips
         self.n_pieces = n
 
-        # target cut j is the total width of strips landing in slots <= j;
-        # _inv[j] is the strip that lands in slot j
+        # _inv[j] is the strip that lands in slot j of the target. A strip
+        # too narrow to move the running sum would have no width there, or
+        # in the transpose's target, which stacks the target widths back in
+        # source order (checked on a temporary array). The transpose of
+        # _transpose_of skips that check: its transpose is built already
         self._inv = np.argsort(sigma)
-        tcuts = np.concatenate(([0.0], np.cumsum(widths[self._inv])))
-        tcuts[-1] = 1.0
+        slot = np.asarray(sigma) - 1
+        tcuts = _stacked(widths, self._inv)
+        _refuse_flat_strips(tcuts, self._inv, widths, "target")
+        if _transpose_of is None:
+            _refuse_flat_strips(_stacked(np.diff(tcuts), slot), range(n), widths,
+                                "transpose's target")
 
         self._s0 = np.asarray(cuts[:-1])
         self._w = widths
-        self._t0 = tcuts[np.asarray(sigma) - 1]
+        self._t0 = tcuts[slot]
         self._t1 = self._t0 + widths
         self._flip = np.asarray(flips, dtype=bool)
         self._tcuts = tcuts
-        self._transposed = None
+        self._transposed = _transpose_of
 
     def _cdf(self, u, v):
         # the pieces are added in piece order either way, so a point's
@@ -548,7 +580,8 @@ class ShuffleOfM(Copula):
         return self._transposed
 
     def _transposed_copy(self):
-        return ShuffleOfM(self._tcuts, self._inv + 1, self._flip[self._inv])
+        return ShuffleOfM(self._tcuts, self._inv + 1, self._flip[self._inv],
+                          _transpose_of=self)
 
     def support_segments(self):
         """Diagonal support segments, one per piece, left to right."""
@@ -594,7 +627,9 @@ class ShuffleOfM(Copula):
 
 class StraightShuffle(ShuffleOfM):
     """Straight shuffle: swap the two strips [0, 1-alpha] and [1-alpha, 1]
-    without reflection. alpha in {0, 1} degenerates to M.
+    without reflection. alpha in {0, 1} degenerates to M, and so does an
+    alpha with 1 - alpha == 1.0 (0 < alpha <= 2**-54), whose second
+    strip has no width in floating point.
     """
 
     def __init__(self, alpha: float):
@@ -602,7 +637,7 @@ class StraightShuffle(ShuffleOfM):
         if math.isnan(alpha) or not 0.0 <= alpha <= 1.0:
             raise ConstructionError(f"alpha must lie in [0, 1], got {alpha}")
         self.alpha = alpha
-        if alpha in (0.0, 1.0):
+        if alpha == 1.0 or 1.0 - alpha == 1.0:
             super().__init__((0.0, 1.0), (1,), (False,))
         else:
             super().__init__((0.0, 1.0 - alpha, 1.0), (2, 1), (False, False))
@@ -667,7 +702,7 @@ class GridCopula(Copula):
         m = np.array(mass, dtype=float)
         if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] < 1:
             raise ConstructionError(f"mass must be square, got shape {m.shape}")
-        if np.any(np.isnan(m)) or m.min() < -1e-12:
+        if np.any(np.isnan(m)) or m.min() < -GRID_MASS_TOL:
             raise ConstructionError("mass entries must be nonnegative")
         m[m < 0.0] = 0.0
         n = m.shape[0]
@@ -784,23 +819,22 @@ def shuffle_from_grid(grid: GridCopula) -> ShuffleOfM:
     ordered by j) and its v-interval inside row band j (cells ordered by
     i). The resulting shuffle S satisfies sup |S - C| <= 4 / n.
 
-    A cell whose mass is too small to move the running cut, such as the
+    A cell whose mass is within ``GRID_MASS_TOL`` of 0, such as the
     rounding residue that ``grid_from_copula`` leaves in an empty cell,
-    would be a piece of width zero and is dropped.
+    is taken for rounding and makes no piece: a piece that narrow could
+    have no width on one side of the shuffle or its transpose.
     """
     m = grid.mass
     n = grid.n
     col_base = np.arange(n) / n
     row_off = np.vstack([np.zeros(n), m.cumsum(axis=0)[:-1]])  # offsets within row band
-    cell = m > 0.0  # row-major: pieces in u order
-    # running cut after each piece, added strictly in order
-    ends = np.add.accumulate(m[cell])
-    moves = ends > np.concatenate(([0.0], ends[:-1]))
-    if not moves.any():
+    cell = m > GRID_MASS_TOL  # row-major: pieces in u order
+    if not cell.any():
         raise ConstructionError("grid has no mass")
-    cuts = np.concatenate(([0.0], ends[moves]))
+    # running cut after each piece, added strictly in order
+    cuts = np.concatenate(([0.0], np.add.accumulate(m[cell])))
     cuts[-1] = 1.0
-    targets = (col_base + row_off)[cell][moves]  # v-interval start per piece
+    targets = (col_base + row_off)[cell]  # v-interval start per piece
     sigma = np.argsort(np.argsort(targets, kind="stable")) + 1
     return ShuffleOfM(cuts, sigma)
 

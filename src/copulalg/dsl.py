@@ -366,7 +366,12 @@ def _fmt(x: float) -> str:
 
 
 def to_text(node, num=_fmt) -> str:
-    """Canonical text of an AST node; parse(to_text(n)) == n.
+    """Canonical text of an AST node.
+
+    parse(to_text(n)) == n for a canonical node, and the text of any
+    node reads back to the same text. A ``pw`` node whose cuts include
+    the 0 and 1 ends is not canonical: it prints its interior cuts only,
+    so it reads back as the node with the ends left out.
 
     ``num`` spells each float. The repr-exact default keeps the text an
     exact inverse of ``parse``; a shorter format such as ``%g`` gives

@@ -12,10 +12,10 @@ product. Three shapes are supported:
   theta(t), clipped into [-1, 1].
 
 ``member_at(t)`` checks that t lies in [0, 1] for every family. The
-piecewise families are jointly measurable in the strong (piecewise /
-"checkable") sense; the curve family is only known to be jointly
-measurable in the wider sense, which is what ``measurability_class``
-reports.
+product integrates t -> C_t(x, y), so the family must be measurable in
+t. The library knows this only of the families it builds: ``pw`` and
+``const`` are piecewise constant in t, and ``fgmcurve`` is continuous in
+t. For a user subclass of ``CopulaFamily`` it is the caller's claim.
 """
 
 from __future__ import annotations
@@ -34,22 +34,14 @@ from .copulas import (
 )
 
 __all__ = [
-    "CLASS_PIECEWISE",
-    "CLASS_MEASURABLE",
     "CopulaFamily",
     "ConstantFamily",
     "PiecewiseConstantFamily",
     "FGMCurveFamily",
-    "measurability_class",
     "ae_equal",
     "family_integral",
     "midpoint_fgm_approximation",
 ]
-
-# strong class: families whose t-sections are checkable piecewise
-CLASS_PIECEWISE = "Mc"
-# wider class: jointly measurable families
-CLASS_MEASURABLE = "Mu"
 
 AE_EQUAL_TOL = 1e-12
 
@@ -57,7 +49,6 @@ AE_EQUAL_TOL = 1e-12
 class CopulaFamily:
     """Abstract measurable family of copulas indexed by t in [0, 1]."""
 
-    measurability = CLASS_MEASURABLE
     # degree in t of the members' parameter between breakpoints; 0 means
     # the family is constant there
     theta_degree = 0
@@ -100,8 +91,6 @@ class PiecewiseConstantFamily(CopulaFamily):
     one copula per piece. Member i rules [cuts[i], cuts[i+1]), the last
     piece also owns t = 1.
     """
-
-    measurability = CLASS_PIECEWISE
 
     def __init__(self, cuts, members):
         members = tuple(members)
@@ -177,8 +166,6 @@ class FGMCurveFamily(CopulaFamily):
     coeffs are polynomial coefficients in increasing degree order, so
     coeffs=(a, b, c) means theta(t) = a + b t + c t^2 before clipping.
     """
-
-    measurability = CLASS_MEASURABLE
 
     def __init__(self, coeffs):
         coeffs = tuple(float(c) for c in coeffs)
@@ -282,13 +269,6 @@ def _crossings(c):
         elif signs[i] * signs[i + 1] < 0:
             out.append(_bisect(c, knots[i], knots[i + 1]))
     return [t for t in out if 0.0 < t < 1.0]
-
-
-def measurability_class(F: CopulaFamily) -> str:
-    """'Mc' for piecewise-checkable families, 'Mu' for general ones."""
-    if not isinstance(F, CopulaFamily):
-        raise ConstructionError(f"not a copula family: {F!r}")
-    return F.measurability
 
 
 def _refined_samples(F: CopulaFamily, G: CopulaFamily):

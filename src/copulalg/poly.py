@@ -104,14 +104,15 @@ class PolyCopula(Copula):
     copy rounded once; ``coeffs`` gives them as a read-only array of
     ``Fraction``. The boundary conditions C(u, 0) = C(0, v) = 0,
     C(u, 1) = u and C(1, v) = v are checked exactly; 2-increasing is the
-    caller's claim. ``source`` is the (A, family, B) of the product that
-    made it, family None for the classical product.
+    caller's claim. ``source``, the (A, family, B) of the product that
+    made it (family None for the classical product), is set by
+    ``star``/``star_c``, as on every product copula.
     """
 
-    def __init__(self, coeffs, source=None):
-        self._init(*_scale(coeffs), source)
+    def __init__(self, coeffs):
+        self._init(*_scale(coeffs))
 
-    def _init(self, ints, den, source):
+    def _init(self, ints, den):
         rows = [i for i in range(ints.shape[0]) if any(ints[i])]
         cols = [j for j in range(ints.shape[1]) if any(ints[:, j])]
         if not rows:
@@ -126,7 +127,6 @@ class PolyCopula(Copula):
             )
         self._exact = (ints, den)
         self.degree = (du, dv)
-        self.source = source
         self._c = _floats(ints, den)
         self._c1 = _floats(ints[1:] * np.arange(1, du + 1)[:, None], den)
         self._c2 = _floats(ints[:, 1:] * np.arange(1, dv + 1), den)
@@ -301,5 +301,5 @@ def poly_product(A: Copula, family, B: Copula):
             part = S[i] @ mu[i, j][np.add.outer(np.arange(p), np.arange(r))] @ R[j]
             out[: part.shape[0], : part.shape[1]] += part
     P = PolyCopula.__new__(PolyCopula)
-    P._init(out, da**mx * q * db**my, (A, family, B))
+    P._init(out, da**mx * q * db**my)
     return P

@@ -108,7 +108,6 @@ __all__ = [
     "WRightProduct",
     "star",
     "star_c",
-    "integrate",
     "FAST_PATHS",
 ]
 
@@ -524,20 +523,6 @@ def _integrate_batch(fbatch, breakpoints, q: QuadratureConfig, width: int, suppo
         sums[0] += total
         total = np.add.accumulate(sums, axis=0, out=sums)[-1]
     return total[:, :width], total[:, width]
-
-
-def integrate(f, breakpoints=(), q: QuadratureConfig | None = None):
-    """(value, error_estimate) of a scalar function on [0, 1]."""
-    qq = q if q is not None else QuadratureConfig()
-
-    def fbatch(ts):
-        return np.asarray([float(f(t)) for t in ts]).reshape(-1, 1)
-
-    def support(segs, nodes, groups, once):
-        return np.ones((len(segs), 1), dtype=bool), {}
-
-    totals, errs = _integrate_batch(fbatch, np.reshape(breakpoints, (1, -1)), qq, 1, support)
-    return float(totals[0, 0]), float(errs[0])
 
 
 def _side(zs):

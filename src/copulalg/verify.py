@@ -61,7 +61,6 @@ __all__ = [
     "fgm_counterexample",
     "convergence_study",
     "copula_label",
-    "family_label",
     "corpus_copulas",
     "corpus_families",
     "SUITES",
@@ -94,7 +93,7 @@ def _num(x) -> str:
     return str(x)
 
 
-# The labels import the expression module when first called, so that
+# The label imports the expression module when first called, so that
 # `import copulalg` does not pay the ~10 ms its AST dataclasses take.
 
 def copula_label(C) -> str:
@@ -102,9 +101,6 @@ def copula_label(C) -> str:
     syntax."""
     from .dsl import expr_of, to_text
     return to_text(expr_of(C), _num)
-
-
-family_label = copula_label
 
 
 def _worst(cases):
@@ -168,7 +164,7 @@ def check_identity(family: CopulaFamily, corpus=None, tol: float = 1e-5,
                            ("right", star_c(A, family, e, q, fast_paths=False)))
     )
     return VerificationReport(
-        name=f"identity[{family_label(family)}]",
+        name=f"identity[{copula_label(family)}]",
         passed=worst <= tol,
         deviation=worst,
         witness=witness,
@@ -193,7 +189,7 @@ def check_zero_necessary(family: CopulaFamily, tol: float = 1e-12,
     vals = family_integral(family, g[:, None], g[None, :])
     worst, witness = _lattice_witness(np.abs(vals - g[:, None] * g[None, :]), g)
     return VerificationReport(
-        name=f"zero-necessary[{family_label(family)}]",
+        name=f"zero-necessary[{copula_label(family)}]",
         passed=worst <= tol,
         deviation=worst,
         witness=witness,
@@ -229,7 +225,7 @@ def check_zero_candidate(family: CopulaFamily, candidate,
         witness=witness,
         params={
             "alphas": ",".join(_num(float(a)) for a in alphas),
-            "family": family_label(family),
+            "family": copula_label(family),
             "lattice": lattice,
             "tol": tol,
         },
@@ -307,7 +303,7 @@ def convergence_study(curve: FGMCurveFamily, A, B,
     params = {
         "A": copula_label(A),
         "B": copula_label(B),
-        "curve": family_label(curve),
+        "curve": copula_label(curve),
         "lattice": lattice,
         "slack": slack,
         "tol_final": tol_final,
@@ -315,7 +311,7 @@ def convergence_study(curve: FGMCurveFamily, A, B,
     for n, e in zip(pieces, errs):
         params[f"err_{int(n)}"] = e
     return VerificationReport(
-        name=f"convergence[{family_label(curve)}; {copula_label(A)}, {copula_label(B)}]",
+        name=f"convergence[{copula_label(curve)}; {copula_label(A)}, {copula_label(B)}]",
         passed=passed,
         deviation=errs[-1],
         witness=last_witness,
@@ -349,7 +345,7 @@ def _suite_zero_necessary(q, lattice, thetas, families):
         and abs(r.deviation - 0.0625) <= 1e-9
         and r.witness == (0.5, 0.5)
     )
-    reports.append(_expected_failure(f"zero-necessary-violation[{family_label(bad)}]",
+    reports.append(_expected_failure(f"zero-necessary-violation[{copula_label(bad)}]",
                                      r, detected, expected_dev=0.0625))
     return reports
 

@@ -115,6 +115,17 @@ def test_eval_semantic_error_exit_1(capsys):
     assert "error:" in err
 
 
+def test_eval_shuffle_with_a_strip_of_no_width(capsys):
+    # the refusal names the piece the user wrote, not cuts of the transpose
+    rc, out, err = run(capsys, "eval", "star(fgm(0.5), shuffle(1e-20; 2,1; 0,0))",
+                       "0.3", "0.5")
+    assert (rc, out) == (1, "")
+    assert err.startswith("error: piece 1 of width 1e-20 lands on [1.0, 1.0]")
+    # a straight shuffle whose second strip has no width is M
+    assert run(capsys, "eval", "straight(1e-17)", "0.3", "0.5") == \
+        (0, "0.300000000000\n", "")
+
+
 def test_eval_runs_one_quadrature(capsys, quad_counter):
     # the point asked for is integrated; the error probe is not run
     rc, out, _ = run(capsys, "eval", "star(fgm(0.5), fgm(-0.5))", "0.3", "0.7",

@@ -29,11 +29,13 @@ from copulalg import (
     grid_from_copula,
     read_grid_csv,
     shuffle_from_grid,
+    star,
     sup_distance,
     sup_distance_witness,
     validate,
     write_grid_csv,
 )
+from copulalg.copulas import GRID_MASS_TOL
 
 unit = st.floats(min_value=0.0, max_value=1.0)
 
@@ -92,6 +94,22 @@ def test_straight_shuffle_degenerate_is_m():
         assert sup_distance(StraightShuffle(alpha), M, 32) == 0.0
 
 
+def test_straight_shuffle_with_no_second_strip_is_m():
+    # 1 - alpha == 1.0 for 0 < alpha <= 2**-54: the second strip has no
+    # width, so the shuffle is the one-piece M, and it keeps its alpha
+    from copulalg.dsl import expr_of, to_text
+    g = np.arange(17) / 16
+    for alpha in (1e-17, 2.0 ** -54, 5e-324):
+        s = StraightShuffle(alpha)
+        assert s.n_pieces == 1 and s.alpha == alpha
+        got, want = s.eval(g[:, None], g[None, :]), M.eval(g[:, None], g[None, :])
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+        assert s.transpose().n_pieces == 1
+    assert to_text(expr_of(StraightShuffle(1e-17))) == "straight(1e-17)"
+    # the next alpha up still has two strips
+    assert StraightShuffle(np.nextafter(2.0 ** -54, 1.0)).n_pieces == 2
+
+
 def test_straight_shuffle_param_range():
     with pytest.raises(ConstructionError):
         StraightShuffle(-0.01)
@@ -127,6 +145,58 @@ def test_shuffle_refuses_entries_that_are_not_integers_or_flags():
     S = ShuffleOfM(cuts, np.array([2, 1]), np.array([True, False]))
     assert S.sigma == (2, 1) and all(type(s) is int for s in S.sigma)
     assert S.flips == (True, False) == ShuffleOfM(cuts, (2, 1), (1, 0)).flips
+
+
+def test_shuffle_refuses_a_piece_with_no_target_width():
+    # piece 1 would land on [1.0, 1.0]: 1.0 + 1e-20 == 1.0
+    with pytest.raises(ConstructionError, match=r"piece 1 of width 1e-20 lands on "
+                       r"\[1\.0, 1\.0\], a strip of no width in the target cuts"):
+        ShuffleOfM((0.0, 1e-20, 1.0), (2, 1))
+    # its own target cuts increase, but its transpose's would not
+    cuts = (0.0, 1.0944247189792484e-12, 0.40087232448312343, 0.40087232448312377,
+            0.40087232458903194, 0.40579022700652945, 0.9991301311240223,
+            0.9999999999999999, 1.0)
+    with pytest.raises(ConstructionError, match="piece 8 .* transpose's target cuts"):
+        ShuffleOfM(cuts, (3, 2, 8, 1, 5, 4, 6, 7), (0, 0, 0, 0, 0, 1, 0, 0))
+
+
+def test_every_shuffle_that_builds_has_a_transpose_that_builds():
+    # seeded shuffles whose strips are often an ulp or a few wide
+    rng = np.random.default_rng(29)
+    built = refused = 0
+    for _ in range(3000):
+        k = int(rng.integers(2, 9))
+        cuts = [0.0]
+        for c in np.sort(rng.uniform(size=k - 1)):
+            if rng.random() < 0.4:
+                c = cuts[-1] + np.spacing(max(cuts[-1], 1e-300)) * int(rng.integers(1, 4))
+            cuts.append(max(float(c), np.nextafter(cuts[-1], 2.0)))
+        cuts.append(1.0)
+        if not all(b > a for a, b in zip(cuts, cuts[1:])):
+            continue
+        try:
+            S = ShuffleOfM(cuts, rng.permutation(k) + 1, rng.integers(0, 2, k))
+        except ConstructionError:
+            refused += 1
+            continue
+        built += 1
+        T = S.transpose()
+        assert T.transpose() is S
+        assert np.isfinite(S.eval(np.array([0.3, 1.0]), np.array([0.5, 0.7]))).all()
+        assert np.isfinite(T.eval(np.array([0.3, 1.0]), np.array([0.5, 0.7]))).all()
+        S.partial1(0.3, 0.5)
+    assert built > 1000 and refused > 0
+    # this one builds and so does its transpose T, whose transpose is S.
+    # Spelled out, T is refused: the transpose it would build afresh
+    # stacks its widths into a strip of no width
+    S = ShuffleOfM((0.0, 0.2957651786135483, 0.29576517861354845, 0.5380529496125839,
+                    0.5380529496125842, 0.7385214515788401, 0.7385214515788402,
+                    0.9697583180373829, 1.0),
+                   (1, 8, 5, 6, 4, 7, 3, 2), (0, 1, 0, 0, 0, 0, 0, 1))
+    T = S.transpose()
+    assert T.transpose() is S and T.eval(0.3, 0.5) == S.eval(0.5, 0.3)
+    with pytest.raises(ConstructionError, match="transpose's target cuts"):
+        ShuffleOfM(T.cuts, T.sigma, T.flips)
 
 
 def test_shuffle_rejects_nan_cut():
@@ -777,15 +847,34 @@ def _residue_sweep():
 
 
 def test_shuffle_from_grid_survives_rounding_residue():
-    # a residue cell cannot advance the running cut; it is dropped
-    # instead of becoming a piece of width zero
+    # a residue cell makes no piece: it would have no width on the target
+    # side, or carry the running cut past 1.0 (W's checkerboards)
     residue = grid_from_copula(StraightShuffle(0.4), 5)
     assert 0.0 < residue.mass[residue.mass < 1e-12].max() < 1e-15
-    for C, n in _residue_sweep():
+    fgm = FGMCopula(0.5)
+    checkerboards = [(C, n) for C in (W, M, PI, fgm) for n in range(1, 65)]
+    for C, n in [*_residue_sweep(), *checkerboards]:
         grid = grid_from_copula(C, n)
         S = shuffle_from_grid(grid)
         assert S.cuts[-1] == 1.0
-        assert sup_distance(S, grid, 64) <= 4.0 / n, (C, n)
+        assert S.transpose().transpose() is S
+        # a copula lies between the Frechet bounds W(0.3, 0.5) = 0 and M
+        assert -1e-15 <= star(fgm, S).copula.eval(0.3, 0.5) <= 0.3 + 1e-15, (C, n)
+        if n <= 16:
+            assert sup_distance(S, grid, 64) <= 4.0 / n, (C, n)
+
+
+def test_shuffle_from_grid_keeps_residue_free_grids():
+    # with no mass within GRID_MASS_TOL of 0, the pieces are the cells
+    # with mass, and the cuts their running sum in row-major order
+    for theta in (0.7, -0.9, 0.3):
+        for n in (8, 16, 32):
+            m = grid_from_copula(FGMCopula(theta), n).mass
+            assert m.min() > GRID_MASS_TOL
+            S = shuffle_from_grid(GridCopula(m))
+            want = np.add.accumulate(m.reshape(-1))
+            assert S.n_pieces == n * n
+            assert S.cuts[1:-1] == tuple(want[:-1])
 
 
 # ---------------------------------------------------------------------------

@@ -5,8 +5,6 @@ import pytest
 
 import oracles
 from copulalg import (
-    CLASS_MEASURABLE,
-    CLASS_PIECEWISE,
     ConstantFamily,
     ConstructionError,
     Copula,
@@ -20,7 +18,6 @@ from copulalg import (
     ae_equal,
     grid_from_copula,
     family_integral,
-    measurability_class,
     midpoint_fgm_approximation,
     star_c,
 )
@@ -34,7 +31,6 @@ def test_constant_family():
     f = ConstantFamily(M)
     assert f.member_at(0.0) is M
     assert f.member_at(1.0) is M
-    assert measurability_class(f) == CLASS_PIECEWISE
     assert f.cuts == (0.0, 1.0) and f.members == (M,) and f.breakpoints() == ()
     with pytest.raises(DomainError):
         f.member_at(2.0)
@@ -95,7 +91,6 @@ def test_fgm_curve_family():
     c = f.member_at(0.5)
     assert isinstance(c, FGMCopula)
     assert c.theta == 0.5
-    assert measurability_class(f) == CLASS_MEASURABLE
     with pytest.raises(ConstructionError):
         FGMCurveFamily(())
 

@@ -34,7 +34,6 @@ from copulalg import (
     W,
     WRightProduct,
     grid_from_copula,
-    integrate,
     midpoint_fgm_approximation,
     shuffle_from_grid,
     star,
@@ -103,6 +102,23 @@ def test_quadrature_factor_partials_by_finite_differences(monkeypatch):
         got = prod.copula.eval(u, v)
         assert calls[fallback] > before
         assert np.abs(got - exact.copula.eval(u, v)).max() <= 1e-9
+
+
+def _all_live(segs, nodes, groups, once):
+    # the support of an integrand without cell sides: every node is live
+    return np.ones((len(segs), 1), dtype=bool), {}
+
+
+def integrate(f, breakpoints=(), q=None):
+    # a scalar function on [0, 1] through the engine's one work list, as
+    # one group of width 1 with every node live: (value, error estimate)
+    def fbatch(ts):
+        return np.asarray([float(f(t)) for t in ts]).reshape(-1, 1)
+
+    q = QuadratureConfig() if q is None else q
+    totals, errs = products._integrate_batch(
+        fbatch, np.reshape(breakpoints, (1, -1)), q, 1, _all_live)
+    return float(totals[0, 0]), float(errs[0])
 
 
 def test_integrate_constant_exact():
@@ -777,11 +793,6 @@ def test_quadrature_bits_do_not_depend_on_batch(monkeypatch):
     # chunks of three segments instead of one chunk per level
     monkeypatch.setattr(products, "_CHUNK_ELEMENTS", 1)
     assert value_in_batch([0.7], 0) == alone
-
-
-def _all_live(segs, nodes, groups, once):
-    # the support of an integrand without cell sides: every node is live
-    return np.ones((len(segs), 1), dtype=bool), {}
 
 
 def _work_list_integrate(fbatch, breakpoints, q, width, support):

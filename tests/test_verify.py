@@ -36,7 +36,7 @@ from copulalg import (
     sup_distance_witness,
     validate,
 )
-from copulalg.verify import DEFAULT_ALPHAS, copula_label, family_label, report_lines
+from copulalg.verify import DEFAULT_ALPHAS, copula_label, report_lines
 
 SMALL = dict(lattice=16)
 GOLDEN = pathlib.Path(__file__).parent / "golden"
@@ -60,10 +60,10 @@ def test_labels(flip_shuffle):
     assert copula_label(FGMCopula(-0.5)) == "fgm(-0.5)"
     assert copula_label(StraightShuffle(0.3)) == "straight(0.3)"
     assert copula_label(flip_shuffle) == "shuffle(0.2,0.7; 3,1,2; 0,1,0)"
-    assert family_label(ConstantFamily(PI)) == "const(Pi)"
-    assert family_label(split_sign_family(1.0)) == "pw(0.5: fgm(1), fgm(-1))"
-    assert family_label(FGMCurveFamily((-1.0, 2.0))) == "fgmcurve(-1,2)"
-    assert family_label(PiecewiseConstantFamily((), (M,))) == "pw(: M)"
+    assert copula_label(ConstantFamily(PI)) == "const(Pi)"
+    assert copula_label(split_sign_family(1.0)) == "pw(0.5: fgm(1), fgm(-1))"
+    assert copula_label(FGMCurveFamily((-1.0, 2.0))) == "fgmcurve(-1,2)"
+    assert copula_label(PiecewiseConstantFamily((), (M,))) == "pw(: M)"
     fgm = FGMCopula(0.5)
     quad = star(fgm, FGMCopula(-0.5), fast_paths=False).copula
     assert copula_label(quad) == "star(fgm(0.5), fgm(-0.5))"
@@ -80,7 +80,7 @@ def test_labels(flip_shuffle):
         pass
 
     assert copula_label(Custom()) == "Custom"
-    assert family_label(CustomFamily()) == "CustomFamily"
+    assert copula_label(CustomFamily()) == "CustomFamily"
 
 
 def test_worst_case_is_the_first_strictly_largest():
