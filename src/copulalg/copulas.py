@@ -199,7 +199,7 @@ class Copula:
     the kernel's value changes lies within a few multiples of 2**-53
     of a hint of that coordinate, so the kernel returns the same bits
     at all t between two hints that are farther than that from both.
-    The quadrature then evaluates the conditional once per segment.
+    The quadrature then evaluates the conditional once per piece.
     """
 
     left_invertible = False
@@ -208,6 +208,10 @@ class Copula:
     # the (A, family, B) of the star product asked for, family None for
     # the classical product, on every copula a product makes; None else
     source = None
+    # the copula whose transpose() made this one, where that transpose is
+    # a shuffle or a grid of its own rather than a TransposedCopula; None
+    # else. dsl.expr_of prints such a transpose as t(...) of it
+    transpose_of = None
 
     def _cdf(self, u, v):
         raise NotImplementedError
@@ -476,7 +480,7 @@ class ShuffleOfM(Copula):
         self._t1 = self._t0 + widths
         self._flip = np.asarray(flips, dtype=bool)
         self._tcuts = tcuts
-        self._transposed = _transpose_of
+        self._transposed = self.transpose_of = _transpose_of
 
     def _cdf(self, u, v):
         # the pieces are added in piece order either way, so a point's
@@ -771,7 +775,9 @@ class GridCopula(Copula):
         return self._slope(self._steps_v, v, u)
 
     def transpose(self):
-        return GridCopula(self.mass.T)
+        t = GridCopula(self.mass.T)
+        t.transpose_of = self
+        return t
 
     # the cell edges, whatever the coordinate
     def d2_breakpoints(self, u):

@@ -424,7 +424,12 @@ def expr_of(obj):
     closed form and the invertible reduction included; its quadrature
     settings are not part of the text. identity-M and zero-Pi return a
     factor or ``PI``, and print as that, as does an invertible reduction
-    whose classical product is zero-Pi. A ``GridCopula`` read from a
+    whose classical product is zero-Pi. A shuffle or a grid that
+    ``transpose()`` made prints as ``t(...)`` of the copula it came
+    from, so its text builds it the way it was made: a shuffle's
+    transpose, spelled out as a shuffle of its own, can be refused in
+    ulp-wide cases, and a grid product's transpose keeps the product's
+    text. A ``GridCopula`` read from a
     file or made by ``grid_from_copula`` has no source text and maps to
     ``Opaque("grid[NxN]")``, as a ``PolyCopula`` built from
     coefficients maps to ``Opaque("poly[du,dv]")`` of its degrees; any
@@ -437,6 +442,9 @@ def expr_of(obj):
         if family is None:
             return Star(expr_of(A), expr_of(B))
         return StarC(expr_of(A), expr_of(family), expr_of(B))
+    made = getattr(obj, "transpose_of", None)
+    if made is not None:
+        return Transpose(expr_of(made))
     if isinstance(obj, FrechetM):
         return Atom("M")
     if isinstance(obj, FrechetW):

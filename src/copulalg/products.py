@@ -54,22 +54,24 @@ every group of a lattice, share one adaptive work list
 (``_integrate_batch``), which every call runs, one group included. It
 integrates only where a grouped conditional is nonzero: every member
 C_t is grounded, C_t(0, y) = C_t(x, 0) = 0, so a rule segment on which
-it is 0 at every node adds exactly +-0 and is skipped. A segment that
-several groups share, with the same endpoints and the same grouped
-conditionals, is evaluated once. A grouped conditional that is a step
-function of t (``Copula.conditional_degree`` 0: M, W, Pi, shuffles and
-grids) is evaluated at one node per segment: its jumps lie next to
-hints, which are the group's edges, so it is constant on every segment
-but those too narrow to keep their nodes off their ends, which are
-evaluated at every node. Each kind of segment gets one call per level,
-and each call returns one layout: one value per segment, or a value
-per node. A segment is told apart by that one value, a narrow one by
-its values at every node. All groups' accepted segments are summed in
-one pass, each group's left to right. All of it keeps every bit (see ``_segment_values`` and
-``_integrate_batch``). None of it is a fast path: the
-family is still integrated wherever the grouped conditional is
-nonzero, so forced quadrature, and the identity suite with it, still
-exercises the quadrature.
+it is 0 at every node adds exactly +-0 and is skipped. The piece a
+level bisects is the unit of its bookkeeping. A grouped conditional
+that is a step function of t (``Copula.conditional_degree`` 0: M, W,
+Pi, shuffles and grids) is evaluated at one node per piece: its jumps
+lie next to hints, which are the group's edges, so it is constant on
+the piece and on its halves, except on pieces too narrow to keep their
+halves' nodes off their ends, which are evaluated at every node. Each
+kind of piece gets one call per level, and each call returns one
+layout: one value per piece, or a value per node. The pieces of a
+level are keyed once, by their ends and those values, so the pieces
+that several groups share are found with one sort; then only the live
+segments of the distinct pieces are built, shared where their ends and
+values agree, and evaluated. All groups' accepted pieces are summed
+in one pass, each group's left to right. All of it keeps every bit
+(see ``_segment_values`` and ``_integrate_batch``). None of it is a
+fast path: the family is still integrated wherever the grouped
+conditional is nonzero, so forced quadrature, and the identity suite
+with it, still exercises the quadrature.
 """
 
 from __future__ import annotations
@@ -129,6 +131,11 @@ _CHUNK_ELEMENTS = 1 << 21
 # conditional to be evaluated once on it: far above the few multiples of
 # 2**-53 by which a degree-0 kernel's jumps may miss its hints
 _SLACK = 2.0 ** -45
+
+# the final sums add rows of this many columns or more one row at a time:
+# add.accumulate down axis 0 runs one dependent sum per column, slower
+# than a row loop from about 136 columns on; both add in the same order
+_LOOP_COLUMNS = 192
 
 # numpy gives every broadcast operand of a ufunc call a scratch buffer
 # of its buffer size (8192 elements by default) or of the whole call if
@@ -253,92 +260,147 @@ def _distinct_rows(columns):
     """(first, inverse) such that row ``first[inverse[i]]`` equals row i,
     for rows given as ``columns`` of 8-byte values, compared bit for bit.
 
-    Rows are sorted by their bits (``np.lexsort`` of the columns as
-    uint64) and compared with their predecessor, so two rows share an
-    entry exactly when their bits are the same (+0.0 and -0.0, or two
-    NaN payloads, differ).
+    The columns, as one (k, m) array of their bits as uint64, are sorted
+    by ``np.lexsort`` and each row is compared with its predecessor in
+    one pass, so two rows share an entry exactly when their bits are the
+    same (+0.0 and -0.0, or two NaN payloads, differ).
     """
-    columns = [c.view(np.uint64) for c in columns]
-    order = np.lexsort(columns)
-    new = np.zeros(len(order), dtype=bool)
-    new[:1] = True
-    # column by column, to hold no sorted copy of the rows
-    for col in columns:
-        c = col[order]
-        new[1:] |= c[1:] != c[:-1]
+    keys = np.asarray(columns)
+    keys = keys.view(np.uint64).reshape(len(keys), -1)
+    order = np.lexsort(keys)
+    new = np.ones(len(order), dtype=bool)
+    s = keys[:, order]
+    np.any(s[:, 1:] != s[:, :-1], axis=0, out=new[1:])
     ids = np.cumsum(new) - 1
     inverse = np.empty_like(ids)
     inverse[order] = ids
     return order[new], inverse
 
 
+def _rowwise(ufunc, x):
+    """ufunc.reduce(x, axis=1) for a (m, k) array, one column at a time:
+    numpy reduces each row of a few columns slowly."""
+    out = x[:, 0].copy()
+    for j in range(1, x.shape[1]):
+        ufunc(out, x[:, j], out=out)
+    return out
+
+
 def _nodes_of(segs, nodes):
-    """The rule nodes of each (a, b) row of ``segs`` and its half width."""
-    a, b = segs[:, :1], segs[:, 1:]
+    """The rule nodes of each (a, b) pair on the last axis of ``segs``,
+    and its half width."""
+    a, b = segs[..., :1], segs[..., 1:]
     hw = 0.5 * (b - a)
     return hw * nodes + 0.5 * (a + b), hw
 
 
-def _live_segments(support, segs, nodes, groups):
-    """(rows, index, cells): the segments to evaluate, the map of every
-    segment to 0 (dead) or 1 + the position in ``rows`` of the segment
-    whose values it takes, and the cell conditionals of ``rows`` as
-    (nodes, 1) columns.
+def _live_pieces(support, segs, nodes, groups, coarse):
+    """(ends, index, inverse, cells): the segments to evaluate, as (k, 2)
+    rows; ``index``, whose row 0 is all 0 and whose other rows map the
+    segments of one distinct piece each to 0 (dead) or 1 + the position
+    in ``ends`` of the segment whose values they take; the map of every
+    piece to its row of ``index``, row 0 for a dead piece that is not
+    keyed; and the cell conditionals at the nodes of ``ends``, as
+    (k * nodes, 1) columns.
 
-    A segment is once when its outermost nodes, (1 + nodes[0]) / 2 of
-    its width from its ends, are more than ``_SLACK`` from them, and
-    narrow otherwise: ``support`` may evaluate a step-function side at
-    one node of a once segment only. This is the one place that tells
-    the kinds apart. ``support`` gets each kind in calls of its own,
-    the once segments first, each kind in order, on slices of up to
-    ``_CHUNK_ELEMENTS`` nodes, one call per kind and level as a rule,
-    since its arrays have no width axis. Each call returns one layout:
-    a step-function side as (m, 1) on a once call, and every side as
-    (m, n) on a narrow one. A live segment keys as its endpoints and
-    cell sides as they come back, so the two kinds never share a key
-    and are told apart by ``_distinct_rows`` each. ``rows`` holds one
-    live segment per distinct key, the once ones first.
+    ``segs`` holds each piece's S segments as (pieces, S, 2); a piece's
+    ends, its first segment's left end and its last one's right end,
+    say what its segments are. The piece is the unit: it is once when
+    all its segments are, that is when their outermost nodes, (1 +
+    nodes[0]) / 2 of their width from their ends, lie more than
+    ``_SLACK`` from them, and narrow otherwise. ``support`` evaluates a
+    step-function side at one node of a once piece, which stands for
+    every node of its segments, since no jump lies inside a piece
+    (``_segment_values``), and at every node of a narrow one. This is
+    the one place that tells the kinds apart. ``support`` gets each kind
+    in calls of its own, the once pieces first, each kind in order, on
+    slices of up to ``_CHUNK_ELEMENTS`` nodes, one call per kind and
+    level as a rule. Each call returns one layout: a step-function side
+    as (m, 1) on a once call, and every other side as (m, S * n).
 
-    Only the once segments of a level of one group skip that: they
-    never repeat, since the group's pieces are disjoint and a half of a
-    piece is the piece itself only when the piece is one ulp wide, its
-    midpoint rounded onto an end, which makes its segments narrow.
-    Nothing else moves the integrand, since the call shares the other
-    coordinate's row.
+    A piece is live when one of its segments is, or when ``coarse``, the
+    index of its n-point rule made on the level before, is not 0. A
+    level of several groups drops its dead pieces and keys its live
+    once pieces, by their ends, ``coarse`` and cell sides as they come
+    back, with one ``_distinct_rows``: a step side is one column however
+    many segments the piece has. Then only the live
+    segments of the distinct pieces are built, and keyed by their ends
+    and cell sides, a step side as its piece's value, since pieces whose
+    ends differ by an ulp may share a half; these are few rows. Narrow
+    pieces are few and not keyed as pieces; their segments are keyed by
+    their values at every node, apart from the once ones'. In a level of
+    one group nothing is keyed but the narrow segments, by their ends
+    alone, as their group fixes their cell sides: the once pieces are
+    disjoint, and a half of a piece is the piece itself only when the
+    piece is one ulp wide, its midpoint rounded onto an end, which makes
+    it narrow. Nothing else moves the integrand, since the call shares
+    the other coordinate's row.
     """
+    m, S, _ = segs.shape
     n = len(nodes)
-    step = -(-_CHUNK_ELEMENTS // n)
-    once = (segs[:, 1] - segs[:, 0]) * (0.5 + 0.5 * nodes[0]) > _SLACK
+    step = -(-_CHUNK_ELEMENTS // (S * n))
+    once = _rowwise(np.minimum, segs[..., 1] - segs[..., 0]) * (0.5 + 0.5 * nodes[0]) > _SLACK
     # the groups come in order: a level of one group when its ends agree
     single = groups[0] == groups[-1]
-    index = np.zeros(len(segs), dtype=np.intp)
-    rows, values = [], []
+    # row 0 of index is the dead pieces', as values[0] is the dead segments'
+    inverse = np.zeros(m, dtype=np.intp)
+    index, ends, values = [np.zeros((1, S), dtype=np.intp)], [], []
+    # rows are gathered by np.take and np.compress, several times faster
+    # than indexing an array of two or three axes
     for kind in (True, False):
         ids = np.flatnonzero(once == kind)
-        # the positions, endpoints and cell sides of the kind's live segments
+        # the positions, live segments and cell sides of the kind's live pieces
         parts = []
         for s in range(0, ids.size, step):
             pos = ids[s : s + step]
-            live, cells = support(segs[pos], nodes, groups[pos], kind)
-            alive = live.any(axis=1)
-            pos = pos[alive]
-            parts.append([pos, segs[pos]] + [c[alive] for c in cells.values()])
+            live, cells = support(np.take(segs, pos, axis=0), nodes, groups[pos], kind)
+            # (m, 1) for the whole piece, or (m, S) from the nodes of each segment
+            live = live if live.shape[1] == 1 else live.reshape(len(pos), S, n).any(axis=2)
+            sides = list(cells.values())
+            if not single:
+                keep = _rowwise(np.logical_or, live)
+                if coarse is not None:
+                    keep |= coarse[pos] != 0
+                pos, live, *sides = (np.compress(keep, x, axis=0) for x in [pos, live] + sides)
+            parts.append([pos, live] + sides)
         if not parts:
             continue
-        pos, ends, *sides = (x[0] if len(x) == 1 else np.concatenate(x) for x in zip(*parts))
-        made = sum(map(len, rows))
-        if kind and single:
-            index[pos] = np.arange(made + 1, made + 1 + len(pos))
+        pos, live, *sides = (x[0] if len(x) == 1 else np.concatenate(x) for x in zip(*parts))
+        made = sum(map(len, index))
+        if single or not kind:
+            inverse[pos] = np.arange(made, made + len(pos))
         else:
-            first, inverse = _distinct_rows(np.concatenate([ends.T] + [c.T for c in sides]))
-            index[pos] = made + 1 + inverse
-            pos, sides = pos[first], [c[first] for c in sides]
-        rows.append(pos)
+            key = [segs[:, 0, 0][pos][None], segs[:, -1, 1][pos][None]] + [c.T for c in sides]
+            first, inv = _distinct_rows(np.concatenate(
+                key if coarse is None else key + [coarse[pos].reshape(1, -1)]))
+            inverse[pos] = made + inv
+            pos, live, *sides = (np.take(x, first, axis=0) for x in [pos, live] + sides)
+        # the live segments of the distinct pieces, a step side as its piece's value
+        live = live if live.shape[1] == S else np.repeat(live, S, axis=1)
+        at = np.take(segs, pos, axis=0).reshape(-1, 2)
+        sides = [np.repeat(c, S, axis=0) if c.shape[1] == 1 else c.reshape(-1, n) for c in sides]
+        flat = live.reshape(-1)
+        if not flat.all():
+            at, *sides = (np.compress(flat, x, axis=0) for x in [at] + sides)
+        done = sum(map(len, ends))
+        if kind and single:
+            seg = np.arange(done + 1, done + 1 + len(at))
+        else:
+            # in one group a segment's cell sides follow from its ends
+            key = at.T if single else np.concatenate([at.T] + [c.T for c in sides])
+            first, inv = _distinct_rows(key)
+            at, *sides = (np.take(x, first, axis=0) for x in [at] + sides)
+            seg = done + 1 + inv
+        rows = np.zeros(live.shape, dtype=np.intp)
+        rows[live] = seg
+        index.append(rows)
+        ends.append(at)
         # a value given once stands for each of its segment's nodes
         values.append([c if c.shape[1] == n else np.repeat(c, n, axis=1) for c in sides])
+    index = np.concatenate(index)
     cells = {k: (c[0] if len(c) == 1 else np.concatenate(c)).reshape(-1, 1)
              for k, c in zip(cells, zip(*values))}
-    return np.concatenate(rows), index, cells
+    return (ends[0] if len(ends) == 1 else np.concatenate(ends)), index, inverse, cells
 
 
 def _weighted_sum(fv, weights, out):
@@ -352,11 +414,16 @@ def _weighted_sum(fv, weights, out):
         out += np.multiply(weights[j], fv[:, j], out=term)
 
 
-def _segment_values(fbatch, segs, nodes, weights, chunk, width, support, groups):
-    """Gauss-Legendre value of fbatch over each (a, b) row of ``segs``.
+def _segment_values(fbatch, segs, nodes, weights, chunk, width, support, groups,
+                   coarse=None):
+    """Gauss-Legendre value of fbatch over each segment of each piece.
 
-    Returns (values, index): segment i has the (width,) values
-    ``values[index[i]]``, and ``values[0]`` is +0.0. Segments are
+    ``segs`` holds the S segments of each piece as (pieces, S, 2),
+    ``groups`` each piece's group and ``coarse``, if given, the index of
+    each piece's n-point rule made on the level before. Returns
+    (values, index, inverse): piece i's segment j has the (width,)
+    values ``values[index[inverse[i], j]]``, ``values[0]`` is +0.0, and
+    row 0 of ``index`` is all 0, a dead piece's. Segments are
     evaluated in order but batched into single fbatch calls of at most
     ``chunk`` nodes, rounded up to whole segments, and at most the
     largest group's segments, to bound memory.
@@ -369,36 +436,37 @@ def _segment_values(fbatch, segs, nodes, weights, chunk, width, support, groups)
     term is written into one scratch array per chunk, reused for every
     j, and added into the accumulator in place.
 
-    ``support`` evaluates the cell sides once per rule node, or once
-    per segment for a step-function side (``_make_integrand``): it
-    maps segments of one kind, their ``groups`` and whether they may be
-    evaluated once to a boolean array, False where a cell conditional
-    is exactly 0, and a dict of the cell conditionals in the one layout
-    of that kind, which fbatch takes back per node as keyword
-    arguments. ``_live_segments`` calls it once per kind of segment per
-    level. Segments whose nodes are all dead lie outside a cell side's
-    support and are skipped: every member C_t is grounded, so the
-    integrand is exactly +-0 on them.
+    ``support`` evaluates the cell sides at every rule node of a
+    piece's segments, or once per piece for a step-function side
+    (``_make_integrand``): it maps the segments of pieces of one kind,
+    their ``groups`` and whether they may be evaluated once to a
+    boolean array, False where a cell conditional is exactly 0, and a
+    dict of the cell conditionals in the one layout of that kind, which
+    fbatch takes back per node as keyword arguments. ``_live_pieces``
+    calls it once per kind of piece per level. Segments whose nodes are
+    all dead lie outside a cell side's support and are skipped: every
+    member C_t is grounded, so the integrand is exactly +-0 on them.
     Adding +-0 never moves a nonzero sum, and the differences taken for
     the error estimate have the same magnitudes, so every value and
     estimate keeps its bits.
 
-    A step-function side evaluated once on a segment has the bits it
-    has at every node. Its kernel's value changes only within a few
-    multiples of 2**-53 of a hint (the degree contract in
-    ``copulas.Copula``). Every cell side's hints are among its group's
-    breakpoints, in both branches of ``_product_points_eval``, and
-    every one in (0, 1) is an initial edge of the group
-    (``_initial_edges``), so no hint lies inside a piece or a segment
+    A step-function side evaluated once on a piece has the bits it has
+    at every node of the piece's segments. Its kernel's value changes
+    only within a few multiples of 2**-53 of a hint (the degree contract
+    in ``copulas.Copula``). Every cell side's hints are among its
+    group's breakpoints, in both branches of ``_product_points_eval``,
+    and every one in (0, 1) is an initial edge of the group
+    (``_initial_edges``), so no hint lies inside a piece or a piece
     bisected from one, and a jump lies within ``_SLACK`` of the end of
-    any segment that holds it. A node lies (1 + nodes[0]) / 2 of its
-    segment's width or more from the segment's ends, and a segment too
-    narrow for that to exceed ``_SLACK`` is evaluated at every node. So
-    no jump lies between two nodes of a segment evaluated once.
+    any piece that holds it. A node lies (1 + nodes[0]) / 2 of its
+    segment's width or more from the segment's ends, and so from the
+    piece's, and a piece with a segment too narrow for that to exceed
+    ``_SLACK`` is evaluated at every node. So no jump lies between two
+    nodes of a piece evaluated once.
 
-    fbatch runs only on the distinct live segments
-    (``_live_segments``), whose values every segment with the same key
-    takes. A key holds the segment's endpoints and its cell sides, a
+    fbatch runs only on the distinct live segments of the distinct live
+    pieces (``_live_pieces``), whose values every segment with the same
+    key takes. A key holds the segment's endpoints and its cell sides, a
     step-function side given once as its one value, which stands for
     every node, and any other side as its n node values: equal keys
     mean equal integrand values, node by node, so each value has the
@@ -406,9 +474,9 @@ def _segment_values(fbatch, segs, nodes, weights, chunk, width, support, groups)
     """
     n = len(nodes)
     # no call takes more nodes than the largest group's share
-    step = min(-(-chunk // n), np.bincount(groups).max())
-    rows, index, cells = _live_segments(support, segs, nodes, groups)
-    ts, hw = _nodes_of(segs[rows], nodes)
+    step = min(-(-chunk // n), segs.shape[1] * np.bincount(groups).max())
+    ends, index, inverse, cells = _live_pieces(support, segs, nodes, groups, coarse)
+    ts, hw = _nodes_of(ends, nodes)
     vals = np.empty((len(ts) + 1, width))
     vals[0] = 0.0
     for s in range(0, len(ts), step):
@@ -416,7 +484,7 @@ def _segment_values(fbatch, segs, nodes, weights, chunk, width, support, groups)
         acc = vals[1 + s : 1 + s + step]
         _weighted_sum(fbatch(ts[s : s + step].reshape(-1), **given), weights, acc)
         acc *= hw[s : s + step]
-    return vals, index
+    return vals, index, inverse
 
 
 def _integrate_batch(fbatch, breakpoints, q: QuadratureConfig, width: int, support):
@@ -438,19 +506,21 @@ def _integrate_batch(fbatch, breakpoints, q: QuadratureConfig, width: int, suppo
     of the tolerance, and each piece passes its group on to its halves.
     A piece is accepted when the max-norm gap between its n-point rule
     and the sum of its two halves is within its share of its group's
-    tolerance; the rest are bisected into the next level. Pieces hold
-    indices into their segments' values, and pieces with the same three
-    rows share one sum and one gap. The pieces of a level of one group
-    are not compared: they are disjoint, so two of them hold the same
-    rows only where all their segments are dead, and their sum is +0.0.
+    tolerance; the rest are bisected into the next level. Each level's
+    pieces are keyed once by ``_segment_values``: a distinct piece holds
+    one row of indices into its segments' values, the pieces with its
+    key share its sum and gap, and the dead pieces of a level of several
+    groups share the row of zeros, whose sum and gap are +0.0. A piece's
+    coarse index is part of its key, so a distinct piece has one.
 
     Every group's accepted values and gaps are summed in one pass, each
     group's in the order of their left ends: row i of a padded array
     holds every group's i-th piece from the left, its sum and then its
     gap, or +0.0 after the group's last piece, and one running sum from
-    +0.0 goes down the rows by add.accumulate, which adds strictly in
-    order, in blocks of rows of up to ``_CHUNK_ELEMENTS``. A sum from
-    +0.0 is never -0.0, so the padding changes no bit. So every group
+    +0.0 goes down the rows, in blocks of rows of up to
+    ``_CHUNK_ELEMENTS``: by add.accumulate, or one row at a time where a
+    row has ``_LOOP_COLUMNS`` or more, either adding strictly in order.
+    A sum from +0.0 is never -0.0, so the padding changes no bit. So every group
     gets the bits it gets alone, and a failure names the leftmost
     failing piece of the first failing group.
     """
@@ -460,32 +530,30 @@ def _integrate_batch(fbatch, breakpoints, q: QuadratureConfig, width: int, suppo
     tol0 = q.adaptive_tol / pieces
     chunk = max(3 * len(nodes), _CHUNK_ELEMENTS // max(width, 1))
     group = np.repeat(np.arange(groups), pieces)
-    coarse = None  # n-point rule on each [a, b] as (values, index), made with level 0
+    coarse = None  # each piece's n-point rule as (values, index), from the level before
     owners, starts, refs, fines = [], [], [], []
     made = depth = 0
     while True:
         mid = 0.5 * (a + b)
         # a piece's segments: itself and its halves on the first level, then its halves
         ends = (a, b, a, mid, mid, b) if coarse is None else (a, mid, mid, b)
-        vals, index = _segment_values(
-            fbatch, np.stack(ends, axis=1).reshape(-1, 2), nodes, weights, chunk, width,
-            support, np.repeat(group, len(ends) // 2),
+        vals, index, inverse = _segment_values(
+            fbatch, np.stack(ends, axis=1).reshape(a.size, -1, 2), nodes, weights, chunk,
+            width, support, group, None if coarse is None else coarse[1],
         )
-        index = index.reshape(a.size, -1)
         if coarse is None:
-            coarse = vals, index[:, 0]
-        left, right = index[:, -2], index[:, -1]
-        rows = coarse[1], left, right
-        if groups > 1:
-            first, inverse = _distinct_rows(rows)
-            rows = [r[first] for r in rows]
+            cvals, crows = vals, index[:, 0]
         else:
-            inverse = np.arange(a.size)
+            # a distinct piece's coarse index is part of its key
+            cvals, crows = coarse[0], np.zeros(len(index), dtype=np.intp)
+            crows[inverse] = coarse[1]
         # each distinct piece's sum of its halves, and its gap in the last column
-        fine = np.empty((len(rows[0]), width + 1))
-        np.add(vals[rows[1]], vals[rows[2]], out=fine[:, :width])
-        np.max(np.abs(coarse[0][rows[0]] - fine[:, :width]), axis=1, out=fine[:, width])
-        err = fine[inverse, width]
+        fine = np.empty((len(index), width + 1))
+        np.add(np.take(vals, index[:, -2], axis=0), np.take(vals, index[:, -1], axis=0),
+               out=fine[:, :width])
+        np.max(np.abs(np.take(cvals, crows, axis=0) - fine[:, :width]), axis=1,
+               out=fine[:, width])
+        err = fine[:, width][inverse]
         # each bisection halves the budget so the total stays bounded
         tol = tol0[group] / (1 << depth)
         ok = err <= tol
@@ -503,7 +571,7 @@ def _integrate_batch(fbatch, breakpoints, q: QuadratureConfig, width: int, suppo
                                       float(tol[i]))
         group = np.repeat(group[bad], 2)
         a, b = np.stack((a[bad], mid[bad], mid[bad], b[bad]), axis=1).reshape(-1, 2).T
-        coarse = vals, np.stack((left[bad], right[bad]), axis=1).reshape(-1)
+        coarse = vals, np.take(index[:, -2:], inverse[bad], axis=0).reshape(-1)
         depth += 1
     owners, refs = np.concatenate(owners), np.concatenate(refs)
     if depth:
@@ -519,9 +587,14 @@ def _integrate_batch(fbatch, breakpoints, q: QuadratureConfig, width: int, suppo
     total = np.zeros((groups, width + 1))
     step = max(1, _CHUNK_ELEMENTS // total.size)
     for r in range(0, len(pos), step):
-        sums = fines[pos[r : r + step]]
+        sums = np.take(fines, pos[r : r + step], axis=0)
         sums[0] += total
-        total = np.add.accumulate(sums, axis=0, out=sums)[-1]
+        if total.size < _LOOP_COLUMNS:
+            total = np.add.accumulate(sums, axis=0, out=sums)[-1]
+        else:
+            total = sums[0]
+            for row in sums[1:]:
+                total += row
     return total[:, :width], total[:, width]
 
 
@@ -546,21 +619,22 @@ def _make_integrand(A: Copula, family, B: Copula, xs, ys):
     fbatch(ts, s=None, r=None) is the integrand at nodes ts, (k, width).
     A coordinate constant within a group, a column or a row whose values
     share their bits, is a cell: its side's conditional is evaluated
-    once per node, or once per segment, and broadcast only in the
-    result. support(segs, nodes, groups, once) takes (m, 2) segments of
-    one kind, the rule nodes on [-1, 1], each segment's group and one
-    bool, whether the segments may be evaluated once (``_live_segments``
-    decides). It returns where no cell side's clipped conditional is 0
-    (NaN stays live), as (m, 1) or (m, n), and those conditionals, s on
-    the left and r on the right; with no cell side, every node is live
-    and the dict is empty. A side whose factor declares
-    ``conditional_degree`` 0 is a step function of t: on a once call
-    its kernel runs at the first node of every segment, in one call,
-    and comes back as (m, 1), one value that stands for each of the
-    segment's nodes; on a narrow call it is evaluated at every node,
-    with the same clip, and comes back as (m, n) (``_segment_values``
-    states why this keeps the bits). Any other cell side is (m, n), one
-    column per node, on either call.
+    once per node, or once per piece, and broadcast only in the result.
+    support(segs, nodes, groups, once) takes the segments of m pieces of
+    one kind, as (m, S, 2), or m segments as (m, 2), the rule nodes on
+    [-1, 1], each piece's group and one bool, whether the pieces may be
+    evaluated once (``_live_pieces`` decides). It returns where no cell
+    side's clipped conditional is 0 (NaN stays live), as (m, 1) or
+    (m, S * n), and those conditionals, s on the left and r on the
+    right; with no cell side, every node is live and the dict is empty.
+    A side whose factor declares ``conditional_degree`` 0 is a step
+    function of t: on a once call its kernel runs at the first node of
+    every piece's first segment, in one call, and comes back as (m, 1),
+    one value that stands for every node of the piece's segments; on a
+    narrow call it is evaluated at every node, with the same clip, and
+    comes back as (m, S * n) (``_segment_values`` states why this keeps
+    the bits). Any other cell side is (m, S * n), one column per node of
+    each segment in turn, on either call.
     fbatch takes the conditionals back as (k, 1) columns instead of
     evaluating them again. fbatch caps numpy's ufunc buffers
     (``_integrand_bufsize``), so a call on few live nodes holds about
@@ -598,16 +672,16 @@ def _make_integrand(A: Copula, family, B: Copula, xs, ys):
              for k, f, Z, C in (("s", left, X, A), ("r", right, Y, B)) if Z.shape[1] == 1]
 
     def support(segs, nodes, groups, once):
-        # the cell sides on segments of one kind: a step side at the first
+        # the cell sides on pieces of one kind: a step side at the first
         # node of each if they are once, any other side at every node
         live, cells, ts = np.ones((len(segs), 1), dtype=bool), {}, None
         for k, f, Z, steps in sides:
             # a side of one row holds every group's value, a column one per group
-            Z = Z if len(Z) == 1 else Z[groups]
+            Z = Z if len(Z) == 1 else np.take(Z, groups, axis=0)
             if steps and once:
-                c = f(_nodes_of(segs, nodes[:1])[0], Z)
+                c = f(_nodes_of(segs.reshape(len(segs), -1)[:, :2], nodes[:1])[0], Z)
             else:
-                ts = _nodes_of(segs, nodes)[0] if ts is None else ts
+                ts = _nodes_of(segs, nodes)[0].reshape(len(segs), -1) if ts is None else ts
                 c = f(ts, Z)
             live = live & (c != 0.0)
             cells[k] = c

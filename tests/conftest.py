@@ -40,11 +40,12 @@ from copulalg import (
 @pytest.fixture
 def quad_counter(monkeypatch):
     """Counts the quadrature runs of the test: ``calls`` to
-    ``products._integrate_batch``, the ``rule_nodes`` its rule places,
-    the ``nodes`` its integrands are evaluated at (fewer when segments
-    outside a grouped side's support are skipped) and the ``elements``
-    (nodes x batch width) they return."""
-    counts = {"calls": 0, "rule_nodes": 0, "nodes": 0, "elements": 0}
+    ``products._integrate_batch``, the ``pieces`` of its levels, the
+    ``rule_nodes`` its rule places on their segments, the ``nodes`` its
+    integrands are evaluated at (fewer when segments outside a grouped
+    side's support are skipped) and the ``elements`` (nodes x batch
+    width) they return."""
+    counts = {"calls": 0, "pieces": 0, "rule_nodes": 0, "nodes": 0, "elements": 0}
     integrate_batch = products._integrate_batch
     segment_values = products._segment_values
 
@@ -60,7 +61,9 @@ def quad_counter(monkeypatch):
         return integrate_batch(inner, *args, **kwargs)
 
     def counting_segments(fbatch, segs, nodes, *args, **kwargs):
-        counts["rule_nodes"] += len(segs) * len(nodes)
+        # segs holds each piece's segments as (pieces, segments, 2)
+        counts["pieces"] += len(segs)
+        counts["rule_nodes"] += segs[..., 0].size * len(nodes)
         return segment_values(fbatch, segs, nodes, *args, **kwargs)
 
     monkeypatch.setattr(products, "_integrate_batch", counting_batch)

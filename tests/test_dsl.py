@@ -412,3 +412,47 @@ def test_every_product_is_labelled_as_it_was_asked_for(tmp_path):
     tags.add(res.fast_path)
     assert to_text(expr_of(res.copula)) == "star(grid[4x4], grid[4x4])"
     assert tags == set(FAST_PATHS)
+
+
+def test_transposed_grid_product_keeps_its_label(tmp_path):
+    # the grid closed form's transpose is a grid of its own; it prints as
+    # the transpose of the product it came from, as every other
+    # transposed product does, and that text, with the files spelled
+    # out, builds the same bits
+    x, y = np.meshgrid(np.arange(17) / 16, np.arange(17) / 16, indexing="ij")
+    paths = [tmp_path / "a.csv", tmp_path / "b.csv"]
+    write_grid_csv(grid_from_copula(FGMCopula(0.5), 4), paths[0])
+    write_grid_csv(grid_from_copula(StraightShuffle(0.3), 4), paths[1])
+    files = [f'grid("{p}")' for p in paths]
+    C = build_copula(parse(f"t(star({files[0]}, {files[1]}))"))
+    assert isinstance(C, GridCopula)
+    label = to_text(expr_of(C))
+    assert label == "t(star(grid[4x4], grid[4x4]))"
+    text = label.replace("grid[4x4]", files[0], 1).replace("grid[4x4]", files[1], 1)
+    assert same_bits(build_copula(parse(text)).eval(x, y), C.eval(x, y))
+    # a grid read from a file transposes to the transpose of that grid
+    assert to_text(expr_of(build_copula(parse(f"t({files[0]})")))) == "t(grid[4x4])"
+
+
+def test_transposed_shuffle_text_rebuilds():
+    # a shuffle's transpose, spelled out as a shuffle of its own, may be
+    # refused: one of its strips has no width in its own transpose's
+    # target. Printed as t(...) of the shuffle it came from, the text
+    # of a product over it builds the same bits
+    x, y = np.meshgrid(np.arange(17) / 16, np.arange(17) / 16, indexing="ij")
+    S = ("shuffle(0.2957651786135483,0.29576517861354845,0.5380529496125839,"
+         "0.5380529496125842,0.7385214515788401,0.7385214515788402,0.9697583180373829;"
+         " 1,8,5,6,4,7,3,2; 0,1,0,0,0,0,0,1)")
+    T = build_copula(parse(S)).transpose()
+    with pytest.raises(SemanticError, match="transpose's target"):
+        build_copula(Shuffle(T.cuts[1:-1], T.sigma, T.flips))
+    for text in (f"t({S})", f"star(fgm(0.5), t({S}))", f"starc(fgm(0.5), const(t({S})), Pi)"):
+        C = build_copula(parse(text))
+        got = to_text(expr_of(C))
+        rebuilt = build_copula(parse(got))
+        assert same_bits(rebuilt.eval(x, y), C.eval(x, y)), text
+        assert to_text(expr_of(rebuilt)) == got
+    # a shuffle built from its text, and its transpose's transpose, print as themselves
+    S0 = build_copula(parse(S))
+    assert to_text(expr_of(S0.transpose().transpose())) == to_text(expr_of(S0))
+    assert to_text(expr_of(T)).startswith("t(shuffle(")

@@ -810,11 +810,12 @@ def _work_list_integrate(fbatch, breakpoints, q, width, support):
             if pval is None:
                 segs.append((a, b))
             segs += [(a, mid), (mid, b)]
-        vals, index = products._segment_values(
-            fbatch, np.asarray(segs), nodes, weights, chunk, width, support,
+        # each segment as a piece of its own
+        vals, index, inverse = products._segment_values(
+            fbatch, np.reshape(segs, (-1, 1, 2)), nodes, weights, chunk, width, support,
             np.zeros(len(segs), dtype=np.intp),
         )
-        vals = vals[index]
+        vals = vals[index[inverse, 0]]
         pos, nxt = 0, []
         for a, b, depth, pval in work:
             if pval is None:
@@ -896,8 +897,8 @@ def test_grouped_points_bits_match_alone(flip_shuffle):
 def test_constant_coordinate_evaluated_once_per_node(monkeypatch, quad_counter):
     # work-counter gates: the lattice's x-groups share one quadrature
     # call; the left conditional, a step function of t, is evaluated once
-    # per segment the rule places, not once per node and point (no
-    # segment is narrow here), and the integrand does not
+    # per piece the rule bisects, not once per node and point, nor once
+    # per segment (no piece is narrow here), and the integrand does not
     # evaluate it again; M's conditional is 0 for t >= x, so about half
     # of the nodes lie on skipped segments, and the groups share most of
     # the others
@@ -916,22 +917,30 @@ def test_constant_coordinate_evaluated_once_per_node(monkeypatch, quad_counter):
     assert quad_counter["calls"] == 1
     assert quad_counter["nodes"] > 0
     assert quad_counter["elements"] == 33 * quad_counter["nodes"]
-    assert d2_elements * 16 == quad_counter["rule_nodes"]
+    # one level: each piece is itself and its two halves, and the step
+    # side costs one element per piece, not one per segment
+    assert d2_elements == quad_counter["pieces"]
+    assert d2_elements * 3 * 16 == quad_counter["rule_nodes"]
     assert quad_counter["nodes"] <= 0.55 * quad_counter["rule_nodes"]
 
 
-def _no_skip_segment_values(fbatch, segs, nodes, weights, chunk, width, support, groups):
+def _no_skip_segment_values(fbatch, segs, nodes, weights, chunk, width, support, groups,
+                            coarse=None):
     # reference: the weighted sum before segments outside a grouped
-    # side's support were skipped, shared segments were evaluated once
-    # and step-function sides once per segment; every node is evaluated,
-    # with its group's cell conditionals at that node
+    # side's support were skipped, shared segments and pieces were
+    # evaluated once and step-function sides once per segment or piece;
+    # every node of every piece's segments is evaluated, with its
+    # group's cell conditionals at that node, and no piece is shared
     n = len(nodes)
+    pieces, S = segs.shape[:2]
+    segs = segs.reshape(-1, 2)
     a, b = segs[:, :1], segs[:, 1:]
     hw = 0.5 * (b - a)
     ts = hw * nodes + 0.5 * (a + b)
-    cells = {k: c.reshape(-1, 1) for k, c in support(segs, nodes, groups, False)[1].items()}
+    cells = {k: c.reshape(-1, 1)
+             for k, c in support(segs, nodes, np.repeat(groups, S), False)[1].items()}
     step = -(-chunk // n)
-    out = []
+    out = [np.zeros((1, width))]
     for s in range(0, len(segs), step):
         given = {k: c[s * n : (s + step) * n] for k, c in cells.items()}
         fv = fbatch(ts[s : s + step].reshape(-1), **given)
@@ -942,7 +951,10 @@ def _no_skip_segment_values(fbatch, segs, nodes, weights, chunk, width, support,
             acc += np.multiply(weights[j], fv[:, j], out=term)
         acc *= hw[s : s + step]
         out.append(acc)
-    return np.concatenate(out), np.arange(len(segs))
+    # the dead pieces' row of zeros, then every piece its own row of segments
+    index = np.zeros((pieces + 1, S), dtype=np.intp)
+    index[1:] = np.arange(1, len(segs) + 1).reshape(pieces, S)
+    return np.concatenate(out), index, np.arange(1, pieces + 1)
 
 
 def _raw_integrations(monkeypatch, prod, u, v, segment_values):
@@ -1072,41 +1084,39 @@ def _step_keys(A, B, xs, ys):
 
 
 def test_step_sides_once_per_segment_keep_the_bits(monkeypatch, flip_shuffle):
-    # a grouped step-function side is evaluated once per segment where
-    # that is exact, and at every node in segments too narrow to keep
-    # their nodes off a hint: values and error sums have the bits of
-    # evaluating it at every node, on hint chains, narrow pieces and
-    # rounding-sensitive W hints
+    # a grouped step-function side is evaluated once per piece where
+    # that is exact, and at every node in pieces too narrow to keep
+    # their segments' nodes off a hint: values and error sums have the
+    # bits of evaluating it at every node, on hint chains, narrow pieces
+    # and rounding-sensitive W hints
     # (test_skipping_dead_segments_keeps_the_bits compares the
-    # dead-segment corpus with the same reference); some segments of
+    # dead-segment corpus with the same reference); some pieces of
     # these runs take each path. Each support call gets one kind of
-    # segment and returns one layout: a step side as (m, 1) on a once
-    # call and as (m, n) on a narrow one, any other side as (m, n)
+    # piece and returns one layout: a step side as (m, 1) on a once
+    # call and as one value per node of the pieces' segments on a narrow
+    # one, any other side one value per node
     make_integrand = products._make_integrand
-    live_segments = products._live_segments
     paths = {"once": 0, "every node": 0}
-    steps = set()
 
     def recording_make(A, family, B, xs, ys):
-        steps.clear()
-        steps.update(_step_keys(A, B, xs, ys))
-        return make_integrand(A, family, B, xs, ys)
+        steps = _step_keys(A, B, xs, ys)
+        fbatch, support = make_integrand(A, family, B, xs, ys)
 
-    def recording(support, segs, nodes, groups):
-        def seen(seg, nodes, groups, once):
+        def seen(segs, nodes, groups, once):
             assert type(once) is bool
-            paths["once" if once else "every node"] += len(seg)
-            live, cells = support(seg, nodes, groups, once)
+            paths["once" if once else "every node"] += len(segs)
+            live, cells = support(segs, nodes, groups, once)
+            # segs is (pieces, segments, 2), or (segments, 2) in the reference
+            every = segs[..., 0].size // len(segs) * len(nodes)
             for k, c in cells.items():
-                assert c.shape == (len(seg), 1 if once and k in steps else len(nodes)), k
+                assert c.shape == (len(segs), 1 if once and k in steps else every), k
             return live, cells
-        return live_segments(seen, segs, nodes, groups)
+        return fbatch, seen
 
     monkeypatch.setattr(products, "_make_integrand", recording_make)
-    monkeypatch.setattr(products, "_live_segments", recording)
     cases = _step_side_products(flip_shuffle)
-    # also in support slices of 7 segments, which key a side alike
-    # however a level is sliced
+    # also in support slices of 112 nodes (3 or 4 pieces), which key a
+    # side alike however a level is sliced
     for chunk, batch in ((products._CHUNK_ELEMENTS, cases), (16 * 7, cases[::6])):
         monkeypatch.setattr(products, "_CHUNK_ELEMENTS", chunk)
         for prod, u, v in batch:
@@ -1119,10 +1129,9 @@ def test_step_sides_once_per_segment_keep_the_bits(monkeypatch, flip_shuffle):
 def test_step_side_costs_one_kernel_element_per_segment(monkeypatch, flip_shuffle):
     # work-counter gate: on the forced shuffle * fgm 33 x 33 lattice the
     # support evaluates the shuffle's conditional at one node of each
-    # segment, and at every node of the few segments too narrow for
-    # that: one kernel call per kind of segment a level holds (the
-    # lattice's one level holds both), at most 1/8 of the rule's nodes
-    # in all
+    # piece, not at one node of each of its three segments, and at every
+    # node of the few pieces too narrow for that: one kernel call per
+    # kind of piece a level holds (the lattice's one level holds both)
     S = ShuffleOfM(flip_shuffle.cuts, flip_shuffle.sigma, flip_shuffle.flips)
     elements = []
     d2 = S._d2
@@ -1132,35 +1141,47 @@ def test_step_side_costs_one_kernel_element_per_segment(monkeypatch, flip_shuffl
         return d2(u, v)
 
     monkeypatch.setattr(S, "_d2", counting_d2)
-    live_segments = products._live_segments
-    counts = {"levels": 0, "kinds": 0, "segments": 0, "every node": 0, "rule_nodes": 0}
+    make_integrand = products._make_integrand
+    segment_values = products._segment_values
+    counts = {"levels": 0, "pieces": 0, "once pieces": 0, "segments": 0, "every node": 0,
+              "rule_nodes": 0}
+    kinds = []
 
-    def recording(support, segs, nodes, groups):
-        kinds = set()
+    def recording_make(A, family, B, xs, ys):
+        fbatch, support = make_integrand(A, family, B, xs, ys)
 
-        def seen(seg, nodes, groups, once):
-            kinds.add(once)
-            counts["segments"] += len(seg)
-            counts["every node"] += 0 if once else len(seg)
-            counts["rule_nodes"] += len(seg) * len(nodes)
-            return support(seg, nodes, groups, once)
+        def seen(segs, nodes, groups, once):
+            kinds[-1].add(once)
+            counts["pieces"] += len(segs)
+            counts["once pieces"] += len(segs) if once else 0
+            counts["segments"] += segs[..., 0].size
+            counts["every node"] += 0 if once else segs[..., 0].size
+            counts["rule_nodes"] += segs[..., 0].size * len(nodes)
+            return support(segs, nodes, groups, once)
+        return fbatch, seen
+
+    def recording_values(*args, **kwargs):
         counts["levels"] += 1
-        out = live_segments(seen, segs, nodes, groups)
-        counts["kinds"] += len(kinds)
-        return out
+        kinds.append(set())
+        return segment_values(*args, **kwargs)
 
-    monkeypatch.setattr(products, "_live_segments", recording)
+    monkeypatch.setattr(products, "_make_integrand", recording_make)
+    monkeypatch.setattr(products, "_segment_values", recording_values)
     star(S, FGMCopula(0.5), fast_paths=False).copula.eval(GRID_33[:, None], GRID_33[None, :])
     n = QuadratureConfig().nodes_per_subinterval
-    assert len(elements) == counts["kinds"] == 2 * counts["levels"] == 2
+    assert len(elements) == sum(map(len, kinds)) == 2 * counts["levels"] == 2
     assert counts["every node"] < counts["segments"] / 8
-    assert sum(elements) <= counts["segments"] + n * counts["every node"]
-    assert sum(elements) <= counts["rule_nodes"] / 8
+    # one element per once piece, and one per node of a narrow piece's segments
+    assert sum(elements) == counts["once pieces"] + n * counts["every node"]
+    # about one element per piece: a step side keyed per segment took three
+    assert counts["once pieces"] > 0.95 * counts["pieces"]
+    assert sum(elements) < 2 * counts["pieces"]
+    assert sum(elements) <= counts["rule_nodes"] / 16
 
 
 def test_cell_side_hints_are_initial_edges(monkeypatch, flip_shuffle):
     # the invariant that evaluating a step-function side once per
-    # segment rests on (_segment_values): in every group a product
+    # piece rests on (_segment_values): in every group a product
     # integrates, each cell side's hints in (0, 1) are among the group's
     # initial edges, bit for bit; the edges are read off the pieces of
     # each run's first level, as (a, b), (a, mid), (mid, b) per piece
@@ -1176,7 +1197,7 @@ def test_cell_side_hints_are_initial_edges(monkeypatch, flip_shuffle):
     def recording_values(fbatch, segs, nodes, weights, chunk, width, support, groups, *rest):
         cells, edges = runs[-1]
         if not edges:
-            pieces, owner = segs[::3], groups[::3]
+            pieces, owner = segs[:, 0], groups
             for g in range(owner.max() + 1):
                 mine = pieces[owner == g]
                 edges.append(np.append(mine[:, 0], mine[-1, 1]))
@@ -1384,7 +1405,7 @@ def test_one_ulp_piece_evaluates_each_distinct_segment_once(monkeypatch, quad_co
     segment_values = products._segment_values
 
     def recording(fbatch, segs, *args):
-        segments.append(len({(a.hex(), b.hex()) for a, b in segs.tolist()}))
+        segments.append(len({(a.hex(), b.hex()) for a, b in segs.reshape(-1, 2).tolist()}))
         return segment_values(fbatch, segs, *args)
 
     monkeypatch.setattr(products, "_segment_values", recording)
