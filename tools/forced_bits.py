@@ -1,8 +1,8 @@
 """The golden forced-bits corpus: forced-quadrature products and their bits.
 
-Every case is a product evaluated by adaptive quadrature
+Every forced case is a product evaluated by adaptive quadrature
 (``fast_paths=False``) at a set of points through ``eval_with_error``.
-The corpus holds:
+The forced cases are:
 
 * the depth-1 corpus: 7 atoms (M, W, Pi, fgm(0.5), straight(0.3), the
   3-piece flipped shuffle and grid8) as both factors, over no family
@@ -18,6 +18,14 @@ Each case is stored as a sha256 over the bytes of its values and then
 its error estimate (float64, C order), or over the text of the error it
 raises. Every case also keeps ``float.hex`` of its first value and of
 its error estimate, so that a mismatch can be read.
+
+The corpus also pins the dispatch: each of the 539 depth-1 products
+built with fast paths on keeps its ``fast_path`` tag, and a closed form
+keeps the bits of its ``.copula.eval`` values on the 9x9 lattice and
+its ``error_estimate``, stored as above. A product tagged ``none`` is
+the forced product, whose bits the forced case already holds, so it
+keeps its tag alone: these entries list the depth-1 products that no
+closed form reaches.
 
     python tools/forced_bits.py          # rewrite tests/golden/forced_bits.json
     python tools/forced_bits.py --check  # compare with it, exit 1 on a mismatch
@@ -47,10 +55,8 @@ def _import_copulalg():
     return copulalg
 
 
-def cases():
-    """(name, product, u, v) for every case, in a fixed order: ``product``
-    is a function of no arguments that returns the forced product's copula."""
-    c = _import_copulalg()
+def _atoms_and_families(c):
+    """The depth-1 corpus's 7 atoms and 11 families, (name, object) each."""
     fgm = c.FGMCopula(0.5)
     shuffle = c.ShuffleOfM((0.0, 0.4, 0.7, 1.0), (3, 1, 2), (False, True, False))
     grid8 = c.grid_from_copula(c.FGMCopula(0.7), 8)
@@ -63,20 +69,36 @@ def cases():
                  ("pw(0.5: fgm(0.5), grid8)",
                   c.PiecewiseConstantFamily((0.5,), (fgm, grid8))),
                  ("fgmcurve(-1, 3)", c.FGMCurveFamily((-1.0, 3.0)))]
+    return atoms, families
+
+
+def _depth1(c, fast_paths):
+    """(name, A, family, B) of the 539 depth-1 products, ``name`` as their
+    forced case is named, with an ``unforced `` prefix unless ``fast_paths``
+    is off."""
+    atoms, families = _atoms_and_families(c)
+    prefix = "unforced " if fast_paths else ""
+    return [(f"{prefix}depth1 {aname} *{fname} {bname} 9x9", A, F, B)
+            for fname, F in families for aname, A in atoms for bname, B in atoms]
+
+
+_LATTICE9 = (np.arange(9)[:, None] / 8, np.arange(9)[None, :] / 8)
+
+
+def cases():
+    """(name, product, u, v) for every forced case, in a fixed order:
+    ``product`` is a function of no arguments that returns the forced
+    product's copula."""
+    c = _import_copulalg()
+    atoms, families = _atoms_and_families(c)
+    fgm, shuffle, grid8 = atoms[3][1], atoms[5][1], atoms[6][1]
 
     def forced(A, F, B, q=None):
         if F is None:
             return lambda: c.star(A, B, q, fast_paths=False).copula
         return lambda: c.star_c(A, F, B, q, fast_paths=False).copula
 
-    g9 = np.arange(9) / 8
-    lattice9 = (g9[:, None], g9[None, :])
-    out = []
-    for fname, F in families:
-        for aname, A in atoms:
-            for bname, B in atoms:
-                out.append((f"depth1 {aname} *{fname} {bname} 9x9", forced(A, F, B))
-                           + lattice9)
+    out = [(name, forced(A, F, B)) + _LATTICE9 for name, A, F, B in _depth1(c, False)]
 
     g33 = np.arange(33) / 32
     lattice33 = (g33[:, None], g33[None, :])
@@ -134,23 +156,37 @@ def cases():
     return out
 
 
-def digest(product, u, v):
-    """(sha256, hex of the first value, hex of the error estimate) of one
-    case, or of the error it raises."""
+def digest(values):
+    """{sha256, first, error} of one case: ``values`` is a function of no
+    arguments that returns its (values, error estimate), or of the error
+    it raises."""
     try:
-        vals, err = product().eval_with_error(u, v)
+        vals, err = values()
     except Exception as exc:  # the error is part of the bits
         text = f"{type(exc).__name__}: {exc}"
-        return hashlib.sha256(text.encode()).hexdigest(), text, None
+        return {"sha256": hashlib.sha256(text.encode()).hexdigest(), "first": text,
+                "error": None}
     vals = np.ascontiguousarray(vals, dtype=np.float64)
     err = np.float64(err)
-    h = hashlib.sha256(vals.tobytes() + err.tobytes()).hexdigest()
-    return h, float(vals.reshape(-1)[0]).hex(), float(err).hex()
+    return {"sha256": hashlib.sha256(vals.tobytes() + err.tobytes()).hexdigest(),
+            "first": float(vals.reshape(-1)[0]).hex(), "error": float(err).hex()}
+
+
+def unforced(c, A, F, B):
+    """The depth-1 product's entry with fast paths on: its tag, and the
+    bits of a closed form (``digest``)."""
+    res = c.star(A, B) if F is None else c.star_c(A, F, B)
+    if res.fast_path == "none":
+        return {"tag": res.fast_path}
+    return {"tag": res.fast_path,
+            **digest(lambda: (res.copula.eval(*_LATTICE9), res.error_estimate))}
 
 
 def compute():
-    return {name: dict(zip(("sha256", "first", "error"), digest(p, u, v)))
-            for name, p, u, v in cases()}
+    c = _import_copulalg()
+    got = {name: digest(lambda: p().eval_with_error(u, v)) for name, p, u, v in cases()}
+    got.update((name, unforced(c, A, F, B)) for name, A, F, B in _depth1(c, True))
+    return got
 
 
 def main(argv=None):
