@@ -168,10 +168,15 @@ def _cmd_verify(args) -> int:
         print(f"error: lattice must be in [2, {MAX_SIZE}], got {args.lattice}",
               file=sys.stderr)
         return 2
+    try:
+        q = _quad_config(args)
+    except CopulaError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     families = None
     if args.family is not None:
         try:
-            families = [build_family(parse_family(args.family))]
+            families = [build_family(parse_family(args.family), q)]
         except (CopulaError, OSError) as exc:
             print(f"error: bad --family: {exc}", file=sys.stderr)
             return 2
@@ -179,7 +184,6 @@ def _cmd_verify(args) -> int:
     if args.theta is not None:
         thetas = [args.theta]
     try:
-        q = _quad_config(args)
         reports = run_suite(args.suite, q, args.lattice - 1,
                             thetas=thetas, families=families)
     except (CopulaError, ValueError) as exc:

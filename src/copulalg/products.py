@@ -13,40 +13,18 @@ which coincides with the classical product when C_t = Pi for a.e. t.
 
 Products are computed by composite Gauss-Legendre quadrature with
 breakpoint-aware subdivision and a two-level adaptive error estimate,
-except where a structural fast path gives the result in closed form:
-
-* identity-M: M is a two-sided unit for both products.
-* zero-Pi: Pi absorbs the classical product on either side. Pi is NOT
-  absorbing for the generalized product, so this path never fires there.
-* W-closed-form: (A *(_C) W)(u, v) = u - A(u, 1 - v) and symmetrically,
-  for any family, because the inner copula only ever sees 0/1 in the
-  W slot.
-* invertible-reduction: when the left factor is left invertible (or the
-  right factor right invertible) its conditional is 0/1 valued, the
-  family drops out, and the generalized product equals the classical one.
-* shuffle-closed-form: a shuffle factor turns the integral into a finite
-  sum of increments of the other factor.
-* grid-closed-form: two checkerboards of the same order N have
-  conditionals that are constant in t on every cell, so their classical
-  product is the checkerboard of N times the matrix product of their
-  masses (the Markov product of doubly stochastic matrices).
-* poly-closed-form: when both factors are polynomial copulas (Pi, FGM,
-  an earlier polynomial product, or a transpose of one) and, for the
-  generalized product, every member is too, with a parameter that is
-  polynomial in t on each piece (``ConstantFamily``,
-  ``PiecewiseConstantFamily``, ``FGMCurveFamily`` split at its clip
-  points), the product is a ``PolyCopula`` computed in exact rational
-  arithmetic (see ``poly``). It is tried last, and a product whose
-  degree would pass ``poly.MAX_DEGREE`` = 16 in either variable is
-  left to quadrature.
+except where a structural fast path gives the result in closed form.
+``_RULES`` is the one ordered table of fast paths: each entry is a tag,
+the products it serves, and a rule whose docstring holds its math; the
+first rule that serves the product and applies wins, and ``FAST_PATHS``
+lists the tags, after the tag none of quadrature.
 
 Every copula that ``star``/``star_c`` return records the product asked
 for as its ``source``, (A, family, B) with family None for the classical
 product, whichever closed form or quadrature evaluates it, so the
-transposed shuffle and W forms, the grid closed form and the invertible
-reduction keep their factors alive through it, as quadrature and
-polynomial products do. identity-M and zero-Pi return a factor or
-``PI``, which is that copula, and set nothing on it.
+closed forms keep their factors alive through it, as quadrature and
+polynomial products do. A rule that gives a factor or ``PI`` returns
+that copula, and nothing is set on it.
 
 Quadrature groups the points that share the coordinate of the factor
 with more breakpoints, and the groups with the same other coordinates,
@@ -112,17 +90,6 @@ __all__ = [
     "star_c",
     "FAST_PATHS",
 ]
-
-FAST_PATHS = (
-    "none",
-    "identity-M",
-    "zero-Pi",
-    "W-closed-form",
-    "invertible-reduction",
-    "shuffle-closed-form",
-    "grid-closed-form",
-    "poly-closed-form",
-)
 
 # memory cap for one integrand evaluation batch (elements, not bytes)
 _CHUNK_ELEMENTS = 1 << 21
@@ -803,90 +770,132 @@ def _probe_error(cop: ComputedCopula) -> float:
     return cop.eval_with_error(xs, ys)[1]
 
 
-def _fast_path(A: Copula, family, B: Copula, q: QuadratureConfig | None,
-               fast_paths: bool = True) -> ProductResult:
+def _identity_m(A, family, B, q):
+    """M is a two-sided unit for both products: the other factor."""
+    return B if isinstance(A, FrechetM) else A if isinstance(B, FrechetM) else None
+
+
+def _zero_pi(A, family, B, q):
+    """Pi absorbs the classical product on either side. Pi is NOT
+    absorbing for the generalized product, so this rule serves only the
+    classical one."""
+    return PI if isinstance(A, ProductPi) or isinstance(B, ProductPi) else None
+
+
+def _w_closed_form(A, family, B, q):
+    """(A *(_C) W)(u, v) = u - A(u, 1 - v), and (W *(_C) B) is the
+    transpose of B^T *(_C) W, for any family, because the inner copula
+    only ever sees 0/1 in the W slot. The right factor is checked first."""
+    if isinstance(B, FrechetW):
+        return WRightProduct(A)
+    if isinstance(A, FrechetW):
+        return TransposedCopula(WRightProduct(B.transpose()))
+
+
+def _invertible_reduction(A, family, B, q):
+    """When the left factor is left invertible (or the right factor right
+    invertible) its conditional is 0/1 valued, the family drops out, and
+    the generalized product is the classical one, which the same walk
+    gives, with its estimate. This subsumes the shuffle closed form for
+    the generalized product."""
+    if A.left_invertible or B.right_invertible:
+        return _product(A, None, B, q).copula
+
+
+def _shuffle_closed_form(A, family, B, q):
+    """A shuffle factor turns the integral into a finite sum of
+    increments of the other factor; a right shuffle factor is the
+    transpose of a left one."""
+    if isinstance(A, ShuffleOfM):
+        return ShuffleStarProduct(A, B)
+    if isinstance(B, ShuffleOfM):
+        return TransposedCopula(ShuffleStarProduct(B.transpose(), A.transpose()))
+
+
+def _grid_closed_form(A, family, B, q):
+    """Two checkerboards of the same order N have conditionals that are
+    constant in t on every cell, so their classical product is the
+    checkerboard of N times the matrix product of their masses (the
+    Markov product of doubly stochastic matrices)."""
+    if isinstance(A, GridCopula) and isinstance(B, GridCopula) and A.n == B.n:
+        return GridCopula(A.n * _markov_product(A.mass, B.mass))
+
+
+def _poly_closed_form(A, family, B, q):
+    """When both factors are polynomial copulas (Pi, FGM, an earlier
+    polynomial product, or a transpose of one) and, for the generalized
+    product, every member is too, with a parameter that is polynomial in
+    t on each piece (``ConstantFamily``, ``PiecewiseConstantFamily``,
+    ``FGMCurveFamily`` split at its clip points), the product is a
+    ``PolyCopula`` computed in exact rational arithmetic (see ``poly``).
+    A product whose degree would pass ``poly.MAX_DEGREE`` = 16 in either
+    variable is left to quadrature."""
+    return poly_product(A, family, B)
+
+
+# the fast paths in the order they are tried: (tag, the products the rule
+# serves, rule); a rule maps (A, family, B, q) to the product's copula, or
+# to None where it does not apply, and only the invertible reduction,
+# which walks the table again, reads q
+_RULES = (
+    ("identity-M", "both", _identity_m),
+    ("zero-Pi", "classical", _zero_pi),
+    ("W-closed-form", "both", _w_closed_form),
+    ("invertible-reduction", "generalized", _invertible_reduction),
+    ("shuffle-closed-form", "classical", _shuffle_closed_form),
+    ("grid-closed-form", "classical", _grid_closed_form),
+    ("poly-closed-form", "both", _poly_closed_form),
+)
+
+FAST_PATHS = ("none",) + tuple(tag for tag, _, _ in _RULES)
+
+
+def _product(A: Copula, family, B: Copula, q: QuadratureConfig | None,
+             fast_paths: bool = True) -> ProductResult:
     """A *_C B over ``family``, or the classical A * B when it is None.
 
-    The one dispatch behind ``star`` and ``star_c``: the first closed
-    form that applies wins, in the module docstring's order, with
-    zero-Pi for the classical product only and invertible-reduction
-    for the generalized one only (it subsumes the shuffle closed form
-    there). Without a closed form, or with ``fast_paths`` off, the
-    product is left to quadrature, and its error estimate is probed
-    when first read.
+    The one dispatch behind ``star`` and ``star_c``: after the argument
+    checks, the first rule of ``_RULES`` that serves the product and
+    applies gives it. Without one, or with ``fast_paths`` off, the
+    product is left to quadrature, tag none, and its error estimate is
+    probed when first read; a closed form or a factor is exact. The
+    copula's ``source`` is set to the product asked for unless it is a
+    factor or ``PI``.
     """
     if not (isinstance(A, Copula) and isinstance(B, Copula)):
         raise ConstructionError(
             f"factors must be copulas, got {type(A).__name__} and {type(B).__name__}")
     if family is not None and not isinstance(family, CopulaFamily):
         raise ConstructionError(f"family must be a copula family, got {type(family).__name__}")
+    if q is not None and not isinstance(q, QuadratureConfig):
+        raise ConstructionError(f"q must be a QuadratureConfig or None, got {type(q).__name__}")
     q = q if q is not None else QuadratureConfig()
-    if fast_paths:
-        if isinstance(A, FrechetM):
-            return ProductResult(B, "identity-M", 0.0, q)
-        if isinstance(B, FrechetM):
-            return ProductResult(A, "identity-M", 0.0, q)
-        if family is None and (isinstance(A, ProductPi) or isinstance(B, ProductPi)):
-            return ProductResult(PI, "zero-Pi", 0.0, q)
-        if isinstance(B, FrechetW):
-            return ProductResult(WRightProduct(A), "W-closed-form", 0.0, q)
-        if isinstance(A, FrechetW):
-            return ProductResult(
-                TransposedCopula(WRightProduct(B.transpose())), "W-closed-form", 0.0, q
-            )
-        if family is not None:
-            if A.left_invertible or B.right_invertible:
-                inner = _fast_path(A, None, B, q)
-                return ProductResult(
-                    inner.copula, "invertible-reduction",
-                    lambda: inner.error_estimate, q,
-                )
-        elif isinstance(A, ShuffleOfM):
-            closed = ShuffleStarProduct(A, B)
-            return ProductResult(closed, "shuffle-closed-form", 0.0, q)
-        elif isinstance(B, ShuffleOfM):
-            flipped = ShuffleStarProduct(B.transpose(), A.transpose())
-            return ProductResult(
-                TransposedCopula(flipped), "shuffle-closed-form", 0.0, q
-            )
-        elif isinstance(A, GridCopula) and isinstance(B, GridCopula) and A.n == B.n:
-            mass = A.n * _markov_product(A.mass, B.mass)
-            return ProductResult(GridCopula(mass), "grid-closed-form", 0.0, q)
-        poly = poly_product(A, family, B)
-        if poly is not None:
-            return ProductResult(poly, "poly-closed-form", 0.0, q)
-    cop = ComputedCopula(A, family, B, q)
-    return ProductResult(cop, "none", lambda: _probe_error(cop), q)
-
-
-def _asked(A: Copula, family, B: Copula, q, fast_paths) -> ProductResult:
-    """``_fast_path``'s product, its copula's ``source`` set to the
-    product asked for unless the copula is a factor or ``PI``."""
-    res = _fast_path(A, family, B, q, fast_paths)
-    if not any(res.copula is c for c in (A, B, PI)):
-        res.copula.source = (A, family, B)
-    return res
+    served = ("both", "classical" if family is None else "generalized")
+    for tag, serves, rule in _RULES if fast_paths else ():
+        if serves in served and (cop := rule(A, family, B, q)) is not None:
+            break
+    else:
+        tag, cop = FAST_PATHS[0], ComputedCopula(A, family, B, q)
+    if any(cop is c for c in (A, B, PI)):
+        return ProductResult(cop, tag, 0.0, q)
+    cop.source = (A, family, B)
+    error = (lambda: _probe_error(cop)) if isinstance(cop, ComputedCopula) else 0.0
+    return ProductResult(cop, tag, error, q)
 
 
 def star(A: Copula, B: Copula, q: QuadratureConfig | None = None,
          *, fast_paths: bool = True) -> ProductResult:
-    """Classical star product A * B.
-
-    Fast paths, in precedence order: identity-M, zero-Pi, W closed
-    form (right factor checked first), shuffle closed form, grid closed
-    form (two grids of the same order), polynomial closed form. Pass
+    """Classical star product A * B, by the first fast path of
+    ``_RULES`` that serves it and applies, else by quadrature. Pass
     fast_paths=False to force raw quadrature.
     """
-    return _asked(A, None, B, q, fast_paths)
+    return _product(A, None, B, q, fast_paths)
 
 
 def star_c(A: Copula, family, B: Copula, q: QuadratureConfig | None = None,
            *, fast_paths: bool = True) -> ProductResult:
-    """Generalized star product A *_C B over a copula family.
-
-    Precedence: identity-M, W closed form, invertible reduction (which
-    subsumes shuffle factors), polynomial closed form, then quadrature.
-    There is no zero-Pi path: Pi factors do not absorb the generalized
-    product.
+    """Generalized star product A *_C B over a copula family, by the
+    first fast path of ``_RULES`` that serves it and applies, else by
+    quadrature. Pass fast_paths=False to force raw quadrature.
     """
-    return _asked(A, family, B, q, fast_paths)
+    return _product(A, family, B, q, fast_paths)

@@ -15,7 +15,7 @@ from copulalg import (
     write_grid_csv,
 )
 from copulalg.cli import _build_parser, _quad_config, format_value, main
-from copulalg.products import QuadratureConfig
+from copulalg.products import ComputedCopula, QuadratureConfig
 
 
 def run(capsys, *argv):
@@ -318,6 +318,27 @@ def test_verify_names_a_closed_form_family_as_it_was_asked_for(capsys, tmp_path)
                      "--lattice", "5", "--out", str(tmp_path))
     assert rc == 0
     assert out.startswith("identity[const(star(W, fgm(0.5)))] | pass")
+
+
+def test_verify_family_members_take_the_quadrature_flags(capsys, tmp_path, monkeypatch):
+    # a quadrature member of --family is built with the suite's settings
+    seen = []
+    monkeypatch.setattr("copulalg.cli.run_suite", lambda suite, q, lattice, thetas, families:
+                        seen.append((q, families)) or [])
+    g = tmp_path / "g.csv"
+    g.write_text("N=2\n0.25,0.25\n0.25,0.25\n")
+    family = f'const(star(fgm(0.5), grid("{g}")))'
+    rc, _, _ = run(capsys, "verify", "identity", "--family", family, "--qtol", "1e-6",
+                   "--subintervals", "8", "--out", str(tmp_path))
+    want = QuadratureConfig(base_subintervals=8, adaptive_tol=1e-6)
+    [(q, [F])] = seen
+    assert (rc, q) == (0, want)
+    assert isinstance(F.members[0], ComputedCopula) and F.members[0].q == want
+    # a bad flag is still a configuration error, before the family is built
+    rc, out, err = run(capsys, "verify", "identity", "--family", family, "--qtol", "0",
+                       "--out", str(tmp_path))
+    assert (rc, out, err) == (2, "", "error: adaptive_tol must be finite and positive\n")
+    assert len(seen) == 1
 
 
 def test_verify_failing_family_exit_1(capsys, tmp_path):

@@ -1,5 +1,3 @@
-import ast
-import inspect
 import math
 import tracemalloc
 
@@ -489,20 +487,6 @@ def test_star_fast_path_precedence(flip_shuffle):
     assert star_c(g8a, F, g8b).fast_path == "none"
 
 
-def test_fast_path_tags_are_listed():
-    # FAST_PATHS is the one list of tags: every tag _fast_path can
-    # return is in it, and every listed tag can be returned
-    tree = ast.parse(inspect.getsource(products._fast_path).lstrip())
-    tags = {
-        node.args[1].value
-        for node in ast.walk(tree)
-        if isinstance(node, ast.Call)
-        and getattr(node.func, "id", None) == "ProductResult"
-    }
-    assert tags == set(products.FAST_PATHS)
-    assert len(products.FAST_PATHS) == len(set(products.FAST_PATHS))
-
-
 def test_star_c_fast_path_precedence(flip_shuffle):
     F = PiecewiseConstantFamily((0.5,), (M, W))
     fgm = FGMCopula(0.5)
@@ -529,6 +513,13 @@ def test_star_rejects_factors_and_families_of_the_wrong_type():
         for A in (FGMCopula(0.5), M):
             with pytest.raises(ConstructionError, match="family must be a copula family"):
                 star_c(A, PI, fgm, fast_paths=fast)
+        # a quadrature setting that is not a QuadratureConfig, closed form or not
+        for q in (5, {"adaptive_tol": 1e-6}):
+            for A in (fgm, M):
+                with pytest.raises(ConstructionError, match="q must be a QuadratureConfig"):
+                    star(A, fgm, q, fast_paths=fast)
+                with pytest.raises(ConstructionError, match="q must be a QuadratureConfig"):
+                    star_c(A, ConstantFamily(PI), fgm, q=q, fast_paths=fast)
 
 
 def test_star_fast_paths_disabled():
@@ -1547,6 +1538,8 @@ def test_closed_forms_estimate_zero(flip_shuffle, quad_counter):
         assert r.fast_path != "none"
         assert r.error_estimate == 0.0
     assert {r.fast_path for r in results} == set(products.FAST_PATHS) - {"none"}
+    # the tags come from one table, each once
+    assert len(products.FAST_PATHS) == len(set(products.FAST_PATHS))
     assert quad_counter["calls"] == 0
 
 

@@ -74,8 +74,8 @@ def _atoms_and_families(c):
 
 def _depth1(c, fast_paths):
     """(name, A, family, B) of the 539 depth-1 products, ``name`` as their
-    forced case is named, with an ``unforced `` prefix unless ``fast_paths``
-    is off."""
+    forced case is named, with the prefix ``unforced`` when ``fast_paths``
+    is on."""
     atoms, families = _atoms_and_families(c)
     prefix = "unforced " if fast_paths else ""
     return [(f"{prefix}depth1 {aname} *{fname} {bname} 9x9", A, F, B)
