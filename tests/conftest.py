@@ -39,36 +39,85 @@ from copulalg import (
 
 @pytest.fixture
 def quad_counter(monkeypatch):
-    """Counts the quadrature runs of the test: ``calls`` to
-    ``products._integrate_batch``, the ``pieces`` of its levels, the
-    ``rule_nodes`` its rule places on their segments, the ``nodes`` its
-    integrands are evaluated at (fewer when segments outside a grouped
-    side's support are skipped) and the ``elements`` (nodes x batch
-    width) they return."""
-    counts = {"calls": 0, "pieces": 0, "rule_nodes": 0, "nodes": 0, "elements": 0}
+    """Records the quadrature work of the test.
+
+    Counts the ``calls`` to ``products._integrate_batch``, the
+    ``pieces`` of its levels, the ``rule_nodes`` its rule places on their
+    segments, the ``nodes`` its integrands are evaluated at (fewer when
+    segments outside a grouped side's support are skipped) and the
+    ``elements`` (nodes x batch width) they return. Lists, in order:
+
+    * ``breakpoints``: each run's breakpoint rows, one per group;
+    * ``results``: each run's integrals and error sums, as bytes;
+    * ``builds``: each integrand that ``products._make_integrand``
+      builds, as its cell sides {key: (hints, column, step)}: ``hints``
+      gives the breakpoints of that side's factor at a coordinate
+      (``A.d2_breakpoints`` for "s", ``B.d1_breakpoints`` for "r"),
+      ``column`` is the side's (groups or 1, 1) coordinates and ``step``
+      whether the factor declares ``conditional_degree`` 0;
+    * ``levels``: each level as {build, segs, groups}: the index of the
+      last build, the (pieces, segments, 2) segments and each piece's
+      group;
+    * ``supports``: each support call as {build, level, once, pieces,
+      segments, nodes, shapes}: the index of its build and of the last
+      level, its kind, its number of pieces (or of segments, as a
+      reference passes them), of segments and of rule nodes, and the
+      shape of each cell conditional it returns.
+    """
+    record = {"calls": 0, "pieces": 0, "rule_nodes": 0, "nodes": 0, "elements": 0,
+              "breakpoints": [], "results": [], "builds": [], "levels": [],
+              "supports": []}
     integrate_batch = products._integrate_batch
     segment_values = products._segment_values
+    make_integrand = products._make_integrand
 
-    def counting_batch(fbatch, *args, **kwargs):
-        counts["calls"] += 1
+    def recording_batch(fbatch, breakpoints, *args, **kwargs):
+        record["calls"] += 1
+        record["breakpoints"].append(np.asarray(breakpoints))
 
         def inner(ts, *a, **kw):
             out = fbatch(ts, *a, **kw)
-            counts["nodes"] += ts.size
-            counts["elements"] += out.size
+            record["nodes"] += ts.size
+            record["elements"] += out.size
             return out
 
-        return integrate_batch(inner, *args, **kwargs)
+        total, err = integrate_batch(inner, breakpoints, *args, **kwargs)
+        record["results"].append((total.tobytes(), err.tobytes()))
+        return total, err
 
-    def counting_segments(fbatch, segs, nodes, *args, **kwargs):
-        # segs holds each piece's segments as (pieces, segments, 2)
-        counts["pieces"] += len(segs)
-        counts["rule_nodes"] += segs[..., 0].size * len(nodes)
-        return segment_values(fbatch, segs, nodes, *args, **kwargs)
+    def recording_segments(fbatch, segs, nodes, weights, chunk, width, support, groups,
+                           *args, **kwargs):
+        record["pieces"] += len(segs)
+        record["rule_nodes"] += segs[..., 0].size * len(nodes)
+        record["levels"].append({"build": len(record["builds"]) - 1, "segs": segs,
+                                 "groups": groups})
+        return segment_values(fbatch, segs, nodes, weights, chunk, width, support, groups,
+                              *args, **kwargs)
 
-    monkeypatch.setattr(products, "_integrate_batch", counting_batch)
-    monkeypatch.setattr(products, "_segment_values", counting_segments)
-    return counts
+    def recording_make(A, family, B, xs, ys):
+        fbatch, support = make_integrand(A, family, B, xs, ys)
+        build = len(record["builds"])
+        cells = {}
+        for k, hints, zs, C in (("s", A.d2_breakpoints, xs, A), ("r", B.d1_breakpoints, ys, B)):
+            Z = products._side(zs)
+            if Z.shape[1] == 1:
+                cells[k] = (hints, Z, C.conditional_degree == 0)
+        record["builds"].append(cells)
+
+        def recording_support(segs, nodes, groups, once):
+            live, cells = support(segs, nodes, groups, once)
+            record["supports"].append({
+                "build": build, "level": len(record["levels"]) - 1, "once": once,
+                "pieces": len(segs), "segments": segs[..., 0].size, "nodes": len(nodes),
+                "shapes": {k: c.shape for k, c in cells.items()}})
+            return live, cells
+
+        return fbatch, recording_support
+
+    monkeypatch.setattr(products, "_integrate_batch", recording_batch)
+    monkeypatch.setattr(products, "_segment_values", recording_segments)
+    monkeypatch.setattr(products, "_make_integrand", recording_make)
+    return record
 
 
 @pytest.fixture

@@ -36,7 +36,6 @@ from copulalg import (
     shuffle_from_grid,
     star,
     star_c,
-    sup_distance,
     validate,
 )
 
@@ -100,6 +99,12 @@ def test_quadrature_factor_partials_by_finite_differences(monkeypatch):
         got = prod.copula.eval(u, v)
         assert calls[fallback] > before
         assert np.abs(got - exact.copula.eval(u, v)).max() <= 1e-9
+
+
+def _forced(A, F, B):
+    # the forced quadrature product of A and B over F, classical if F is None
+    prod = star(A, B, fast_paths=False) if F is None else star_c(A, F, B, fast_paths=False)
+    return prod.copula
 
 
 def _all_live(segs, nodes, groups, once):
@@ -366,23 +371,15 @@ def test_initial_edges_match_tuple_path():
                     _edges_of(h[None], q)[0].tobytes() for h in hints]
 
 
-def test_group_hints_its_shared_coordinate_once(monkeypatch):
+def test_group_hints_its_shared_coordinate_once(quad_counter):
     # a group of points sharing x asks the left factor for that x's
     # breakpoints once, not once per point, and gets the same edges
     S = shuffle_from_grid(grid_from_copula(FGMCopula(0.7), 16))
     B = FGMCopula(0.5)
-    seen = []
-    integrate_batch = products._integrate_batch
-
-    def recording(fbatch, breakpoints, q, width, *rest):
-        seen.append(np.asarray(breakpoints))
-        return integrate_batch(fbatch, breakpoints, q, width, *rest)
-
-    monkeypatch.setattr(products, "_integrate_batch", recording)
     q = QuadratureConfig()
     xs = np.full(33, 0.3)
     star(S, B, q, fast_paths=False).copula.eval(xs, GRID_33)
-    (hints,) = seen
+    (hints,) = quad_counter["breakpoints"]
     assert hints.shape == S.d2_breakpoints(0.3).shape == (1, 2 * S.n_pieces)
     every_point = np.concatenate((S.d2_breakpoints(xs), B.d1_breakpoints(GRID_33)), axis=None)
     assert every_point.size == 33 * hints.size
@@ -786,79 +783,45 @@ def test_quadrature_bits_do_not_depend_on_batch(monkeypatch):
     assert value_in_batch([0.7], 0) == alone
 
 
-def _work_list_integrate(fbatch, breakpoints, q, width, support):
-    # reference: the adaptive loop one segment at a time, as a work list
-    nodes, weights = products._gl(q.nodes_per_subinterval)
-    (edges,) = _edges_of(np.reshape(breakpoints, (1, -1)), q)
-    tol0 = q.adaptive_tol / (len(edges) - 1)
-    chunk = max(3 * len(nodes), products._CHUNK_ELEMENTS // max(width, 1))
-    work = [(float(a), float(b), 0, None) for a, b in zip(edges[:-1], edges[1:])]
-    accepted = []
-    while work:
-        segs = []
-        for a, b, depth, pval in work:
-            mid = 0.5 * (a + b)
-            if pval is None:
-                segs.append((a, b))
-            segs += [(a, mid), (mid, b)]
-        # each segment as a piece of its own
-        vals, index, inverse = products._segment_values(
-            fbatch, np.reshape(segs, (-1, 1, 2)), nodes, weights, chunk, width, support,
-            np.zeros(len(segs), dtype=np.intp),
-        )
-        vals = vals[index[inverse, 0]]
-        pos, nxt = 0, []
-        for a, b, depth, pval in work:
-            if pval is None:
-                pval, pos = vals[pos], pos + 1
-            left, right = vals[pos], vals[pos + 1]
-            pos += 2
-            fine = left + right
-            err = float(np.max(np.abs(pval - fine)))
-            if err <= tol0 / (1 << depth):
-                accepted.append((a, fine, err))
-            elif depth >= q.max_depth:
-                raise NonConvergenceError((a, b), err, tol0 / (1 << depth))
-            else:
-                mid = 0.5 * (a + b)
-                nxt += [(a, mid, depth + 1, left), (mid, b, depth + 1, right)]
-        work = nxt
-    accepted.sort(key=lambda rec: rec[0])
-    total, err_sum = np.zeros(width), 0.0
-    for _, v, e in accepted:
-        total += v
-        err_sum += e
-    return total, err_sum
+# the integrals of the synthetic deep-refinement integrands below, for
+# kinks 1/3, 0.5, 0.7071 and 0.9, then for 1/3 alone, under each of three
+# configs, and each run's error sum: the bits that a reference, the
+# adaptive loop run one segment at a time as a work list, computed
+WORK_LIST_INTEGRALS = (
+    (("0x1.c82fdef4ca995p-2", "0x1.aa16839ea1e48p-2", "0x1.d8806c31ba274p-2",
+      "0x1.2aa8b75dc8502p-1"), "0x1.269b30f200000p-35"),
+    (("0x1.c82fdef00a1e6p-2", "0x1.aa168399f891ap-2", "0x1.d8806c2a31890p-2",
+      "0x1.2aa8b75dc4c5fp-1"), "0x1.14791e7448000p-29"),
+    (("0x1.c82fdef4b6a96p-2", "0x1.aa16839ea51c9p-2", "0x1.d8806c31b7d62p-2",
+      "0x1.2aa8b75dc2c1bp-1"), "0x1.3332f77a00000p-45"),
+    (("0x1.c82fdef4ca995p-2",), "0x1.7360f88000000p-36"),
+    (("0x1.c82fdef00a1e5p-2",), "0x1.5c420f4000000p-30"),
+    (("0x1.c82fdef4b6a96p-2",), "0x1.04c4454000000p-47"),
+)
 
 
 def test_level_loop_matches_work_list_reference():
-    # one array per level must give the work list's bits: same segments,
-    # same acceptance, same left-to-right sum
+    # one array per level keeps the work list's bits: same segments, same
+    # acceptance, same left-to-right sum, over up to 15 levels. The
+    # integrands take only +, -, *, / and sqrt, which IEEE 754 rounds
+    # exactly, so the bits are the same on every machine that has these
+    # Gauss-Legendre nodes (test_gauss_legendre_16_bits_pinned)
+    got = []
     for kinks in ([1 / 3, 0.5, 0.7071, 0.9], [1 / 3]):
         kinks = np.asarray(kinks)
 
         def fbatch(ts):
-            return np.abs(ts[:, None] - kinks) ** 1.5 + np.sin(5 * ts[:, None])
+            t = ts[:, None]
+            d = np.abs(t - kinks)
+            return d * np.sqrt(d) + 1.0 / (1.0 + 25.0 * t * t)
 
         for q, breaks in ((QuadratureConfig(), ()),
                           (QuadratureConfig(base_subintervals=3, max_depth=30), (0.5,)),
                           (QuadratureConfig(nodes_per_subinterval=5, adaptive_tol=1e-12,
                                             max_depth=40), ())):
-            want = _work_list_integrate(fbatch, breaks, q, kinks.size, _all_live)
-            got = products._integrate_batch(fbatch, [breaks], q, kinks.size, _all_live)
-            assert np.array_equal(got[0][0], want[0]) and got[1][0] == want[1]
-    fgm = FGMCopula(0.6)
-    xs, ys = np.repeat(GRID_33, 33), np.tile(GRID_33, 33)
-    fb, support = products._make_integrand(fgm, FGMCurveFamily((-1.0, 3.0)), fgm, xs, ys)
-    # no coordinate is a cell: the support yields no cell conditionals
-    segs = np.asarray([[0.0, 0.5], [0.5, 1.0]])
-    live, cells = support(segs, products._gl(16)[0], np.zeros(2, dtype=np.intp), True)
-    assert cells == {} and live.all()
-    q = QuadratureConfig()
-    # theta is clipped from t = 2/3 on; without that breakpoint it refines
-    want = _work_list_integrate(fb, (), q, xs.size, support)
-    got = products._integrate_batch(fb, [()], q, xs.size, support)
-    assert np.array_equal(got[0][0], want[0]) and got[1][0] == want[1]
+            total, err = products._integrate_batch(fbatch, [breaks], q, kinks.size, _all_live)
+            got.append((tuple(float(x).hex() for x in total[0]), float(err[0]).hex()))
+    assert tuple(got) == WORK_LIST_INTEGRALS
 
 
 def test_grouped_points_bits_match_alone(flip_shuffle):
@@ -948,25 +911,17 @@ def _no_skip_segment_values(fbatch, segs, nodes, weights, chunk, width, support,
     return np.concatenate(out), index, np.arange(1, pieces + 1)
 
 
-def _raw_integrations(monkeypatch, prod, u, v, segment_values):
-    # the product's values and every (integral, error sum) of its
-    # quadrature runs, as raw bytes
-    runs = []
-    integrate_batch = products._integrate_batch
-
-    def recording(*args):
-        total, err = integrate_batch(*args)
-        runs.append((total.tobytes(), err.tobytes()))
-        return total, err
-
-    with monkeypatch.context() as m:
-        m.setattr(products, "_integrate_batch", recording)
+def _raw_integrations(record, prod, u, v, segment_values):
+    # the product's values and the (integral, error sum) bytes of each of
+    # its quadrature runs, with segment_values as the weighted sum
+    runs = len(record["results"])
+    with pytest.MonkeyPatch.context() as m:
         m.setattr(products, "_segment_values", segment_values)
         vals = prod.eval(u, v)
-    return vals.tobytes(), runs
+    return vals.tobytes(), record["results"][runs:]
 
 
-def test_skipping_dead_segments_keeps_the_bits(monkeypatch, flip_shuffle):
+def test_skipping_dead_segments_keeps_the_bits(flip_shuffle, quad_counter):
     # grouped M, shuffle, grid and W sides, classical and over families:
     # the same values and error sums as evaluating every node of every
     # group; a lattice is one quadrature run
@@ -988,11 +943,10 @@ def test_skipping_dead_segments_keeps_the_bits(monkeypatch, flip_shuffle):
         batches = ((np.asarray([0.3]), np.asarray([0.6])),
                    (GRID_33[:, None], GRID_33[None, :]), group)
         for F in families:
-            prod = (star(A, B, fast_paths=False) if F is None
-                    else star_c(A, F, B, fast_paths=False)).copula
+            prod = _forced(A, F, B)
             for u, v in batches:
-                want = _raw_integrations(monkeypatch, prod, u, v, _no_skip_segment_values)
-                got = _raw_integrations(monkeypatch, prod, u, v, products._segment_values)
+                want = _raw_integrations(quad_counter, prod, u, v, _no_skip_segment_values)
+                got = _raw_integrations(quad_counter, prod, u, v, products._segment_values)
                 assert got == want, (F, A, B, np.size(u))
                 runs += len(got[1])
     assert runs == 7 * 4 * (1 + 1 + 1)
@@ -1060,21 +1014,14 @@ def _step_side_products(flip_shuffle):
                                    (same, C, C.transpose())):
                 for A, B, u, v in ((left, fgm, xs[:, None], ys[None, :]),
                                    (fgm, right, ys[:, None], xs[None, :])):
-                    prod = (star(A, B, fast_paths=False) if F is None
-                            else star_c(A, F, B, fast_paths=False)).copula
+                    prod = _forced(A, F, B)
                     cases.append((prod, u, v))
                     # one point
                     cases.append((prod, u.reshape(-1)[:1], v.reshape(-1)[:1]))
     return cases
 
 
-def _step_keys(A, B, xs, ys):
-    # the cell sides of an integrand that are step functions of t
-    return {k for k, Z, C in (("s", xs, A), ("r", ys, B))
-            if products._side(Z).shape[1] == 1 and C.conditional_degree == 0}
-
-
-def test_step_sides_once_per_segment_keep_the_bits(monkeypatch, flip_shuffle):
+def test_step_sides_once_per_segment_keep_the_bits(monkeypatch, flip_shuffle, quad_counter):
     # a grouped step-function side is evaluated once per piece where
     # that is exact, and at every node in pieces too narrow to keep
     # their segments' nodes off a hint: values and error sums have the
@@ -1086,38 +1033,28 @@ def test_step_sides_once_per_segment_keep_the_bits(monkeypatch, flip_shuffle):
     # piece and returns one layout: a step side as (m, 1) on a once
     # call and as one value per node of the pieces' segments on a narrow
     # one, any other side one value per node
-    make_integrand = products._make_integrand
-    paths = {"once": 0, "every node": 0}
-
-    def recording_make(A, family, B, xs, ys):
-        steps = _step_keys(A, B, xs, ys)
-        fbatch, support = make_integrand(A, family, B, xs, ys)
-
-        def seen(segs, nodes, groups, once):
-            assert type(once) is bool
-            paths["once" if once else "every node"] += len(segs)
-            live, cells = support(segs, nodes, groups, once)
-            # segs is (pieces, segments, 2), or (segments, 2) in the reference
-            every = segs[..., 0].size // len(segs) * len(nodes)
-            for k, c in cells.items():
-                assert c.shape == (len(segs), 1 if once and k in steps else every), k
-            return live, cells
-        return fbatch, seen
-
-    monkeypatch.setattr(products, "_make_integrand", recording_make)
     cases = _step_side_products(flip_shuffle)
     # also in support slices of 112 nodes (3 or 4 pieces), which key a
     # side alike however a level is sliced
     for chunk, batch in ((products._CHUNK_ELEMENTS, cases), (16 * 7, cases[::6])):
         monkeypatch.setattr(products, "_CHUNK_ELEMENTS", chunk)
         for prod, u, v in batch:
-            want = _raw_integrations(monkeypatch, prod, u, v, _no_skip_segment_values)
-            got = _raw_integrations(monkeypatch, prod, u, v, products._segment_values)
+            want = _raw_integrations(quad_counter, prod, u, v, _no_skip_segment_values)
+            got = _raw_integrations(quad_counter, prod, u, v, products._segment_values)
             assert got == want, (prod, np.size(u), np.size(v), chunk)
-    assert paths["once"] > 0 and paths["every node"] > 0
+    paths = {True: 0, False: 0}
+    for call in quad_counter["supports"]:
+        once, cells = call["once"], quad_counter["builds"][call["build"]]
+        assert type(once) is bool
+        paths[once] += call["pieces"]
+        every = call["segments"] // call["pieces"] * call["nodes"]
+        for k, shape in call["shapes"].items():
+            assert shape == (call["pieces"], 1 if once and cells[k][2] else every), k
+    assert paths[True] > 0 and paths[False] > 0
 
 
-def test_step_side_costs_one_kernel_element_per_segment(monkeypatch, flip_shuffle):
+def test_step_side_costs_one_kernel_element_per_segment(monkeypatch, flip_shuffle,
+                                                      quad_counter):
     # work-counter gate: on the forced shuffle * fgm 33 x 33 lattice the
     # support evaluates the shuffle's conditional at one node of each
     # piece, not at one node of each of its three segments, and at every
@@ -1132,87 +1069,51 @@ def test_step_side_costs_one_kernel_element_per_segment(monkeypatch, flip_shuffl
         return d2(u, v)
 
     monkeypatch.setattr(S, "_d2", counting_d2)
-    make_integrand = products._make_integrand
-    segment_values = products._segment_values
-    counts = {"levels": 0, "pieces": 0, "once pieces": 0, "segments": 0, "every node": 0,
-              "rule_nodes": 0}
-    kinds = []
-
-    def recording_make(A, family, B, xs, ys):
-        fbatch, support = make_integrand(A, family, B, xs, ys)
-
-        def seen(segs, nodes, groups, once):
-            kinds[-1].add(once)
-            counts["pieces"] += len(segs)
-            counts["once pieces"] += len(segs) if once else 0
-            counts["segments"] += segs[..., 0].size
-            counts["every node"] += 0 if once else segs[..., 0].size
-            counts["rule_nodes"] += segs[..., 0].size * len(nodes)
-            return support(segs, nodes, groups, once)
-        return fbatch, seen
-
-    def recording_values(*args, **kwargs):
-        counts["levels"] += 1
-        kinds.append(set())
-        return segment_values(*args, **kwargs)
-
-    monkeypatch.setattr(products, "_make_integrand", recording_make)
-    monkeypatch.setattr(products, "_segment_values", recording_values)
     star(S, FGMCopula(0.5), fast_paths=False).copula.eval(GRID_33[:, None], GRID_33[None, :])
     n = QuadratureConfig().nodes_per_subinterval
-    assert len(elements) == sum(map(len, kinds)) == 2 * counts["levels"] == 2
-    assert counts["every node"] < counts["segments"] / 8
+    calls, levels = quad_counter["supports"], len(quad_counter["levels"])
+    kinds = [{c["once"] for c in calls if c["level"] == i} for i in range(levels)]
+    once_pieces = sum(c["pieces"] for c in calls if c["once"])
+    segments = sum(c["segments"] for c in calls)
+    every_node = sum(c["segments"] for c in calls if not c["once"])
+    pieces = quad_counter["pieces"]
+    assert pieces == sum(c["pieces"] for c in calls)
+    assert len(elements) == sum(map(len, kinds)) == 2 * levels == 2
+    assert every_node < segments / 8
     # one element per once piece, and one per node of a narrow piece's segments
-    assert sum(elements) == counts["once pieces"] + n * counts["every node"]
+    assert sum(elements) == once_pieces + n * every_node
     # about one element per piece: a step side keyed per segment took three
-    assert counts["once pieces"] > 0.95 * counts["pieces"]
-    assert sum(elements) < 2 * counts["pieces"]
-    assert sum(elements) <= counts["rule_nodes"] / 16
+    assert once_pieces > 0.95 * pieces
+    assert sum(elements) < 2 * pieces
+    assert sum(elements) <= quad_counter["rule_nodes"] / 16
 
 
-def test_cell_side_hints_are_initial_edges(monkeypatch, flip_shuffle):
+def test_cell_side_hints_are_initial_edges(flip_shuffle, quad_counter):
     # the invariant that evaluating a step-function side once per
     # piece rests on (_segment_values): in every group a product
     # integrates, each cell side's hints in (0, 1) are among the group's
     # initial edges, bit for bit; the edges are read off the pieces of
     # each run's first level, as (a, b), (a, mid), (mid, b) per piece
-    runs = []
-    make_integrand = products._make_integrand
-    segment_values = products._segment_values
-
-    def recording_make(A, family, B, xs, ys):
-        sides = [(A.d2_breakpoints, products._side(xs)), (B.d1_breakpoints, products._side(ys))]
-        runs.append(([(f, Z) for f, Z in sides if Z.shape[1] == 1], []))
-        return make_integrand(A, family, B, xs, ys)
-
-    def recording_values(fbatch, segs, nodes, weights, chunk, width, support, groups, *rest):
-        cells, edges = runs[-1]
-        if not edges:
-            pieces, owner = segs[:, 0], groups
-            for g in range(owner.max() + 1):
-                mine = pieces[owner == g]
-                edges.append(np.append(mine[:, 0], mine[-1, 1]))
-        return segment_values(fbatch, segs, nodes, weights, chunk, width, support, groups,
-                              *rest)
-
-    monkeypatch.setattr(products, "_make_integrand", recording_make)
-    monkeypatch.setattr(products, "_segment_values", recording_values)
     fgm = FGMCopula(0.7)
     families = (None, PiecewiseConstantFamily((0.3, 0.6), (FGMCopula(0.5), PI, W)))
     g9 = np.arange(9) / 8
     for C in _hint_corpus():
         for F in families:
             for A, B in ((C, fgm), (fgm, C)):
-                prod = (star(A, B, fast_paths=False) if F is None
-                        else star_c(A, F, B, fast_paths=False)).copula
+                prod = _forced(A, F, B)
                 prod.eval(g9[:, None], g9[None, :])
                 prod.eval(0.3, 0.6)
     for prod, u, v in _step_side_products(flip_shuffle):
         prod.eval(u, v)
+    # the first level of each build
+    first = {level["build"]: level for level in reversed(quad_counter["levels"])}
     checked = 0
-    for cells, edges in runs:
-        for hints_of, Z in cells:
-            for g, e in enumerate(edges):
+    for build, level in first.items():
+        pieces, owner = level["segs"][:, 0], level["groups"]
+        for g in range(owner.max() + 1):
+            mine = pieces[owner == g]
+            e = np.append(mine[:, 0], mine[-1, 1])
+            for hints_of, Z, _ in quad_counter["builds"][build].values():
                 h = hints_of(Z[g if len(Z) > 1 else 0, 0])
                 h = h[(0.0 < h) & (h < 1.0)]
                 assert np.isin(h.view(np.uint64), e.view(np.uint64)).all(), (g, h, e)
@@ -1286,8 +1187,7 @@ def test_one_work_list_keeps_the_per_group_bits(flip_shuffle):
     for C in cells:
         for F in families:
             for A, B in ((C, fgm), (fgm, C)):
-                prod = (star(A, B, fast_paths=False) if F is None
-                        else star_c(A, F, B, fast_paths=False)).copula
+                prod = _forced(A, F, B)
                 for name, (u, v) in _point_sets().items():
                     # the large lattice for the classical product only
                     if name == "65x65" and F is not None:
@@ -1386,22 +1286,16 @@ def test_distinct_rows_merge_equal_rows():
     assert len(first) == len(inverse) == 0
 
 
-def test_one_ulp_piece_evaluates_each_distinct_segment_once(monkeypatch, quad_counter):
+def test_one_ulp_piece_evaluates_each_distinct_segment_once(quad_counter):
     # work-counter gate: a forced fgm * fgm lattice over a family of Pi
     # on pieces cut at 0.5 and nextafter(0.5, 1) is one group; the piece
     # [0.5, nextafter(0.5, 1)] has its midpoint on an end, so one of its
     # halves is the piece itself, and the two are evaluated once
     family = PiecewiseConstantFamily((0.5, np.nextafter(0.5, 1.0)), (PI, PI, PI))
-    segments = []
-    segment_values = products._segment_values
-
-    def recording(fbatch, segs, *args):
-        segments.append(len({(a.hex(), b.hex()) for a, b in segs.reshape(-1, 2).tolist()}))
-        return segment_values(fbatch, segs, *args)
-
-    monkeypatch.setattr(products, "_segment_values", recording)
     star_c(FGMCopula(0.5), family, FGMCopula(0.3), fast_paths=False).copula.eval(
         GRID_33[:, None], GRID_33[None, :])
+    segments = [len({(a.hex(), b.hex()) for a, b in level["segs"].reshape(-1, 2).tolist()})
+                for level in quad_counter["levels"]]
     assert quad_counter["calls"] == 1
     assert segments == [194]
     assert quad_counter["nodes"] == 16 * 194 < quad_counter["rule_nodes"]
