@@ -182,7 +182,9 @@ class FGMCurveFamily(CopulaFamily):
     def theta(self, t):
         """Clipped parameter value(s) at t."""
         t = np.asarray(t, float)
-        raw = np.polynomial.polynomial.polyval(t, self.coeffs)
+        # a raw value past the float range is +-inf, which clips to +-1
+        with np.errstate(over="ignore"):
+            raw = np.polynomial.polynomial.polyval(t, self.coeffs)
         return np.clip(raw, -1.0, 1.0)
 
     def member_at(self, t):

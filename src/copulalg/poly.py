@@ -207,7 +207,9 @@ def _fgm_curve_pieces(curve: FGMCurveFamily):
     cuts = (0.0,) + curve.breakpoints() + (1.0,)
     pieces = []
     for lo, hi in zip(cuts, cuts[1:]):
-        mid = float(np.polynomial.polynomial.polyval(0.5 * (lo + hi), curve.coeffs))
+        # a raw value past the float range is +-inf, clipped like any other
+        with np.errstate(over="ignore"):
+            mid = float(np.polynomial.polynomial.polyval(0.5 * (lo + hi), curve.coeffs))
         theta = raw if -1.0 <= mid <= 1.0 else ([1 if mid > 0.0 else -1], 1)
         pieces.append(_piece(lo, hi, theta))
     return pieces

@@ -54,6 +54,7 @@ with it, still exercises the quadrature.
 
 from __future__ import annotations
 
+import numbers
 import operator
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
@@ -163,9 +164,12 @@ class QuadratureConfig:
             raise ConstructionError("base_subintervals must be >= 1")
         if self.nodes_per_subinterval < 2:
             raise ConstructionError("nodes_per_subinterval must be >= 2")
+        tol = self.adaptive_tol
+        if not isinstance(tol, numbers.Real):
+            raise ConstructionError(f"adaptive_tol must be a real number, got {tol!r}")
         # an infinite tolerance would accept every piece at its first
         # level; NaN fails the comparison too
-        if not 0.0 < self.adaptive_tol < np.inf:
+        if not 0.0 < tol < np.inf:
             raise ConstructionError("adaptive_tol must be finite and positive")
         if self.max_depth < 0:
             raise ConstructionError("max_depth must be >= 0")

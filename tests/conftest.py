@@ -105,12 +105,12 @@ def quad_counter(monkeypatch):
         record["builds"].append(cells)
 
         def recording_support(segs, nodes, groups, once):
-            live, cells = support(segs, nodes, groups, once)
+            live, given = support(segs, nodes, groups, once)
             record["supports"].append({
                 "build": build, "level": len(record["levels"]) - 1, "once": once,
                 "pieces": len(segs), "segments": segs[..., 0].size, "nodes": len(nodes),
-                "shapes": {k: c.shape for k, c in cells.items()}})
-            return live, cells
+                "shapes": {k: c.shape for k, c in given.items()}})
+            return live, given
 
         return fbatch, recording_support
 

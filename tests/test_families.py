@@ -106,6 +106,18 @@ def test_fgm_curve_clips_theta():
     assert np.allclose(sorted(two.breakpoints()), [0.25, 0.75])
 
 
+@pytest.mark.filterwarnings("error")
+def test_fgm_curve_past_the_float_range_clips_without_a_warning():
+    # a raw theta past the float range is inf, which clips to 1, in the
+    # family's theta and in the pieces of the polynomial closed form
+    assert FGMCurveFamily((1e308, 1e308)).theta(1.0) == 1.0
+    fgm1, fgm5 = FGMCopula(1.0), FGMCopula(0.5)
+    prod = star_c(fgm1, FGMCurveFamily((1e308, 1.7e308)), fgm5)
+    assert prod.fast_path == "poly-closed-form"
+    want = star_c(fgm1, ConstantFamily(fgm1), fgm5).copula.eval(0.3, 0.3)
+    assert prod.copula.eval(0.3, 0.3) == want
+
+
 def test_curve_breakpoints_run_no_lapack(monkeypatch):
     # the cuts feed quadrature edges and exact polynomial pieces, so
     # they come from float arithmetic with exact signs, not from an

@@ -60,9 +60,11 @@ def test_config_validation():
         QuadratureConfig(nodes_per_subinterval=1)
     # a tolerance is finite and positive: an infinite one would accept
     # every piece at its first level
-    for bad in (0.0, -1e-8, math.inf, -math.inf, math.nan):
+    for bad in (0.0, -1e-8, math.inf, -math.inf, math.nan, "1e-8", None, 1e-8j):
         with pytest.raises(ConstructionError, match="adaptive_tol"):
             QuadratureConfig(adaptive_tol=bad)
+    # a numpy real is a real
+    assert QuadratureConfig(adaptive_tol=np.float64(1e-6)).adaptive_tol == 1e-6
     with pytest.raises(ConstructionError):
         QuadratureConfig(max_depth=-1)
     # the counts are integers: a float, even a whole one, is refused at
@@ -1297,6 +1299,8 @@ def test_one_ulp_piece_evaluates_each_distinct_segment_once(quad_counter):
     segments = [len({(a.hex(), b.hex()) for a, b in level["segs"].reshape(-1, 2).tolist()})
                 for level in quad_counter["levels"]]
     assert quad_counter["calls"] == 1
+    # no coordinate is a cell: no support call yields a cell conditional
+    assert quad_counter["builds"] == [{}]
     assert segments == [194]
     assert quad_counter["nodes"] == 16 * 194 < quad_counter["rule_nodes"]
 
