@@ -43,6 +43,16 @@ the forced product, whose bits the forced case already holds, so it
 keeps its tag alone: these entries list the depth-1 products that no
 closed form reaches.
 
+The poly section pins the exact polynomial products: the closed-form
+cases of ``tests/test_poly.py``, the fgm*fgm, split-sign and fgmcurve
+steps of the lattice-products benchmark for the pass-0 inputs of seed 1,
+a product with a transposed factor, and two products at
+``poly.MAX_DEGREE``, of degrees (16, 8) and (16, 16). Each entry is a
+sha256 over the bytes of the float coefficients ``_c`` and of the
+partials' ``_c1`` and ``_c2``, ``float.hex`` of the first nonzero
+entry of each (the first entry of all three is 0), the degree, and a sha256 over ``str(coeffs)``, the exact
+coefficients.
+
     python tools/forced_bits.py          # rewrite tests/golden/forced_bits.json
     python tools/forced_bits.py --check  # compare with it, exit 1 on a mismatch
 
@@ -269,6 +279,63 @@ def kernel_cases():
     return out
 
 
+def poly_cases():
+    """(name, product) of the poly section: ``product`` is a function of
+    no arguments that builds the PolyCopula."""
+    c = _import_copulalg()
+    fgm, const = c.FGMCopula, c.ConstantFamily
+
+    def split(theta):
+        return c.PiecewiseConstantFamily((0.5,), (fgm(theta), fgm(-theta)))
+
+    def built(A, F, B):
+        def product():
+            r = c.star(A, B) if F is None else c.star_c(A, F, B)
+            if r.fast_path != "poly-closed-form":
+                raise ValueError(f"not a polynomial product: {r.fast_path}")
+            return r.copula
+        return product
+
+    # clipped to 1 from t = 2/3 on, and never clipped
+    clipped, unclipped = c.FGMCurveFamily((-1.0, 3.0)), c.FGMCurveFamily((0.2, -0.5, 0.4))
+    pw = c.PiecewiseConstantFamily((0.25, 0.6), (fgm(1.0), c.PI, fgm(-0.8)))
+    inner = c.star_c(fgm(1.0), const(fgm(0.5)), fgm(-1.0)).copula
+    # degree (4, 4), then (8, 4), over clipped and unclipped curves
+    P4 = c.star_c(fgm(0.7), clipped, fgm(-0.9)).copula
+    P8 = c.star_c(P4, unclipped, fgm(0.35)).copula
+    cap = c.FGMCurveFamily((-0.9, 2.7))
+    products = (
+        ("star", fgm(0.7), None, fgm(-0.4)),
+        ("const", fgm(1.0), const(fgm(0.5)), fgm(-1.0)),
+        ("const Pi", fgm(0.3), const(c.PI), fgm(0.9)),
+        ("pw", fgm(0.6), pw, fgm(0.5)),
+        ("fgmcurve clipped", fgm(0.6), clipped, fgm(0.6)),
+        ("fgmcurve unclipped", fgm(-0.9), unclipped, fgm(-0.7)),
+        ("nested", inner, const(fgm(-1.0)), fgm(0.5)),
+        ("transposed nested", c.TransposedCopula(inner), pw, c.PI),
+        # the lattice-products benchmark's closed-form steps, pass 0 of seed 1
+        ("lattice-products seed 1 fgm*fgm", fgm(-0.461), None, fgm(0.937)),
+        ("lattice-products seed 1 split-sign", fgm(0.336), split(0.336), c.PI),
+        ("lattice-products seed 1 fgmcurve", fgm(0.912),
+         c.FGMCurveFamily((-0.273, -0.275)), fgm(0.457)),
+        ("fgm * transposed split-sign", fgm(0.3), None, c.TransposedCopula(
+            c.star_c(fgm(0.336), split(0.336), c.PI).copula)),
+        ("degree (16, 8)", P8, cap, c.TransposedCopula(P4)),
+        ("degree (16, 16)", P8, cap, c.TransposedCopula(P8)),
+    )
+    return [(f"poly {name}", built(A, F, B)) for name, A, F, B in products]
+
+
+def poly_digest(product):
+    """{sha256, first, degree, coeffs} of one poly entry."""
+    P = product()
+    arrays = (P._c, P._c1, P._c2)
+    return {"sha256": _sha256(arrays),
+            "first": [float(a[a != 0][0]).hex() for a in arrays],
+            "degree": list(P.degree),
+            "coeffs": hashlib.sha256(str(P.coeffs).encode()).hexdigest()}
+
+
 def _sha256(arrays):
     return hashlib.sha256(b"".join(
         np.ascontiguousarray(a, dtype=np.float64).tobytes() for a in arrays)).hexdigest()
@@ -309,6 +376,7 @@ def compute():
     got = {name: digest(lambda: p().eval_with_error(u, v)) for name, p, u, v in cases()}
     got.update((name, unforced(c, A, F, B)) for name, A, F, B in _depth1(c, True))
     got.update((name, kernel_digest(values)) for name, values in kernel_cases())
+    got.update((name, poly_digest(product)) for name, product in poly_cases())
     return got
 
 
