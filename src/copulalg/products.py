@@ -157,6 +157,8 @@ class QuadratureConfig:
         for name in ("base_subintervals", "nodes_per_subinterval", "max_depth"):
             value = getattr(self, name)
             try:
+                if isinstance(value, bool):  # an int to operator.index, not a count
+                    raise TypeError
                 object.__setattr__(self, name, operator.index(value))
             except TypeError:
                 raise ConstructionError(f"{name} must be an integer, got {value!r}") from None
@@ -165,7 +167,7 @@ class QuadratureConfig:
         if self.nodes_per_subinterval < 2:
             raise ConstructionError("nodes_per_subinterval must be >= 2")
         tol = self.adaptive_tol
-        if not isinstance(tol, numbers.Real):
+        if isinstance(tol, bool) or not isinstance(tol, numbers.Real):
             raise ConstructionError(f"adaptive_tol must be a real number, got {tol!r}")
         # an infinite tolerance would accept every piece at its first
         # level; NaN fails the comparison too

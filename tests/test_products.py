@@ -60,17 +60,17 @@ def test_config_validation():
         QuadratureConfig(nodes_per_subinterval=1)
     # a tolerance is finite and positive: an infinite one would accept
     # every piece at its first level
-    for bad in (0.0, -1e-8, math.inf, -math.inf, math.nan, "1e-8", None, 1e-8j):
+    for bad in (0.0, -1e-8, math.inf, -math.inf, math.nan, "1e-8", None, 1e-8j, True, False):
         with pytest.raises(ConstructionError, match="adaptive_tol"):
             QuadratureConfig(adaptive_tol=bad)
     # a numpy real is a real
     assert QuadratureConfig(adaptive_tol=np.float64(1e-6)).adaptive_tol == 1e-6
     with pytest.raises(ConstructionError):
         QuadratureConfig(max_depth=-1)
-    # the counts are integers: a float, even a whole one, is refused at
-    # construction, and a numpy integer is kept as the same int
+    # the counts are integers: a float, even a whole one, or a bool is
+    # refused at construction, and a numpy integer is kept as the same int
     for name in ("base_subintervals", "nodes_per_subinterval", "max_depth"):
-        for bad in (1.5, 3.0, "16", None):
+        for bad in (1.5, 3.0, "16", None, True, False):
             with pytest.raises(ConstructionError, match=name):
                 QuadratureConfig(**{name: bad})
         q = QuadratureConfig(**{name: np.int64(5)})
