@@ -324,7 +324,7 @@ def family_integral(F: CopulaFamily, x, y):
 
         mean, den = _moments(_fgm_curve_pieces(F), 1)
         # int / int is correctly rounded
-        return _maybe_scalar(_fgm_cdf(int(mean[0]) / den, xx, yy), x, y)
+        return _maybe_scalar(_fgm_cdf(mean[0] / den, xx, yy), x, y)
     raise ConstructionError(f"unsupported family {type(F).__name__}")
 
 

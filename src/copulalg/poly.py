@@ -19,18 +19,28 @@ Each member of degree d in x multiplies the u-degree by d, so a product
 whose degree would pass ``MAX_DEGREE`` in either variable is left to
 quadrature.
 
-Exact values are integer matrices over one common denominator, an
-(ints, den) pair; a float converts exactly through ``as_integer_ratio``.
-Products of these need no gcd, which dominates ``fractions.Fraction``
-arithmetic, and the order of the sums does not matter.
-``PolyCopula.coeffs`` shows them as ``Fraction``; ``fractions`` is
-imported only then, not with the package.
+Exact values are matrices of plain Python ints over one common
+denominator, a (rows, den) pair with rows a tuple of int tuples; a
+float converts exactly through ``as_integer_ratio``, and a transpose is
+``zip(*rows)``. Products of these need no gcd, which dominates
+``fractions.Fraction`` arithmetic, and no numpy array, whose per-call
+cost on small object matrices outweighs the arithmetic. The
+contraction runs over the powers of s: for each a it forms
+K_a[p, l] = sum over b, q of mu_ab[p + q] R_b[q, l] once, then adds
+S_a K_a into the result. The order of the sums does not matter, as
+every sum is exact; each float is the exact value rounded once, by the
+correctly rounded int / int division, for the cdf when the copula is
+built and for a partial derivative on its first use. Only
+``PolyCopula.coeffs`` shows the values as a numpy array, of
+``Fraction``; ``fractions`` is imported only then, not with the
+package.
 """
 
 from __future__ import annotations
 
 import math
 from functools import cached_property
+from operator import mul
 
 import numpy as np
 
@@ -48,8 +58,8 @@ __all__ = ["PolyCopula", "MAX_DEGREE", "poly_product", "exact_gap"]
 # largest degree per variable of a product built in closed form
 MAX_DEGREE = 16
 
-# Pi = xy; never modified, as every operation below makes a new array
-_PI = (np.array([[0, 0], [0, 1]], dtype=object), 1)
+# Pi = xy
+_PI = (((0, 0), (0, 1)), 1)
 
 
 def _ratio(x):
@@ -67,11 +77,10 @@ def _scale(rows):
         pairs = [[_ratio(x) for x in row] for row in rows]
     except (TypeError, ValueError, OverflowError) as exc:
         raise ConstructionError(f"coefficients must be finite numbers: {exc}") from None
-    den = math.lcm(*(d for row in pairs for _, d in row))
-    ints = np.array([[n * (den // d) for n, d in row] for row in pairs], dtype=object)
-    if ints.ndim != 2 or ints.size == 0:
+    if not pairs or not pairs[0] or any(len(row) != len(pairs[0]) for row in pairs):
         raise ConstructionError("coefficients must form a nonempty matrix")
-    return ints, den
+    den = math.lcm(*(d for row in pairs for _, d in row))
+    return tuple(tuple(n * (den // d) for n, d in row) for row in pairs), den
 
 
 def _horner(c, u, v):
@@ -93,7 +102,7 @@ def _horner(c, u, v):
 
 def _floats(ints, den):
     # int / int is correctly rounded, so each value is rounded once
-    return (ints / den).astype(float)
+    return np.array([[n / den for n in row] for row in ints])
 
 
 class PolyCopula(Copula):
@@ -113,23 +122,31 @@ class PolyCopula(Copula):
         self._init(*_scale(coeffs))
 
     def _init(self, ints, den):
-        rows = [i for i in range(ints.shape[0]) if any(ints[i])]
-        cols = [j for j in range(ints.shape[1]) if any(ints[:, j])]
+        rows = [i for i, row in enumerate(ints) if any(row)]
         if not rows:
             raise ConstructionError("a copula polynomial cannot be zero")
-        ints = ints[: rows[-1] + 1, : cols[-1] + 1]
-        du, dv = ints.shape[0] - 1, ints.shape[1] - 1
-        if (any(ints[0]) or any(ints[:, 0])
-                or list(ints.sum(axis=1)) != [den * (i == 1) for i in range(du + 1)]
-                or list(ints.sum(axis=0)) != [den * (j == 1) for j in range(dv + 1)]):
+        cols = [j for j, col in enumerate(zip(*ints)) if any(col)]
+        ints = tuple(tuple(row[: cols[-1] + 1]) for row in ints[: rows[-1] + 1])
+        du, dv = len(ints) - 1, len(ints[0]) - 1
+        if (any(ints[0]) or any(row[0] for row in ints)
+                or [sum(row) for row in ints] != [den * (i == 1) for i in range(du + 1)]
+                or [sum(col) for col in zip(*ints)] != [den * (j == 1) for j in range(dv + 1)]):
             raise ConstructionError(
                 "coefficients violate C(u, 0) = C(0, v) = 0, C(u, 1) = u, C(1, v) = v"
             )
         self._exact = (ints, den)
         self.degree = (du, dv)
         self._c = _floats(ints, den)
-        self._c1 = _floats(ints[1:] * np.arange(1, du + 1)[:, None], den)
-        self._c2 = _floats(ints[:, 1:] * np.arange(1, dv + 1), den)
+
+    @cached_property
+    def _c1(self):
+        ints, den = self._exact
+        return _floats([[i * n for n in row] for i, row in enumerate(ints[1:], 1)], den)
+
+    @cached_property
+    def _c2(self):
+        ints, den = self._exact
+        return _floats([[j * n for j, n in enumerate(row[1:], 1)] for row in ints], den)
 
     @cached_property
     def coeffs(self):
@@ -161,13 +178,12 @@ def _exact_of(C):
     if isinstance(C, FGMCopula):
         # xy + theta xy(1 - x)(1 - y)
         n, d = C.theta.as_integer_ratio()
-        return _PI if n == 0 else (
-            np.array([[0, 0, 0], [0, d + n, -n], [0, -n, n]], dtype=object), d)
+        return _PI if n == 0 else (((0, 0, 0), (0, d + n, -n), (0, -n, n)), d)
     if isinstance(C, ProductPi):
         return _PI
     if isinstance(C, TransposedCopula):
         inner = _exact_of(C.inner)
-        return None if inner is None else (inner[0].T, inner[1])
+        return None if inner is None else (tuple(zip(*inner[0])), inner[1])
     return None
 
 
@@ -180,9 +196,10 @@ def exact_gap(A: Copula, B: Copula, u, v):
     if exact_a is None or exact_b is None:
         return None
     (a, da), (b, db) = exact_a, exact_b
-    d = np.zeros(np.maximum(a.shape, b.shape), dtype=object)
-    d[: a.shape[0], : a.shape[1]] += a * db
-    d[: b.shape[0], : b.shape[1]] -= b * da
+    d = [[0] * max(len(a[0]), len(b[0])) for _ in range(max(len(a), len(b)))]
+    for m, f in ((a, db), (b, -da)):
+        for drow, row in zip(d, m):
+            drow[: len(row)] = [x + f * y for x, y in zip(drow, row)]
     return np.abs(_horner(_floats(d, da * db), u, v))
 
 
@@ -231,13 +248,13 @@ def _family_terms(family):
         cuts = family.cuts
         return [(m, [_piece(lo, hi, _ONE)]) for m, lo, hi in zip(ms, cuts, cuts[1:])]
     if isinstance(family, FGMCurveFamily):
-        term = (np.array([[0, 0, 0], [0, 1, -1], [0, -1, 1]], dtype=object), 1)
+        term = (((0, 0, 0), (0, 1, -1), (0, -1, 1)), 1)
         return [(_PI, _WHOLE), (term, _fgm_curve_pieces(family))]
     return None
 
 
 def _moments(pieces, n):
-    """(ints, den): the integrals of g(t) t^k over the pieces, k < n."""
+    """(list, den): the integrals of g(t) t^k over the pieces, k < n."""
     parts = []
     for (a, b, d), (g, gd) in pieces:
         # integral of t^(j-1) over [a/d, b/d] is (b^j - a^j) / (j d^j),
@@ -245,28 +262,31 @@ def _moments(pieces, n):
         m = n + len(g) - 1
         L = math.lcm(*range(1, m + 1))
         ints = [(b**j - a**j) * d ** (m - j) * (L // j) for j in range(1, m + 1)]
-        mom = [sum(gw * ints[k + w] for w, gw in enumerate(g)) for k in range(n)]
-        parts.append((mom, gd * L * d**m))
+        parts.append(([sum(map(mul, g, ints[k:])) for k in range(n)], gd * L * d**m))
+    if len(parts) == 1:
+        return parts[0]
     den = math.lcm(*(dp for _, dp in parts))
-    total = [sum(mom[k] * (den // dp) for mom, dp in parts) for k in range(n)]
-    return np.array(total, dtype=object), den
+    scales = [den // dp for _, dp in parts]
+    return [sum(map(mul, scales, ks)) for ks in zip(*(mom for mom, _ in parts))], den
 
 
-def _powers(p, k, d):
-    """[p^i d^(k - i) for i = 0 .. k]: the powers of the coefficient
-    matrix p / d, all over the one denominator d^k."""
-    out = [np.ones((1, 1), dtype=object)]
-    for _ in range(k):
-        if len(out) == 1:
-            out.append(p)
-            continue
+def _powers(p, k):
+    """[p^i for i = 0 .. k]: the powers of the integer matrix p, each
+    the 2-D convolution of p with the one before, on rows laid end to
+    end."""
+    out = [[[1]], p]
+    for _ in range(k - 1):
         q = out[-1]
-        nxt = np.zeros((p.shape[0] + q.shape[0] - 1, p.shape[1] + q.shape[1] - 1),
-                       dtype=object)
-        for i, j in zip(*np.nonzero(p)):
-            nxt[i : i + q.shape[0], j : j + q.shape[1]] += p[i, j] * q
-        out.append(nxt)
-    return [x * d ** (k - i) for i, x in enumerate(out)]
+        w = len(p[0]) + len(q[0]) - 1
+        flat = [0] * (w * (len(p) + len(q) - 1))
+        qs = [(a * w + b, y) for a, row in enumerate(q) for b, y in enumerate(row) if y]
+        for i, row in enumerate(p):
+            for j, x in enumerate(row, i * w):
+                if x:
+                    for o, y in qs:
+                        flat[j + o] += x * y
+        out.append([flat[r : r + w] for r in range(0, len(flat), w)])
+    return out
 
 
 def poly_product(A: Copula, family, B: Copula):
@@ -280,28 +300,46 @@ def poly_product(A: Copula, family, B: Copula):
     if terms is None:
         return None
     (a, da), (b, db) = exact_a, exact_b
-    mx = max(m.shape[0] for (m, _), _ in terms) - 1
-    my = max(m.shape[1] for (m, _), _ in terms) - 1
-    if mx * (a.shape[0] - 1) > MAX_DEGREE or my * (b.shape[1] - 1) > MAX_DEGREE:
+    mx = max(len(m) for (m, _), _ in terms) - 1
+    my = max(len(m[0]) for (m, _), _ in terms) - 1
+    if mx * (len(a) - 1) > MAX_DEGREE or my * (len(b[0]) - 1) > MAX_DEGREE:
         return None
-    # powers of s = d2 A(u, t) over (u, t), all over da^mx, and of
-    # r = d1 B(t, v) over (t, v), all over db^my
-    S = _powers(a[:, 1:] * np.arange(1, a.shape[1]), mx, da)
-    R = _powers(b[1:] * np.arange(1, b.shape[0])[:, None], my, db)
-    n = S[-1].shape[1] + R[-1].shape[0] - 1
-    # mu[i, j, k] = integral of m_ij(t) t^k, all over q
+    # powers of s = d2 A(u, t) over (u, t), s^i over da^i, and of
+    # r = d1 B(t, v) over (t, v), r^j over db^j, kept as columns
+    S = _powers([[j * x for j, x in enumerate(row[1:], 1)] for row in a], mx)
+    R = [list(zip(*r)) for r in
+         _powers([[i * x for x in row] for i, row in enumerate(b[1:], 1)], my)]
+    n = len(S[-1][0]) + len(R[-1][0]) - 1
+    # mu[i, j][k] = integral of m_ij(t) t^k, all over q da^(mx - i)
+    # db^(my - j), so that every term is over da^mx q db^my; m_ij = 0
+    # is common, as m_i0 = m_0j = 0 for a copula, and has no entry
     moments = [(m, _moments(pieces, n)) for m, pieces in terms]
     q = math.lcm(*(dm * dk for (_, dm), (_, dk) in moments))
-    mu = np.zeros((mx + 1, my + 1, n), dtype=object)
+    mu = {}
+    fa, fb = [da ** (mx - i) for i in range(mx + 1)], [db ** (my - j) for j in range(my + 1)]
     for (m, dm), (mom, dk) in moments:
-        mu[: m.shape[0], : m.shape[1]] += m[:, :, None] * (mom * (q // (dm * dk)))
-    out = np.zeros((S[-1].shape[0], R[-1].shape[1]), dtype=object)
-    for i, j in np.ndindex(mx + 1, my + 1):
-        if any(mu[i, j]):
-            # Hankel matrix of the moments between the t-powers of S_i and R_j
-            p, r = S[i].shape[1], R[j].shape[0]
-            part = S[i] @ mu[i, j][np.add.outer(np.arange(p), np.arange(r))] @ R[j]
-            out[: part.shape[0], : part.shape[1]] += part
+        f = q // (dm * dk)
+        for i, row in enumerate(m):
+            for j, c in enumerate(row):
+                if c:
+                    c *= f * fa[i] * fb[j]
+                    acc = mu.get((i, j), [0] * n)
+                    mu[i, j] = [x + c * y for x, y in zip(acc, mom)]
+    out = [[0] * len(R[-1]) for _ in S[-1]]
+    for i, Si in enumerate(S):
+        # K[l][p] = sum over j, q of mu_ij[p + q] R_j[q, l], the moments'
+        # Hankel matrix between the t-powers of S_i and R_j times R_j
+        js = [(R[j], mu[i, j]) for j in range(my + 1) if (i, j) in mu]
+        if not js:
+            continue
+        K = [[0] * len(Si[0]) for _ in out[0]]
+        for Rj, mu_ij in js:
+            for krow, col in zip(K, Rj):
+                if any(col):
+                    krow[:] = [x + sum(map(mul, mu_ij[p:], col)) for p, x in enumerate(krow)]
+        for orow, srow in zip(out, Si):
+            if any(srow):
+                orow[:] = [x + sum(map(mul, srow, kcol)) for x, kcol in zip(orow, K)]
     P = PolyCopula.__new__(PolyCopula)
     P._init(out, da**mx * q * db**my)
     return P

@@ -224,6 +224,52 @@ def test_labels_spell_the_factors():
         assert to_text(expr_of(cop)) == text
 
 
+def _float_copies(P):
+    """P's float coefficients and those of its partials, each the exact
+    coefficient, times i or j for a partial, rounded once."""
+    c = P.coeffs
+    return (np.array([[float(x) for x in row] for row in c]),
+            np.array([[float(i * x) for x in row] for i, row in enumerate(c[1:], 1)]),
+            np.array([[float(j * x) for j, x in enumerate(row[1:], 1)] for row in c]))
+
+
+def _seeded_products():
+    """(label, left, family, right): products of non-dyadic FGM copulas,
+    Pi, degree-(4, 4) and (8, 8) polynomial factors and transposes, over
+    every kind of family the closed form takes."""
+    rng = np.random.default_rng(33)
+    fa, fb, fc, fd, fe = (fgm(t) for t in rng.uniform(-1.0, 1.0, 5))
+    P44 = star_c(fa, ConstantFamily(fb), fc).copula
+    P84 = star_c(P44, CLIPPED, fd).copula
+    P88 = star(P84, TransposedCopula(P84)).copula
+    assert (P44.degree, P84.degree, P88.degree) == ((4, 4), (8, 4), (8, 8))
+    cut = float(rng.uniform(0.2, 0.8))
+    families = [("star", None), ("const", ConstantFamily(fe)), ("const Pi", ConstantFamily(PI)),
+                ("pw", PiecewiseConstantFamily((cut,), (fd, fgm(-1.0)))),
+                ("fgmcurve clipped", FGMCurveFamily((-1.0, float(rng.uniform(2.0, 3.0)))))]
+    pairs = [("fgm", fa, "Pi", PI), ("Pi", PI, "t(P44)", TransposedCopula(P44)),
+             ("P44", P44, "fgm", fb), ("P88", P88, "fgm", fc),
+             ("t(P44)", TransposedCopula(P44), "P88", P88)]
+    # the classical product with Pi is Pi by the zero-Pi path
+    return [(f"{aname} *{fname} {bname}", A, F, B)
+            for fname, F in families for aname, A, bname, B in pairs
+            if F is not None or PI not in (A, B)]
+
+
+def test_float_coefficients_round_the_exact_ones_once():
+    cases = _cases() + _seeded_products()
+    assert len(cases) == 8 + 23
+    for label, A, F, B in cases:
+        r = _product(A, F, B)
+        assert r.fast_path == "poly-closed-form", label
+        P = r.copula
+        du, dv = P.degree
+        for got, want, shape in zip((P._c, P._c1, P._c2), _float_copies(P),
+                                    ((du + 1, dv + 1), (du, dv + 1), (du + 1, dv))):
+            assert got.dtype == want.dtype == np.float64 and got.shape == shape, label
+            assert got.tobytes() == want.tobytes(), label
+
+
 def test_poly_copula_from_coefficients():
     P = PolyCopula(fgm_coeffs(Fraction(1, 2)))
     assert P.degree == (2, 2) and P.source is None
@@ -231,11 +277,24 @@ def test_poly_copula_from_coefficients():
     assert expr_of(P) == Opaque("poly[2,2]")
     # zero trailing rows and columns are dropped
     assert PolyCopula([[0, 0, 0], [0, 1, 0], [0, 0, 0]]).degree == (1, 1)
-    for bad in ([[0, 0], [0, 2]], [[1]], [[0, 0], [0, 0]], [0.5, 0.5],
-                [[0, 0], [0, float("nan")]], [[0, 0], [0, float("inf")]],
-                [[0, 0], [0, "x"]]):
-        with pytest.raises(ConstructionError):
+    boundary = "coefficients violate C(u, 0) = C(0, v) = 0, C(u, 1) = u, C(1, v) = v"
+    matrix = "coefficients must form a nonempty matrix"
+    for bad, message in (
+            ([[0, 0], [0, 2]], boundary), ([[1]], boundary), ([[0, 1], [0, 0]], boundary),
+            ([[0, 0], [1, 0]], boundary), ([[0, 0], [0, Fraction(1, 3)]], boundary),
+            ([[0, 0], [0, 0]], "a copula polynomial cannot be zero"),
+            ([], matrix), ([[]], matrix), ([[], []], matrix), ([[0, 0], [0]], matrix),
+            ([[0], [0, 1]], matrix), (np.zeros((0, 3)), matrix),
+            ([0.5, 0.5], "coefficients must be finite numbers: 'float' object is not iterable"),
+            ([[0, 0], [0, float("nan")]],
+             "coefficients must be finite numbers: cannot convert NaN to integer ratio"),
+            ([[0, 0], [0, float("inf")]],
+             "coefficients must be finite numbers: cannot convert Infinity to integer ratio"),
+            ([[0, 0], [0, "x"]],
+             "coefficients must be finite numbers: Invalid literal for Fraction: 'x'")):
+        with pytest.raises(ConstructionError) as refused:
             PolyCopula(bad)
+        assert str(refused.value) == message, bad
     with pytest.raises(ValueError):
         P.coeffs[1, 1] = 0
 
