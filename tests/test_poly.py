@@ -284,17 +284,15 @@ def test_poly_copula_from_coefficients():
             ([[0, 0], [1, 0]], boundary), ([[0, 0], [0, Fraction(1, 3)]], boundary),
             ([[0, 0], [0, 0]], "a copula polynomial cannot be zero"),
             ([], matrix), ([[]], matrix), ([[], []], matrix), ([[0, 0], [0]], matrix),
-            ([[0], [0, 1]], matrix), (np.zeros((0, 3)), matrix),
-            ([0.5, 0.5], "coefficients must be finite numbers: 'float' object is not iterable"),
-            ([[0, 0], [0, float("nan")]],
-             "coefficients must be finite numbers: cannot convert NaN to integer ratio"),
-            ([[0, 0], [0, float("inf")]],
-             "coefficients must be finite numbers: cannot convert Infinity to integer ratio"),
-            ([[0, 0], [0, "x"]],
-             "coefficients must be finite numbers: Invalid literal for Fraction: 'x'")):
+            ([[0], [0, 1]], matrix), (np.zeros((0, 3)), matrix)):
         with pytest.raises(ConstructionError) as refused:
             PolyCopula(bad)
         assert str(refused.value) == message, bad
+    # the rest of the message is Python's own
+    for bad in ([0.5, 0.5], [[0, 0], [0, float("nan")]], [[0, 0], [0, float("inf")]],
+                [[0, 0], [0, "x"]]):
+        with pytest.raises(ConstructionError, match="^coefficients must be finite numbers: "):
+            PolyCopula(bad)
     with pytest.raises(ValueError):
         P.coeffs[1, 1] = 0
 

@@ -49,9 +49,9 @@ steps of the lattice-products benchmark for the pass-0 inputs of seed 1,
 a product with a transposed factor, and two products at
 ``poly.MAX_DEGREE``, of degrees (16, 8) and (16, 16). Each entry is a
 sha256 over the bytes of the float coefficients ``_c`` and of the
-partials' ``_c1`` and ``_c2``, ``float.hex`` of the first nonzero
-entry of each (the first entry of all three is 0), the degree, and a sha256 over ``str(coeffs)``, the exact
-coefficients.
+partials' ``_c1`` and ``_c2``, ``float.hex`` of the first nonzero entry
+of each (the first entry of all three is 0), the degree, and a sha256
+over ``str(coeffs)``, the exact coefficients.
 
     python tools/forced_bits.py          # rewrite tests/golden/forced_bits.json
     python tools/forced_bits.py --check  # compare with it, exit 1 on a mismatch
