@@ -263,8 +263,6 @@ def _moments(pieces, n):
         L = math.lcm(*range(1, m + 1))
         ints = [(b**j - a**j) * d ** (m - j) * (L // j) for j in range(1, m + 1)]
         parts.append(([sum(map(mul, g, ints[k:])) for k in range(n)], gd * L * d**m))
-    if len(parts) == 1:
-        return parts[0]
     den = math.lcm(*(dp for _, dp in parts))
     scales = [den // dp for _, dp in parts]
     return [sum(map(mul, scales, ks)) for ks in zip(*(mom for mom, _ in parts))], den
